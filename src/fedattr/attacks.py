@@ -23,7 +23,9 @@ from .flcore import LocalHP, RoundContext, benign_local_update
 from .models import (
     LabeledBatch,
     ModelSpec,
+    _views,
     concat_batches,
+    forward,
     loss_and_grad,
     sgd_train,
 )
@@ -258,7 +260,8 @@ def grad_z_fd(
 ) -> np.ndarray:
     """Central-difference gradient of the joint loss with respect to z.
 
-    Per-coordinate step is step_scale * (1 + |z_ij|).
+    The reference that grad_z is checked against.  Per-coordinate step is
+    step_scale * (1 + |z_ij|).
     """
     if step_scale <= 0:
         raise ValueError("step_scale must be positive")
@@ -274,6 +277,68 @@ def grad_z_fd(
             down = joint_loss(spec, w_t, dec, lo, labels, g_ref).total
             grad[i, j] = (up - down) / (2.0 * h)
     return grad
+
+
+def grad_z(
+    spec: ModelSpec,
+    w_t: np.ndarray,
+    dec: Decoder,
+    z: np.ndarray,
+    labels: np.ndarray,
+    g_ref: np.ndarray,
+) -> np.ndarray:
+    """Closed-form gradient of joint_loss(...).total with respect to z.
+
+    With g = grad_w CE and v = dL/dg (direction and norm terms), the loss
+    depends on each decoded row x_i through <v, g> and through CE, so the
+    input gradient is one vector-Jacobian product per row, batched, and the
+    latent gradient is that pulled back through the decoder map.  Matches
+    grad_z_fd, including the degenerate-vector conventions of joint_loss and
+    sign(0) = 0 at the norm-gap kink.
+    """
+    batch = decode(dec, z, labels)
+    _, g = loss_and_grad(spec, w_t, batch)
+    gnorm = float(np.linalg.norm(g))
+    rnorm = float(np.linalg.norm(g_ref))
+    if gnorm == 0.0:
+        v = np.zeros_like(g)
+    elif rnorm == 0.0:
+        v = g / gnorm
+    else:
+        cos = float(np.dot(g, g_ref)) / (gnorm * rnorm)
+        v = (
+            -g_ref / (gnorm * rnorm)
+            + (cos / gnorm**2) * g
+            + (np.sign(gnorm - rnorm) / gnorm) * g
+        )
+
+    x, n = batch.inputs, len(batch)
+    p = forward(spec, w_t, batch)
+    delta = p.copy()
+    delta[np.arange(n), batch.labels] -= 1.0
+    delta /= n
+
+    def softmax_vjp(a: np.ndarray) -> np.ndarray:
+        # rows of J_i a_i / n with J_i = diag(p_i) - p_i p_i^T
+        return p * (a - np.sum(p * a, axis=1, keepdims=True)) / n
+
+    if spec.kind == "logistic":
+        w, _ = _views(spec, w_t)
+        vw, vb = _views(spec, v)
+        grad_x = softmax_vjp(x @ vw.T + vb) @ w + delta @ (vw + w)
+    else:
+        w1, b1, w2, _ = _views(spec, w_t)
+        v1, vb1, v2, vb2 = _views(spec, v)
+        h = np.tanh(x @ w1.T + b1)
+        s = 1.0 - h * h
+        q = delta @ w2  # W2^T delta_i per row
+        u = x @ v1.T + vb1
+        # <v, g> = sum_i delta_i.(V2 h_i + vb2) + (q_i * s_i).u_i; gamma is its
+        # gradient in the logits, dh its gradient in h (tanh' = s = 1 - h^2)
+        gamma = softmax_vjp(h @ v2.T + vb2 + (s * u) @ w2.T)
+        dh = gamma @ w2 + delta @ v2 - 2.0 * h * q * u
+        grad_x = (dh * s) @ w1 + (q * s) @ (v1 + w1)
+    return grad_x @ dec.W
 
 
 # --- latent-optimization attack ----------------------------------------------
@@ -339,7 +404,7 @@ def refine_latent(
     z = state.z
     trace = [joint_loss(spec, w_t, dec, z, labels, g_ref).total]
     for _ in range(steps):
-        grad = grad_z_fd(spec, w_t, dec, z, labels, g_ref)
+        grad = grad_z(spec, w_t, dec, z, labels, g_ref)
         z = z - state.hyper.eta_z * grad
         trace.append(joint_loss(spec, w_t, dec, z, labels, g_ref).total)
     return replace(state, z=z, refine_trace=tuple(trace))

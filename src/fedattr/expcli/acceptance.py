@@ -135,23 +135,27 @@ def check_shapley_correctness() -> tuple[bool, str]:
     return True, f"oracle match {worst:.1e}, axioms {axiom_err:.1e}"
 
 
+def _random_spec(rng: np.random.Generator, trial: int) -> models.ModelSpec:
+    """Small random logistic spec on even trials, mlp1 on odd ones."""
+    if trial % 2 == 0:
+        return models.ModelSpec(
+            "logistic",
+            input_dim=int(rng.integers(2, 6)),
+            num_classes=int(rng.integers(2, 5)),
+        )
+    return models.ModelSpec(
+        "mlp1",
+        input_dim=int(rng.integers(2, 5)),
+        num_classes=int(rng.integers(2, 4)),
+        hidden_dim=int(rng.integers(2, 5)),
+    )
+
+
 def check_gradient_integrity() -> tuple[bool, str]:
     rng = np.random.default_rng(7002)
     worst = 0.0
     for trial in range(100):
-        if trial % 2 == 0:
-            spec = models.ModelSpec(
-                "logistic",
-                input_dim=int(rng.integers(2, 6)),
-                num_classes=int(rng.integers(2, 5)),
-            )
-        else:
-            spec = models.ModelSpec(
-                "mlp1",
-                input_dim=int(rng.integers(2, 5)),
-                num_classes=int(rng.integers(2, 4)),
-                hidden_dim=int(rng.integers(2, 5)),
-            )
+        spec = _random_spec(rng, trial)
         params = rng.normal(size=spec.param_count)
         batch = models.LabeledBatch(
             rng.normal(size=(8, spec.input_dim)), rng.integers(0, spec.num_classes, 8)
@@ -184,7 +188,32 @@ def check_gradient_integrity() -> tuple[bool, str]:
         worst_z = max(worst_z, float(np.max(np.abs(g1 - g2))) / scale)
     if worst_z > 1e-3:
         return False, f"latent FD cross-check rel err {worst_z:.2e} > 1e-3"
-    return True, f"model grad {worst:.1e}, latent FD {worst_z:.1e}"
+
+    # analytic latent gradient against finite differences, both model kinds
+    rng3 = np.random.default_rng(7005)
+    worst_a = 0.0
+    for trial in range(20):
+        spec = _random_spec(rng3, trial)
+        c = spec.num_classes
+        pool = models.LabeledBatch(rng3.normal(size=(c, spec.input_dim)), np.arange(c))
+        dec = attacks.calibrate_decoder(
+            pool, latent_dim=int(rng3.integers(2, 5)), seed=trial, num_classes=c
+        )
+        z = rng3.normal(size=(6, dec.latent_dim))
+        labels = rng3.integers(0, c, 6)
+        params = rng3.normal(size=spec.param_count)
+        ref = rng3.normal(size=spec.param_count)
+        ga = attacks.grad_z(spec, params, dec, z, labels, ref)
+        fd = attacks.grad_z_fd(spec, params, dec, z, labels, ref, step_scale=1e-5)
+        scale = max(float(np.max(np.abs(fd))), 1e-8)
+        worst_a = max(worst_a, float(np.max(np.abs(ga - fd))) / scale)
+    if worst_a > 1e-6:
+        return False, f"latent analytic-vs-FD rel err {worst_a:.2e} > 1e-6"
+    return (
+        True,
+        f"model grad {worst:.1e}, latent FD {worst_z:.1e},"
+        f" latent analytic {worst_a:.1e}",
+    )
 
 
 def check_normalization_contract() -> tuple[bool, str]:

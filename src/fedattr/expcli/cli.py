@@ -71,10 +71,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _parse_sweep_value(text: str) -> int | float:
+    """An axis value as int when it reads as one, else as float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"sweep value {text!r} is not a number") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out = args.out or _default_out()
-    values = [float(v) if "." in v else int(v) for v in args.values.split(",")]
+    values = [_parse_sweep_value(v) for v in args.values.split(",")]
     reports = sweep(cfg, args.axis, values, out)
     primary = cfg.evaluator_list[0]
     for value, report in zip(values, reports):
@@ -125,8 +137,7 @@ def main(argv=None) -> int:
         "--values", required=True, help="comma-separated axis values"
     )
 
-    check_p = sub.add_parser("check", help="run the acceptance suite")
-    _add_common(check_p)
+    sub.add_parser("check", help="run the acceptance suite")
 
     plot_p = sub.add_parser("plot", help="re-emit plots from a stored run")
     plot_p.add_argument("--run", type=Path, required=True, help="run directory")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedattr import models, oracles
+from fedattr import attacks, models, oracles
 from fedattr.attacks import (
     AttackState,
     Budgets,
@@ -15,12 +15,15 @@ from fedattr.attacks import (
     decode,
     effective_alpha,
     flip_labels,
+    grad_z,
     grad_z_fd,
     joint_loss,
     refine_latent,
     select_targets,
 )
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
+from fedattr.expcli.config import ExperimentConfig
+from fedattr.expcli.experiment import run_experiment
 from fedattr.flcore import LocalHP, benign_local_update
 from fedattr.models import LabeledBatch, ModelSpec
 
@@ -296,6 +299,29 @@ def test_grad_z_matches_generic_fd_oracle(scenario):
     assert np.max(np.abs(g.ravel() - flat)) / scale <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "kind,hidden", [("logistic", 0), ("mlp1", 3), ("mlp1", 8)]
+)
+@pytest.mark.parametrize("zero_ref", [False, True])
+def test_grad_z_closed_form_matches_fd_oracle(scenario, kind, hidden, zero_ref):
+    _, _, _, dec = scenario
+    spec = ModelSpec(kind, input_dim=2, num_classes=4, hidden_dim=hidden)
+    rng = rng_for(11 + hidden)
+    w = rng.normal(size=spec.param_count)
+    z = rng.normal(size=(6, dec.latent_dim))
+    labels = rng.integers(0, 4, 6)
+    ref = np.zeros(spec.param_count) if zero_ref else rng.normal(size=spec.param_count)
+    g = grad_z(spec, w, dec, z, labels, ref)
+    flat = oracles.fd_gradient(
+        lambda v: joint_loss(spec, w, dec, v.reshape(z.shape), labels, ref).total,
+        z.ravel(),
+        1e-5,
+    )
+    assert g.shape == z.shape
+    scale = max(np.max(np.abs(flat)), 1e-8)
+    assert np.max(np.abs(g.ravel() - flat)) / scale <= 1e-6
+
+
 # --- latent refinement -----------------------------------------------------------
 
 
@@ -339,6 +365,21 @@ def test_refine_first_step_decreases_loss(scenario):
     out = refine_latent(state, spec, w, dec, labels, ref, num_steps=1)
     before, after = out.refine_trace
     assert after < before
+
+
+def test_refine_uses_closed_form_gradient(scenario, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("refine_latent must not use the finite-difference path")
+
+    monkeypatch.setattr(attacks, "grad_z_fd", fail)
+    spec, _, _, dec = scenario
+    state = fresh_state(dec, eta_z=1e-2, seed=3)
+    w = models.init_params(spec, 4)
+    labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+    ref = 0.05 * rng_for(9).normal(size=spec.param_count)
+    out = refine_latent(state, spec, w, dec, labels, ref)
+    assert len(out.refine_trace) == 3
+    assert not np.array_equal(out.z, state.z)
 
 
 def test_attack_state_validation(scenario):
@@ -438,3 +479,18 @@ def test_effective_alpha_examples():
     assert effective_alpha(300, 16) == pytest.approx(16 / 316)
     with pytest.raises(ValueError):
         effective_alpha(0, 4)
+
+
+def test_mlp1_latent_opt_scenario_smoke():
+    cfg = ExperimentConfig(
+        num_classes=4, num_clients=4, samples_per_class=100, samples_per_client=50,
+        rounds=3, synth_batch=8, latent_steps=2, pool_samples_per_class=20,
+        model_kind="mlp1", hidden_dim=6, attack="latent_opt",
+    )
+    report = run_experiment(cfg)
+    assert [d["t"] for d in report.diagnostics] == [1, 2, 3]
+    for d in report.diagnostics:
+        assert all(np.isfinite(d[k]) for k in ("l1", "l2", "l3", "update_norm"))
+    attacked = report.attacked_log.rounds[-1].updates[report.malicious_id]
+    free = report.attack_free_log.rounds[-1].updates[report.malicious_id]
+    assert not np.array_equal(attacked, free)

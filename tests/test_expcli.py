@@ -283,6 +283,30 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep_intensity.csv").exists()
 
 
+def test_cli_sweep_values_parse_as_int_or_float(tmp_path, capsys):
+    _, path = write_tiny_config(tmp_path, attack="latent_opt")
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(path), "--out", str(out), "--axis", "intensity"]
+    assert cli.main([*args, "--values", "1e-1,1"]) == 0
+    assert "intensity=0.1:" in capsys.readouterr().out
+    assert cli.main([*args, "--values", "1,lots"]) == 2
+    assert "'lots' is not a number" in capsys.readouterr().err
+
+
+def test_cli_check_rejects_run_flags(monkeypatch, capsys):
+    from fedattr.expcli import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])
+    for flag, value in (
+        ("--config", "x.cfg"), ("--out", "o"), ("--seed", "3"),
+        ("--evaluator", "loo_round"), ("--defense", "monitor"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 1\n")
