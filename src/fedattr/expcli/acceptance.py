@@ -84,8 +84,10 @@ class _TableGame:
         self.table = table
         self.num_clients = n
 
-    def value_mask(self, mask: int) -> float:
-        return self.table[frozenset(i for i in range(self.num_clients) if mask >> i & 1)]
+    def values(self, members: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.table[frozenset(np.flatnonzero(row).tolist())] for row in members]
+        )
 
 
 def check_shapley_correctness() -> tuple[bool, str]:

@@ -9,7 +9,10 @@ the fingerprint recorded in every output file.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
+
+from ..attribution import EVALUATORS, EXACT_LIMIT
 
 ATTACKS = (
     "attack_free",
@@ -82,8 +85,29 @@ class ExperimentConfig:
         if self.defense_mode not in ("off", "monitor", "enforce"):
             raise ConfigError(f"unknown defense mode {self.defense_mode!r}")
         for name in self.evaluator_list:
-            if name not in ("fedsv_exact", "fedsv_mc", "loo_round", "loo_retrain"):
+            if name not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {name!r}")
+        if self.num_clients < 2:
+            raise ConfigError("num_clients must be at least 2")
+        if self.rounds < 1:
+            raise ConfigError("rounds must be at least 1")
+        if "fedsv_exact" in self.evaluator_list and self.num_clients > EXACT_LIMIT:
+            raise ConfigError(
+                f"{self.num_clients} clients exceeds the fedsv_exact enumeration "
+                f"guard ({EXACT_LIMIT}); use fedsv_mc"
+            )
+        if "fedsv_mc" in self.evaluator_list and self.mc_permutations < 1:
+            raise ConfigError("mc_permutations must be at least 1")
+        if self.defense_mode != "off":
+            if not 0.0 < self.trim_tau < 1.0:
+                raise ConfigError("trim_tau must be in (0, 1)")
+            if (
+                self.defense_mode == "enforce"
+                and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients
+            ):
+                raise ConfigError(
+                    f"trim_tau {self.trim_tau} trims all {self.num_clients} clients"
+                )
         if self.intensity < 0:
             raise ConfigError("intensity must be non-negative")
         if self.master_seed < 0:

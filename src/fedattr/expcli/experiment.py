@@ -358,15 +358,14 @@ def sweep(
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    reports = []
-    for value in values:
-        if axis == "num_clients":
-            point = cfg.override(num_clients=int(value))
-        elif axis == "target_rank":
-            point = cfg.override(target_rule="rank_k", target_rank=int(value))
-        else:
-            point = cfg.override(intensity=float(value))
-        reports.append(run_experiment(point, out_dir))
+    # every point is validated before the first one trains
+    if axis == "num_clients":
+        points = [cfg.override(num_clients=int(v)) for v in values]
+    elif axis == "target_rank":
+        points = [cfg.override(target_rule="rank_k", target_rank=int(v)) for v in values]
+    else:
+        points = [cfg.override(intensity=float(v)) for v in values]
+    reports = [run_experiment(point, out_dir) for point in points]
     if out_dir is not None:
         write_sweep_summary(reports, axis, values, Path(out_dir))
     return reports

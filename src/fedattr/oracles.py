@@ -1,8 +1,9 @@
 """Brute-force reference implementations used by tests and acceptance checks.
 
 These deliberately share no arithmetic with the production paths they verify:
-Shapley values are averaged over explicitly enumerated permutations, and
-gradients come from plain central differences.
+Shapley values are averaged over explicitly enumerated permutations,
+gradients come from plain central differences, and a coalition's utility is
+one model aggregated in a plain loop and scored by `models.accuracy`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from typing import Callable, Mapping
 
 import numpy as np
+
+from . import models
 
 
 def shapley_bruteforce(
@@ -53,3 +56,22 @@ def fd_gradient(
         lo[i] -= step
         grad[i] = (f(hi) - f(lo)) / (2.0 * step)
     return grad
+
+
+def coalition_utility(
+    record, spec: models.ModelSpec, test: models.LabeledBatch, members
+) -> float:
+    """Test accuracy of w_t plus the n-weighted mean update of `members`.
+
+    `record` is a logged round (`w_t`, `updates`, `n`); `members` lists the
+    coalition's client indices.  The empty coalition scores w_t itself.
+    """
+    members = sorted(set(int(i) for i in members))
+    params = np.array(record.w_t, dtype=np.float64)
+    if members:
+        total = sum(record.n[i] for i in members)
+        mean = np.zeros_like(params)
+        for i in members:
+            mean += (record.n[i] / total) * record.updates[i]
+        params = params + mean
+    return models.accuracy(spec, params, test)

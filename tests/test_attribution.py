@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedattr import attribution, models, oracles
 from fedattr.attribution import (
     AttributionReport,
     CoalitionUtility,
-    coalition_value,
     fedsv,
     loo_retrain,
     loo_retrain_report,
@@ -19,7 +21,7 @@ from fedattr.attribution import (
 )
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.flcore import BenignBehavior, FLConfig, LocalHP, run_training
-from fedattr.models import ModelSpec
+from fedattr.models import LabeledBatch, ModelSpec
 
 
 class TableGame:
@@ -29,8 +31,10 @@ class TableGame:
         self.table = table
         self.num_clients = n
 
-    def value_mask(self, mask):
-        return self.table[frozenset(i for i in range(self.num_clients) if mask >> i & 1)]
+    def values(self, members):
+        return np.array(
+            [self.table[frozenset(np.flatnonzero(row).tolist())] for row in members]
+        )
 
 
 def full_table(n, fn):
@@ -135,18 +139,25 @@ def test_shapley_mc_seed_determinism():
 # --- coalition utilities over real rounds -----------------------------------
 
 
-def small_run(num_clients=3, rounds=2, master_seed=6):
-    dataset = DatasetSpec("gaussian_blobs", 3, 2, 120, 5.0, 1.0, seed=0)
+def small_run(
+    num_clients=3, rounds=2, master_seed=6, *, samples_per_class=120,
+    model="logistic", defense_mode="off", behaviors=None,
+):
+    dataset = DatasetSpec("gaussian_blobs", 3, 2, samples_per_class, 5.0, 1.0, seed=0)
     train, test = synthesize(dataset)
     shards = partition_noniid(
         train, PartitionSpec(num_clients, 2, 30, seed=1), 3
     )
-    spec = ModelSpec("logistic", input_dim=2, num_classes=3)
+    if model == "logistic":
+        spec = ModelSpec("logistic", input_dim=2, num_classes=3)
+    else:
+        spec = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5)
     cfg = FLConfig(
         spec=spec, shards=shards,
-        behaviors=[BenignBehavior(spec) for _ in shards],
+        behaviors=behaviors or [BenignBehavior(spec) for _ in shards],
         hp=LocalHP(epochs=1, batch_size=16, eta_w=0.2),
         rounds=rounds, test=test, master_seed=master_seed,
+        defense_mode=defense_mode, trim_tau=0.2,
     )
     return cfg, run_training(cfg), spec, test
 
@@ -155,12 +166,136 @@ def test_coalition_value_definitions():
     cfg, log, spec, test = small_run()
     rec = log.rounds[0]
     cu = CoalitionUtility.from_round(rec, spec, test)
-    assert coalition_value(cu, []) == models.accuracy(spec, rec.w_t, test)
-    assert coalition_value(cu, range(3)) == models.accuracy(spec, rec.w_next, test)
-    single = coalition_value(cu, [1])
+    assert cu.value([]) == models.accuracy(spec, rec.w_t, test)
+    assert cu.value(range(3)) == models.accuracy(spec, rec.w_next, test)
+    single = cu.value([1])
     assert single == models.accuracy(spec, rec.w_t + rec.updates[1], test)
+    assert cu.value_mask(0b010) == single
     with pytest.raises(ValueError):
-        coalition_value(cu, [7])
+        cu.value([7])
+    with pytest.raises(ValueError):
+        cu.values(np.ones((2, 4), dtype=bool))
+
+
+def every_coalition(n):
+    return np.array(list(itertools.product([False, True], repeat=n)))
+
+
+def assert_values_match_oracle(log, spec, test):
+    for rec in log.rounds:
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        members = every_coalition(cu.num_clients)
+        got = cu.values(members)
+        for row, value in zip(members, got):
+            expected = oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
+            assert value == expected, (rec.t, row)
+
+
+@pytest.mark.parametrize("chunk_logits", [1 << 16, 500])
+@pytest.mark.parametrize("model", ["logistic", "mlp1"])
+def test_values_match_oracle(model, chunk_logits, monkeypatch):
+    # a small chunk limit splits every round's 32 coalitions over many chunks
+    monkeypatch.setattr(attribution, "_CHUNK_LOGITS", chunk_logits)
+    cfg, log, spec, test = small_run(num_clients=5, rounds=3, model=model)
+    assert_values_match_oracle(log, spec, test)
+
+
+def test_values_match_oracle_with_zero_update_client():
+    spec = ModelSpec("logistic", input_dim=2, num_classes=3)
+
+    def silent(ctx):
+        return np.zeros(spec.param_count)
+
+    behaviors = [BenignBehavior(spec), silent, BenignBehavior(spec), BenignBehavior(spec)]
+    cfg, log, spec, test = small_run(num_clients=4, behaviors=behaviors)
+    assert not np.any(log.rounds[0].updates[1])
+    assert_values_match_oracle(log, spec, test)
+
+
+def test_values_match_oracle_on_enforced_round():
+    cfg, log, spec, test = small_run(num_clients=5, defense_mode="enforce")
+    assert all(rec.trim is not None and rec.trim.trimmed for rec in log.rounds)
+    assert_values_match_oracle(log, spec, test)
+
+
+def test_values_count_labels_outside_the_model_as_wrong():
+    cfg, log, spec, test = small_run()
+    rec = log.rounds[0]
+    extra = LabeledBatch(
+        np.concatenate([test.inputs, test.inputs[:5]]),
+        np.concatenate([test.labels, np.full(5, spec.num_classes)]),
+    )
+    got = CoalitionUtility.from_round(rec, spec, extra).values(every_coalition(3))
+    for row, value in zip(every_coalition(3), got):
+        assert value == oracles.coalition_utility(rec, spec, extra, np.flatnonzero(row))
+
+
+def test_values_break_logit_ties_toward_the_lowest_class():
+    # w_t = 0 ties every class; the second update ties classes 1 and 2 above 0
+    cfg, log, spec, test = small_run()
+    bias_only = np.zeros(spec.param_count)
+    bias_only[-3:] = [0.0, 1.0, 1.0]
+    rec = log.rounds[0]
+    rec = type(rec)(
+        rec.t, np.zeros(spec.param_count), (np.zeros(spec.param_count), bias_only),
+        (10, 30), rec.w_next, rec.test_utility_after,
+    )
+    got = CoalitionUtility.from_round(rec, spec, test).values(every_coalition(2))
+    expected = [
+        oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
+        for row in every_coalition(2)
+    ]
+    assert list(got) == expected
+    assert got[0] == np.mean(test.labels == 0)  # all tied: class 0 wins
+    assert got[1] == np.mean(test.labels == 1)  # 1 and 2 tied: class 1 wins
+
+
+def shapley_mc_loop(cu, num_permutations, seed):
+    """Per-permutation reference: one utility per prefix, in draw order."""
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(cu.num_clients)
+    for _ in range(num_permutations):
+        perm = rng.permutation(cu.num_clients)
+        before = cu.value([])
+        for j, i in enumerate(perm):
+            after = cu.value(perm[: j + 1].tolist())
+            totals[i] += after - before
+            before = after
+    return totals / num_permutations
+
+
+@pytest.mark.parametrize("num_clients, num_permutations", [(5, 40), (20, 12)])
+def test_shapley_mc_matches_per_permutation_loop(num_clients, num_permutations):
+    # N=20 is above the exact guard: only sampling can value this game
+    cfg, log, spec, test = small_run(num_clients=num_clients, samples_per_class=400)
+    for rec in log.rounds:
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        fast = shapley_mc(cu, num_permutations, seed=rec.t)
+        loop = shapley_mc_loop(cu, num_permutations, seed=rec.t)
+        assert fast.tobytes() == loop.tobytes()
+
+
+def shapley_exact_loop(cu):
+    """Subset-loop reference: each marginal added to phi_i in mask order."""
+    num = cu.num_clients
+    fact = [math.factorial(j) for j in range(num + 1)]
+    weights = [fact[s] * fact[num - 1 - s] / fact[num] for s in range(num)]
+    values = [cu.value_mask(mask) for mask in range(1 << num)]
+    phi = np.zeros(num)
+    for i in range(num):
+        for mask in range(1 << num):
+            if not mask >> i & 1:
+                size = bin(mask).count("1")
+                phi[i] += weights[size] * (values[mask | 1 << i] - values[mask])
+    return phi
+
+
+@pytest.mark.parametrize("model", ["logistic", "mlp1"])
+def test_shapley_exact_matches_subset_loop(model):
+    cfg, log, spec, test = small_run(num_clients=6, model=model)
+    for rec in log.rounds:
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        assert shapley_exact(cu).tobytes() == shapley_exact_loop(cu).tobytes()
 
 
 def test_fedsv_efficiency_over_log():
@@ -269,6 +404,49 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     assert np.all(report.raw >= 0)
     assert report.evaluator == "loo_retrain"
     assert loo_retrain(cfg, 1) == pytest.approx(report.raw[1], abs=1e-12)
+
+
+# --- properties of real round games ------------------------------------------
+
+run_params = dict(
+    num_clients=st.integers(2, 6), master_seed=st.integers(0, 2**31 - 1)
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**run_params)
+def test_property_exact_efficiency(num_clients, master_seed):
+    cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
+    for rec in log.rounds:
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        gain = cu.value(range(num_clients)) - cu.value([])
+        assert abs(shapley_exact(cu).sum() - gain) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(**run_params)
+def test_property_duplicated_clients_get_equal_values(num_clients, master_seed):
+    # client 1 is a copy of client 0: same shard, same id-keyed RNG stream
+    cfg, _, spec, test = small_run(num_clients)
+    shards = list(cfg.shards)
+    shards[1] = shards[0]
+    twin_cfg = FLConfig(
+        spec=spec, shards=shards, behaviors=cfg.behaviors, hp=cfg.hp,
+        rounds=2, test=test, master_seed=master_seed,
+    )
+    log = run_training(twin_cfg)
+    for report in (fedsv(log, spec, test, mode="exact"), loo_round(log, spec, test)):
+        assert abs(report.raw[0] - report.raw[1]) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(**run_params, seed=st.integers(0, 2**31 - 1))
+def test_property_one_permutation_mc_is_efficient(num_clients, master_seed, seed):
+    cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
+    for rec in log.rounds:
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        gain = cu.value(range(num_clients)) - cu.value([])
+        assert abs(shapley_mc(cu, 1, seed).sum() - gain) <= 1e-12
 
 
 def test_normalize_shares_examples():

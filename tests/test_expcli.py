@@ -313,6 +313,45 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"num_clients": 20, "samples_per_client": 10}, "enumeration guard (16)"),
+        ({"evaluators": "fedsv_mc", "mc_permutations": 0}, "mc_permutations"),
+        ({"rounds": 0}, "rounds must be at least 1"),
+        ({"defense_mode": "enforce", "trim_tau": 1.5}, "trim_tau must be in (0, 1)"),
+        ({"defense_mode": "enforce", "trim_tau": 0.9}, "trims all 4 clients"),
+        ({"num_clients": 1}, "num_clients must be at least 2"),
+    ],
+    ids=["exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all", "one_client"],
+)
+def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
+    from fedattr import flcore
+
+    def no_training(cfg):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training", no_training)
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**TINY, **bad}.items()))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):
+    from fedattr import flcore
+
+    def no_training(cfg):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training", no_training)
+    with pytest.raises(ConfigError, match="num_clients"):
+        sweep(tiny_config(), "num_clients", [4, 1], tmp_path)
+
+
 def test_cli_run_failure_exit_code(tmp_path):
     # infeasible partition: more samples per client than exist
     cfg, path = write_tiny_config(tmp_path, samples_per_client=10_000)
