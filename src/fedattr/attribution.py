@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .flcore import FLConfig, TrainingLog, run_training
-from .models import LabeledBatch, ModelSpec
+from .models import LabeledBatch, ModelSpec, _layers
 
 EVALUATORS = ("fedsv_exact", "fedsv_mc", "loo_round", "loo_retrain")
 
@@ -93,24 +93,13 @@ class CoalitionUtility:
     def _class_logits(self, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         """Logits of each coalition's model, one coalitions x rows array per class.
 
-        The stacked matmul makes one BLAS call per coalition with the shapes
-        of `models.accuracy`'s call, so the logits equal it bit for bit.  The
-        output bias is added one class at a time, which keeps the inner
-        loops long.
+        `models._layers` makes the logits equal `models.accuracy`'s bit for
+        bit.  The output bias is added one class at a time, which keeps the
+        inner loops long.
         """
-        spec = self.spec
-        k, d, h, c = len(params), spec.input_dim, spec.hidden_dim, spec.num_classes
-        if spec.kind == "logistic":
-            z = x @ params[:, : c * d].reshape(k, c, d).transpose(0, 2, 1)
-            bias = params[:, c * d :]
-        else:
-            o1, o2, o3 = h * d, h * d + h, h * d + h + c * h
-            hidden = x @ params[:, :o1].reshape(k, h, d).transpose(0, 2, 1)
-            hidden += params[:, None, o1:o2]
-            np.tanh(hidden, out=hidden)
-            z = hidden @ params[:, o2:o3].reshape(k, c, h).transpose(0, 2, 1)
-            bias = params[:, o3:]
-        return [z[..., j] + bias[:, j : j + 1] for j in range(c)]
+        hidden, w, bias = _layers(self.spec, params, x)
+        z = hidden @ w.transpose(0, 2, 1)
+        return [z[..., j] + bias[:, j : j + 1] for j in range(self.spec.num_classes)]
 
     def value(self, subset: Iterable[int]) -> float:
         row = np.zeros((1, self.num_clients), dtype=bool)
@@ -289,11 +278,12 @@ def loo_retrain(cfg: FLConfig, client_id: int) -> float:
     return full.final_utility - reduced.final_utility
 
 
-def loo_retrain_report(cfg: FLConfig) -> AttributionReport:
-    full = run_training(cfg)
+def loo_retrain_report(cfg: FLConfig, log: TrainingLog) -> AttributionReport:
+    """`loo_retrain` for every client; `log` is `run_training(cfg)`, which
+    the full-coalition utility is read from instead of training it again."""
     raw = np.array(
         [
-            full.final_utility
+            log.final_utility
             - run_training(cfg.without_client(s.client_id)).final_utility
             for s in cfg.shards
         ]

@@ -87,13 +87,18 @@ def _class_centers(spec: DatasetSpec) -> np.ndarray:
     return centers
 
 
+def train_rows_per_class(samples_per_class: int) -> int:
+    """Rows of each class that `synthesize` puts in the training split."""
+    return samples_per_class - max(1, round(0.2 * samples_per_class))
+
+
 def synthesize(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     """Deterministic class-balanced train/test split (test is ~20%, disjoint)."""
     if spec.samples_per_class < 2:
         raise ValueError("need samples_per_class >= 2 to carve a test split")
     rng = np.random.default_rng(spec.seed)
-    n_test = max(1, round(0.2 * spec.samples_per_class))
-    n_train = spec.samples_per_class - n_test
+    n_train = train_rows_per_class(spec.samples_per_class)
+    n_test = spec.samples_per_class - n_train
 
     train_x, train_y, test_x, test_y = [], [], [], []
     centers = _class_centers(spec) if spec.generator == "gaussian_blobs" else None
@@ -122,6 +127,25 @@ def synthesize(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     return train, test
 
 
+def _quotas(spec: PartitionSpec) -> list[int]:
+    """samples_per_client split as evenly as possible over k classes."""
+    base, extra = divmod(spec.samples_per_client, spec.classes_per_client)
+    return [base + 1] * extra + [base] * (spec.classes_per_client - extra)
+
+
+def cycle_demand(spec: PartitionSpec, num_classes: int) -> np.ndarray:
+    """Samples `partition_noniid` takes at each position of its dealt class
+    cycle; the seed decides only which class holds which position."""
+    k = spec.classes_per_client
+    if k > num_classes:
+        raise ValueError("classes_per_client exceeds number of classes")
+    quotas = _quotas(spec)
+    demand = np.zeros(num_classes, dtype=np.int64)
+    for slot in range(spec.num_clients * k):  # client slot // k, class slot % k
+        demand[slot % num_classes] += quotas[slot % k]
+    return demand
+
+
 def partition_noniid(
     train: LabeledBatch, spec: PartitionSpec, num_classes: int | None = None
 ) -> list[ClientShard]:
@@ -135,8 +159,7 @@ def partition_noniid(
     labels = train.labels
     c = num_classes if num_classes is not None else int(labels.max()) + 1
     k = spec.classes_per_client
-    if k > c:
-        raise ValueError("classes_per_client exceeds number of classes")
+    demand = cycle_demand(spec, c)
 
     rng = np.random.default_rng(spec.seed)
     class_order = rng.permutation(c)
@@ -145,17 +168,13 @@ def partition_noniid(
         for i in range(spec.num_clients)
     ]
 
-    base, extra = divmod(spec.samples_per_client, k)
-    quotas = [base + 1] * extra + [base] * (k - extra)
-
+    quotas = _quotas(spec)
     pools = {
         cls: list(rng.permutation(np.flatnonzero(labels == cls)))
         for cls in range(c)
     }
-    needed = {cls: 0 for cls in range(c)}
-    for classes in assignments:
-        for cls, q in zip(classes, quotas):
-            needed[cls] += q
+    needed = np.empty(c, dtype=np.int64)
+    needed[class_order] = demand
     for cls in range(c):
         if needed[cls] > len(pools[cls]):
             raise ValueError(

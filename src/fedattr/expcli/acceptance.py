@@ -244,6 +244,16 @@ def _median(xs) -> float:
     return float(np.median(np.asarray(xs, dtype=np.float64)))
 
 
+def _median_gain(reports, evaluator: str = "fedsv_exact") -> float:
+    """Median over seeds of the attacker's share gain under `evaluator`."""
+    return _median(
+        [
+            r.target_share(evaluator, "attacked") - r.target_share(evaluator, "attack_free")
+            for r in reports
+        ]
+    )
+
+
 def check_attack_effect(battery: _Battery) -> tuple[bool, str]:
     gains = {}
     shares = {}
@@ -252,13 +262,7 @@ def check_attack_effect(battery: _Battery) -> tuple[bool, str]:
         shares[attack] = _median(
             [r.target_share("fedsv_exact", "attacked") for r in reports]
         )
-        gains[attack] = _median(
-            [
-                r.target_share("fedsv_exact", "attacked")
-                - r.target_share("fedsv_exact", "attack_free")
-                for r in reports
-            ]
-        )
+        gains[attack] = _median_gain(reports)
     ok_gain = gains["latent_opt"] >= 0.05
     ok_best = all(
         shares["latent_opt"] > shares[a]
@@ -324,20 +328,8 @@ def check_target_rank_asymmetry(battery: _Battery) -> tuple[bool, str]:
     high = battery.per_seed(
         attack="latent_opt", target_rule="rank_k", target_rank=1
     )
-    gain_low = _median(
-        [
-            r.target_share("fedsv_exact", "attacked")
-            - r.target_share("fedsv_exact", "attack_free")
-            for r in low
-        ]
-    )
-    gain_high = _median(
-        [
-            r.target_share("fedsv_exact", "attacked")
-            - r.target_share("fedsv_exact", "attack_free")
-            for r in high
-        ]
-    )
+    gain_low = _median_gain(low)
+    gain_high = _median_gain(high)
     detail = f"gain rank-N {gain_low:+.4f} vs rank-1 {gain_high:+.4f}"
     return gain_low > gain_high, detail
 
@@ -357,13 +349,7 @@ def check_loo_robustness(battery: _Battery) -> tuple[bool, str]:
     reports = battery.per_seed(
         attack="latent_opt", evaluators="loo_round,fedsv_exact"
     )
-    gain = _median(
-        [
-            r.target_share("loo_round", "attacked")
-            - r.target_share("loo_round", "attack_free")
-            for r in reports
-        ]
-    )
+    gain = _median_gain(reports, "loo_round")
     detail = f"LOO median gain {gain:+.4f} (need >= +0.03)"
     return gain >= 0.03, detail
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
+from ..data import PartitionSpec, cycle_demand, train_rows_per_class
 
 ATTACKS = (
     "attack_free",
@@ -108,6 +109,19 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"trim_tau {self.trim_tau} trims all {self.num_clients} clients"
                 )
+        try:
+            partition = PartitionSpec(
+                self.num_clients, self.classes_per_client, self.samples_per_client, 0
+            )
+            demand = int(cycle_demand(partition, self.num_classes).max())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        available = train_rows_per_class(self.samples_per_class)
+        if demand > available:
+            raise ConfigError(
+                f"samples_per_client {self.samples_per_client} needs {demand} "
+                f"training samples of one class, but a class has {available}"
+            )
         if self.intensity < 0:
             raise ConfigError("intensity must be non-negative")
         if self.master_seed < 0:

@@ -170,7 +170,7 @@ def _evaluate(
     if name == "loo_round":
         return attribution.loo_round(log, scenario.spec, scenario.test)
     if name == "loo_retrain":
-        return attribution.loo_retrain_report(flcfg)
+        return attribution.loo_retrain_report(flcfg, log)
     raise ConfigError(f"unknown evaluator {name!r}")
 
 

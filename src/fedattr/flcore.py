@@ -26,6 +26,7 @@ from .models import (
     params_from_bytes,
     params_to_bytes,
     sgd_train,
+    sgd_train_many,
 )
 
 DEFENSE_MODES = ("off", "monitor", "enforce")
@@ -160,7 +161,11 @@ def benign_local_update(
 
 
 class BenignBehavior:
-    """Standard client: trains on its shard, reports the weight delta."""
+    """Standard client: trains on its shard, reports the weight delta.
+
+    `run_training` trains all of a round's `BenignBehavior` clients in
+    lockstep instead of calling them one by one; the updates are the same.
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -175,6 +180,36 @@ def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
     return accuracy(spec, params, test)
 
 
+def _lockstep_updates(cfg: FLConfig, t: int, w: np.ndarray) -> dict[int, np.ndarray]:
+    """Round-t updates of the `BenignBehavior` clients, by position.
+
+    Clients with the same spec and shard size train in one `sgd_train_many`
+    call, each with the seed its behavior would draw from its own stream, so
+    the updates equal the per-client ones bit for bit.  A group that fails
+    validation is left to the per-client path, which names the failing client.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
+        if type(behavior) is BenignBehavior:
+            groups.setdefault((behavior.spec, shard.n_i), []).append(i)
+    updates: dict[int, np.ndarray] = {}
+    for (spec, _), group in groups.items():
+        shards = [cfg.shards[i] for i in group]
+        rngs = [streams.stream(cfg.master_seed, "client", s.client_id, t) for s in shards]
+        seeds = [int(rng.integers(0, 2**63)) for rng in rngs]
+        starts = np.broadcast_to(w, (len(group), w.size))
+        hp = cfg.hp
+        try:
+            trained = sgd_train_many(
+                spec, starts, [s.data for s in shards],
+                hp.epochs, hp.batch_size, hp.eta_w, seeds,
+            )
+        except ValueError:
+            continue
+        updates.update(zip(group, trained - w))
+    return updates
+
+
 def run_training(cfg: FLConfig) -> TrainingLog:
     """Run T FedAvg rounds and record every broadcast, update, and aggregate."""
     w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
@@ -184,14 +219,18 @@ def run_training(cfg: FLConfig) -> TrainingLog:
     n = tuple(int(s.n_i) for s in cfg.shards)
 
     for t in range(1, cfg.rounds + 1):
+        lockstep = _lockstep_updates(cfg, t, w)
         updates: list[np.ndarray] = []
-        for shard, behavior in zip(cfg.shards, cfg.behaviors):
-            rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-            ctx = RoundContext(t, w, tuple(history), shard, cfg.hp, rng)
-            try:
-                u = np.asarray(behavior(ctx), dtype=np.float64)
-            except Exception as exc:
-                raise FLRunError(t, shard.client_id, exc) from exc
+        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
+            if i in lockstep:
+                u = lockstep[i]
+            else:
+                rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
+                ctx = RoundContext(t, w, tuple(history), shard, cfg.hp, rng)
+                try:
+                    u = np.asarray(behavior(ctx), dtype=np.float64)
+                except Exception as exc:
+                    raise FLRunError(t, shard.client_id, exc) from exc
             if u.shape != w.shape or not np.all(np.isfinite(u)):
                 raise FLRunError(
                     t, shard.client_id, ValueError("bad update shape or non-finite")

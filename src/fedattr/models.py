@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class LabeledBatch:
         return self.inputs.shape[0]
 
 
-def take(batch: LabeledBatch, idx: np.ndarray) -> LabeledBatch:
-    """Row subset of a batch (copying)."""
-    return LabeledBatch(batch.inputs[idx], batch.labels[idx], batch.num_classes)
-
-
 def concat_batches(a: LabeledBatch, b: LabeledBatch) -> LabeledBatch:
     if a.inputs.shape[1] != b.inputs.shape[1]:
         raise ValueError("input dims differ")
@@ -104,25 +100,39 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _views(spec: ModelSpec, params: np.ndarray):
-    """Reshaped views into the flat vector, in layout order."""
+    """Reshaped views into a flat vector, or a (K, P) stack of them, in layout order."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if params.ndim != 1 or len(params) != spec.param_count:
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
         raise ValueError(
-            f"parameter vector has length {len(params)}, expected {spec.param_count}"
+            f"parameters have shape {params.shape}, expected (..., {spec.param_count})"
         )
+    lead = params.shape[:-1]
     if spec.kind == "logistic":
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
-        return w, b
+        return params[..., : c * d].reshape(*lead, c, d), params[..., c * d :]
     o1 = h * d
     o2 = o1 + h
     o3 = o2 + c * h
     return (
-        params[:o1].reshape(h, d),
-        params[o1:o2],
-        params[o2:o3].reshape(c, h),
-        params[o3:],
+        params[..., :o1].reshape(*lead, h, d),
+        params[..., o1:o2],
+        params[..., o2:o3].reshape(*lead, c, h),
+        params[..., o3:],
     )
+
+
+def _layers(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Input to the output layer of K stacked models, row k of `params`
+    (K, P) on x[k] (or on a shared x), with the output layer's weights and
+    biases.  Each matmul makes one BLAS call per model with the shapes and
+    strides of a single-model call, so every row is bit for bit what K = 1
+    gives for that model alone."""
+    if spec.kind == "logistic":
+        w, b = _views(spec, params)
+        return x, w, b
+    w1, b1, w, b = _views(spec, params)
+    hidden = x @ w1.transpose(0, 2, 1)
+    hidden += b1[:, None]
+    return np.tanh(hidden, out=hidden), w, b
 
 
 def _logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -130,12 +140,8 @@ def _logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
         raise ValueError(
             f"inputs have {inputs.shape[1]} columns, expected {spec.input_dim}"
         )
-    if spec.kind == "logistic":
-        w, b = _views(spec, params)
-        return inputs @ w.T + b
-    w1, b1, w2, b2 = _views(spec, params)
-    hidden = np.tanh(inputs @ w1.T + b1)
-    return hidden @ w2.T + b2
+    hidden, w, b = _layers(spec, params[None], inputs)
+    return (hidden @ w.transpose(0, 2, 1) + b[:, None])[0]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -153,46 +159,41 @@ def loss_and_grad(
     spec: ModelSpec, params: np.ndarray, batch: LabeledBatch
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient in the flat space."""
+    _check_batch(spec, batch)
+    logp, grad = _ce_grads(spec, params[None], batch.inputs[None], batch.labels[None])
+    return -float(logp[0, np.arange(len(batch)), batch.labels].mean()), grad[0]
+
+
+def _check_batch(spec: ModelSpec, batch: LabeledBatch) -> None:
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    x, y = batch.inputs, batch.labels
-    if y.max() >= spec.num_classes:
+    if batch.labels.max() >= spec.num_classes:
         raise ValueError("label out of range for num_classes")
-    n = len(batch)
 
-    if spec.kind == "logistic":
-        w, b = _views(spec, params)
-        z = x @ w.T + b
-        logp = z - _logsumexp_rows(z)
-        loss = -float(logp[np.arange(n), y].mean())
-        delta = np.exp(logp)
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grad_w = delta.T @ x
-        grad_b = delta.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
 
-    w1, b1, w2, b2 = _views(spec, params)
-    hidden = np.tanh(x @ w1.T + b1)
-    z = hidden @ w2.T + b2
+def _ce_grads(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-probabilities (K, m, C) of K models, row k of `params` (K, P) on
+    the batch x[k] (m, d), and each model's flat gradient (K, P) of the mean
+    cross-entropy against labels y[k]."""
+    k, m = y.shape
+    hidden, w, b = _layers(spec, params, x)
+    z = hidden @ w.transpose(0, 2, 1) + b[:, None]
     logp = z - _logsumexp_rows(z)
-    loss = -float(logp[np.arange(n), y].mean())
     delta = np.exp(logp)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_w2 = delta.T @ hidden
-    grad_b2 = delta.sum(axis=0)
-    dhidden = (delta @ w2) * (1.0 - hidden * hidden)
-    grad_w1 = dhidden.T @ x
-    grad_b1 = dhidden.sum(axis=0)
-    return loss, np.concatenate(
-        [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
-    )
+    delta[np.arange(k)[:, None], np.arange(m), y] -= 1.0
+    delta /= m
+    grads = [(delta.transpose(0, 2, 1) @ hidden).reshape(k, -1), delta.sum(axis=1)]
+    if spec.kind == "mlp1":
+        dhidden = (delta @ w) * (1.0 - hidden * hidden)
+        grads[:0] = [(dhidden.transpose(0, 2, 1) @ x).reshape(k, -1), dhidden.sum(axis=1)]
+    return logp, np.concatenate(grads, axis=1)
 
 
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    m = z.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
@@ -217,23 +218,51 @@ def sgd_train(
 
     Deterministic for fixed (inputs, seed); the input vector is never mutated.
     """
+    params = np.asarray(params)[None]
+    return sgd_train_many(spec, params, [data], epochs, batch_size, eta_w, [seed])[0]
+
+
+def sgd_train_many(
+    spec: ModelSpec,
+    params: np.ndarray,
+    datas: Sequence[LabeledBatch],
+    epochs: int,
+    batch_size: int,
+    eta_w: float,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """`sgd_train` of K models in lockstep, one stacked kernel call per step.
+
+    Row k of the returned (K, P) array trains params[k] on datas[k] with seed
+    seeds[k] and equals `sgd_train` on that model alone bit for bit.  The
+    training sets must have equal size, so each step's mini-batches stack.
+    """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if not np.isfinite(eta_w) or eta_w < 0:
         raise ValueError("eta_w must be a finite non-negative step size")
-    if len(data) == 0:
-        raise ValueError("training data is empty")
-
-    w = np.array(params, dtype=np.float64, copy=True)
-    rng = np.random.default_rng(seed)
-    n = len(data)
+    if not datas or len(params) != len(datas) or len(seeds) != len(datas):
+        raise ValueError("need one parameter row and one seed per training set")
+    n = len(datas[0])
+    if any(len(data) != n for data in datas):
+        raise ValueError("training sets must have equal size")
+    for data in datas:
+        _check_batch(spec, data)
+    # C order: copying a broadcast row would otherwise give a column-major
+    # array, whose strides send numpy's matmul to a differently rounded loop
+    w = np.array(params, dtype=np.float64, order="C")
+    x = np.stack([data.inputs for data in datas])
+    y = np.stack([data.labels for data in datas])
+    rows = np.arange(len(datas))[:, None]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        xs, ys = x[rows, order], y[rows, order]  # this epoch's shuffled rows
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            _, grad = loss_and_grad(spec, w, take(data, idx))
+            step = slice(start, start + batch_size)
+            _, grad = _ce_grads(spec, w, xs[:, step], ys[:, step])
             w -= eta_w * grad
     return w
 

@@ -2,8 +2,9 @@
 
 These deliberately share no arithmetic with the production paths they verify:
 Shapley values are averaged over explicitly enumerated permutations,
-gradients come from plain central differences, and a coalition's utility is
-one model aggregated in a plain loop and scored by `models.accuracy`.
+gradients come from plain central differences, a coalition's utility is one
+model aggregated in a plain loop and scored by `models.accuracy`, and local
+SGD sums per-sample gradients of a written-out forward and backward pass.
 """
 
 from __future__ import annotations
@@ -75,3 +76,45 @@ def coalition_utility(
             mean += (record.n[i] / total) * record.updates[i]
         params = params + mean
     return models.accuracy(spec, params, test)
+
+
+def sgd_train(
+    spec: models.ModelSpec,
+    params: np.ndarray,
+    data: models.LabeledBatch,
+    epochs: int,
+    batch_size: int,
+    eta_w: float,
+    seed: int,
+) -> np.ndarray:
+    """Local SGD of one model: each epoch reshuffles by
+    `default_rng(seed).permutation`, and each mini-batch steps along the
+    mean of its per-sample cross-entropy gradients."""
+    w = np.array(params, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), batch_size):
+            rows = order[start : start + batch_size]
+            grad = sum(_sample_grad(spec, w, data.inputs[i], data.labels[i]) for i in rows)
+            w = w - eta_w * grad / len(rows)
+    return w
+
+
+def _sample_grad(spec: models.ModelSpec, w: np.ndarray, x: np.ndarray, y) -> np.ndarray:
+    """Cross-entropy gradient of one sample, in the flat parameter layout."""
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    a, out = x, w  # logistic: the output layer reads the input
+    if spec.kind == "mlp1":
+        a = np.tanh(w[: h * d].reshape(h, d) @ x + w[h * d : h * d + h])
+        out = w[h * d + h :]
+    w2, b2 = out[: c * a.size].reshape(c, a.size), out[c * a.size :]
+    z = w2 @ a + b2
+    err = np.exp(z - z.max())
+    err /= err.sum()
+    err[y] -= 1.0  # d loss / d z of softmax cross-entropy
+    grad = [np.outer(err, a).ravel(), err]
+    if spec.kind == "mlp1":
+        back = (w2.T @ err) * (1.0 - a * a)
+        grad = [np.outer(back, x).ravel(), back] + grad
+    return np.concatenate(grad)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -399,11 +400,17 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     # logit wins where every trained logit is negative), so only the class
     # this fixture shows to be unrecoverable carries a positive value:
     # dropping client 1 (sole holder of class 0) costs a third of accuracy.
-    report = loo_retrain_report(cfg)
+    log = run_training(cfg)
+    report = loo_retrain_report(cfg, log)
     assert report.raw[1] == pytest.approx(1 / 3, abs=0.05)
     assert np.all(report.raw >= 0)
     assert report.evaluator == "loo_retrain"
-    assert loo_retrain(cfg, 1) == pytest.approx(report.raw[1], abs=1e-12)
+    # the report reuses the trained log; each value is still exactly the
+    # full-retrain difference
+    assert [loo_retrain(cfg, s.client_id) for s in shards] == report.raw.tolist()
+    # and the full-coalition utility comes from the given log, not a rerun
+    shifted = loo_retrain_report(cfg, dataclasses.replace(log, final_utility=2.0))
+    assert shifted.raw == pytest.approx(report.raw + 2.0 - log.final_utility, abs=1e-12)
 
 
 # --- properties of real round games ------------------------------------------

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fedattr import data
 from fedattr.attribution import AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import ConfigError, ExperimentConfig, load_config, parse_config
@@ -322,8 +325,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"defense_mode": "enforce", "trim_tau": 1.5}, "trim_tau must be in (0, 1)"),
         ({"defense_mode": "enforce", "trim_tau": 0.9}, "trims all 4 clients"),
         ({"num_clients": 1}, "num_clients must be at least 2"),
+        ({"samples_per_client": 10_000}, "needs 10000 training samples of one class"),
     ],
-    ids=["exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all", "one_client"],
+    ids=[
+        "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
+        "one_client", "infeasible_partition",
+    ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
     from fedattr import flcore
@@ -341,6 +348,39 @@ def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, b
     assert not (tmp_path / "o").exists()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    num_clients=st.integers(2, 8), num_classes=st.integers(2, 6),
+    classes_per_client=st.integers(1, 6), samples_per_client=st.integers(1, 120),
+    seed=st.integers(0, 2**31 - 1),
+)
+# two classes of 40 training rows each: 40 samples per client just fit
+@example(num_clients=2, num_classes=2, classes_per_client=1, samples_per_client=40, seed=0)
+@example(num_clients=2, num_classes=2, classes_per_client=1, samples_per_client=41, seed=0)
+def test_property_config_accepts_exactly_the_feasible_partitions(
+    num_clients, num_classes, classes_per_client, samples_per_client, seed
+):
+    sizes = dict(
+        num_clients=num_clients, num_classes=num_classes,
+        classes_per_client=classes_per_client, samples_per_client=samples_per_client,
+    )
+    try:
+        ExperimentConfig(**sizes, samples_per_class=50, master_seed=seed)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    train, _ = data.synthesize(
+        data.DatasetSpec("gaussian_blobs", num_classes, 2, 50, 3.0, 1.0, seed)
+    )
+    spec = data.PartitionSpec(num_clients, classes_per_client, samples_per_client, seed)
+    try:
+        data.partition_noniid(train, spec, num_classes)
+        partitioned = True
+    except ValueError:
+        partitioned = False
+    assert accepted == partitioned
+
+
 def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):
     from fedattr import flcore
 
@@ -352,10 +392,28 @@ def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):
         sweep(tiny_config(), "num_clients", [4, 1], tmp_path)
 
 
-def test_cli_run_failure_exit_code(tmp_path):
-    # infeasible partition: more samples per client than exist
-    cfg, path = write_tiny_config(tmp_path, samples_per_client=10_000)
+def test_cli_run_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from fedattr import flcore
+
+    def failing_training(cfg):
+        raise flcore.FLRunError(2, 1, RuntimeError("boom"))
+
+    monkeypatch.setattr(flcore, "run_training", failing_training)
+    cfg, path = write_tiny_config(tmp_path)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "round 2, client 1: boom" in capsys.readouterr().err
+
+
+def test_concentric_rings_scenario_smoke():
+    report = run_experiment(
+        tiny_config(generator="concentric_rings", evaluators="fedsv_exact,loo_round")
+    )
+    assert 0.0 <= report.u1 <= 1.0 and 0.0 <= report.u0 <= 1.0
+    for phases in report.evaluations.values():
+        for rep in phases.values():
+            assert np.all(np.isfinite(rep.raw))
+            assert abs(rep.shares.sum() - 1.0) <= 1e-12
+    assert [d["t"] for d in report.diagnostics] == [1, 2, 3]
 
 
 def test_paired_seeds_keep_benign_clients_identical():

@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedattr import flcore, models
+from fedattr import attacks, flcore, models
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.flcore import (
     BenignBehavior,
@@ -220,3 +225,87 @@ def test_defense_enforce_changes_aggregate_membership():
             [rec.n[i] for i in sorted(rec.trim.kept)],
         )
         assert np.allclose(rec.w_next, rec.w_t + agg, atol=1e-12)
+
+
+def assert_logs_identical(a, b):
+    assert (a.fingerprint, a.final_utility, len(a.rounds)) == (
+        b.fingerprint, b.final_utility, len(b.rounds)
+    )
+    for ra, rb in zip(a.rounds, b.rounds):
+        assert (ra.t, ra.n, ra.test_utility_after) == (rb.t, rb.n, rb.test_utility_after)
+        assert len(ra.updates) == len(rb.updates)
+        for va, vb in zip((ra.w_t, ra.w_next, *ra.updates), (rb.w_t, rb.w_next, *rb.updates)):
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
+        assert (ra.trim is None) == (rb.trim is None)
+        if ra.trim is not None:
+            assert (ra.trim.t, ra.trim.trimmed, ra.trim.kept) == (
+                rb.trim.t, rb.trim.trimmed, rb.trim.kept
+            )
+            assert ra.trim.distances.tobytes() == rb.trim.distances.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+def test_lockstep_benign_training_matches_per_client_path(kind):
+    spec, shards, test = make_scenario(num_clients=5)
+    if kind == "mlp1":
+        spec = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5)
+    attacker = attacks.RandomNoiseBehavior(spec, 2.0)
+
+    def per_client(behavior):
+        # a plain function is not a BenignBehavior, so it is called on its own
+        return lambda ctx: behavior(ctx)
+
+    benign = [BenignBehavior(spec) for _ in shards[:-1]]
+    logs = [
+        run_training(
+            make_config(
+                spec, shards, test, rounds=4, behaviors=behaviors + [attacker],
+                defense_mode="enforce", trim_tau=0.2,
+            )
+        )
+        for behaviors in (benign, [per_client(b) for b in benign])
+    ]
+    assert_logs_identical(*logs)
+
+
+def test_lockstep_failure_names_the_failing_client():
+    spec, shards, test = make_scenario()
+    data = shards[2].data
+    bad = models.LabeledBatch(data.inputs, np.full(len(data), spec.num_classes))
+    shards = shards[:2] + [ClientShard.build(2, bad, spec.num_classes + 1)]
+    with pytest.raises(FLRunError, match="label out of range") as err:
+        run_training(make_config(spec, shards, test))
+    assert (err.value.round_index, err.value.client_id) == (1, 2)
+
+
+run_params = dict(num_clients=st.integers(2, 6), master_seed=st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**run_params, defense_mode=st.sampled_from(flcore.DEFENSE_MODES))
+def test_property_log_round_trip(num_clients, master_seed, defense_mode):
+    spec, shards, test = make_scenario(num_clients=num_clients, seed=master_seed % 7)
+    behaviors = [BenignBehavior(spec) for _ in shards[1:]]
+    behaviors.insert(0, attacks.RandomNoiseBehavior(spec, 3.0))
+    log = run_training(
+        make_config(
+            spec, shards, test, behaviors=behaviors, master_seed=master_seed,
+            defense_mode=defense_mode, trim_tau=0.3, fingerprint="f00d",
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.log.jsonl"
+        flcore.save_log(log, path)
+        assert_logs_identical(log, flcore.load_log(path))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**run_params, drop=st.integers(0, 5))
+def test_property_without_client_keeps_other_first_updates(num_clients, master_seed, drop):
+    spec, shards, test = make_scenario(num_clients=num_clients)
+    cfg = make_config(spec, shards, test, rounds=1, master_seed=master_seed)
+    drop %= num_clients
+    full = run_training(cfg).rounds[0].updates
+    reduced = run_training(cfg.without_client(drop)).rounds[0].updates
+    kept = [u for i, u in enumerate(full) if i != drop]
+    assert [u.tobytes() for u in kept] == [u.tobytes() for u in reduced]

@@ -212,6 +212,52 @@ def test_sgd_deterministic_and_pure():
     assert np.array_equal(params, before)
 
 
+SGD_SPECS = [
+    ModelSpec("logistic", input_dim=3, num_classes=4),
+    ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5),
+]
+
+
+@pytest.mark.parametrize("shared_start", [False, True], ids=["own", "shared"])
+@pytest.mark.parametrize("num_rows", [21, 23])  # last mini-batch: 1 and 3 rows
+@pytest.mark.parametrize("spec", SGD_SPECS, ids=lambda s: s.kind)
+def test_sgd_train_many_rows_match_single_runs_and_oracle(spec, num_rows, shared_start):
+    rng = np.random.default_rng(num_rows)
+    k, batch_size = 4, 5
+    if shared_start:  # as in a FedAvg round: every client starts from w_t
+        params = np.broadcast_to(rng.normal(size=spec.param_count), (k, spec.param_count))
+    else:
+        params = rng.normal(size=(k, spec.param_count))
+    datas = [random_batch(rng, spec, num_rows) for _ in range(k)]
+    seeds = [int(s) for s in rng.integers(0, 2**63, k)]
+    many = models.sgd_train_many(spec, params, datas, 3, batch_size, 0.2, seeds)
+    assert many.shape == (k, spec.param_count)
+    for row, start, data, seed in zip(many, params, datas, seeds):
+        single = models.sgd_train(spec, start, data, 3, batch_size, 0.2, seed)
+        assert row.tobytes() == single.tobytes()
+        ref = oracles.sgd_train(spec, start, data, 3, batch_size, 0.2, seed)
+        assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_sgd_train_many_rejects_mismatched_inputs():
+    spec = SGD_SPECS[0]
+    rng = np.random.default_rng(6)
+    params = np.zeros((2, spec.param_count))
+    with pytest.raises(ValueError, match="equal size"):
+        models.sgd_train_many(
+            spec, params, [random_batch(rng, spec, 5), random_batch(rng, spec, 6)],
+            1, 2, 0.1, [0, 1],
+        )
+    same = [random_batch(rng, spec, 5)] * 2
+    with pytest.raises(ValueError, match="one seed"):
+        models.sgd_train_many(spec, params, same, 1, 2, 0.1, [0])
+    with pytest.raises(ValueError, match="expected"):
+        models.sgd_train_many(spec, params[:, 1:], same, 1, 2, 0.1, [0, 1])
+    labels = LabeledBatch(same[0].inputs, np.full(5, spec.num_classes))
+    with pytest.raises(ValueError, match="label out of range"):
+        models.sgd_train_many(spec, params, [same[0], labels], 1, 2, 0.1, [0, 1])
+
+
 def test_sgd_training_reduces_loss_on_separable_blobs():
     from fedattr.data import DatasetSpec, synthesize
 
