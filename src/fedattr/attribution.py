@@ -18,7 +18,9 @@ import numpy as np
 from .flcore import FLConfig, TrainingLog, run_training
 from .models import LabeledBatch, ModelSpec, _layers
 
-EVALUATORS = ("fedsv_exact", "fedsv_mc", "loo_round", "loo_retrain")
+# Evaluators that read only the logged rounds; `evaluate_log` scores them together.
+LOGGED_EVALUATORS = ("fedsv_exact", "fedsv_mc", "loo_round")
+EVALUATORS = (*LOGGED_EVALUATORS, "loo_retrain")
 
 # Largest client count shapley_exact enumerates (2^N coalitions per round).
 EXACT_LIMIT = 16
@@ -146,21 +148,60 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[first]], inverse
 
 
-def shapley_exact(cu: CoalitionUtility) -> np.ndarray:
-    """Exact Shapley values via the weighted-marginal sum over all subsets."""
-    num = cu.num_clients
+@dataclass(frozen=True)
+class CoalitionTable:
+    """Utilities of distinct coalitions scored once, read back through the
+    `values` interface of the game they were scored on."""
+
+    members: np.ndarray
+    utilities: np.ndarray
+
+    @property
+    def num_clients(self) -> int:
+        return self.members.shape[1]
+
+    def values(self, members) -> np.ndarray:
+        known = len(self.members)
+        distinct, inverse = _unique_rows(np.concatenate([self.members, members]))
+        if len(distinct) > known:
+            raise KeyError("coalition not in the table")
+        # the table's rows are distinct: its ids are a permutation of 0..known-1
+        return self.utilities[np.argsort(inverse[:known])[inverse[known:]]]
+
+
+def _all_coalitions(num: int) -> np.ndarray:
+    """The 2^N x N membership matrix whose row `mask` holds mask's set bits."""
     if num > EXACT_LIMIT:
         raise ValueError(
             f"{num} clients exceeds the enumeration guard ({EXACT_LIMIT}); "
             "use shapley_mc"
         )
+    return (np.arange(1 << num)[:, None] >> np.arange(num) & 1).astype(bool)
+
+
+def _permutation_prefixes(
+    num: int, num_permutations: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform permutations, and the coalitions their marginals need:
+    row 0 is empty, row 1 + p * N + j holds permutation p's first j + 1."""
+    if num_permutations < 1:
+        raise ValueError("num_permutations must be at least 1")
+    rng = np.random.default_rng(seed)
+    perms = np.array([rng.permutation(num) for _ in range(num_permutations)])
+    prefixes = np.argsort(perms, axis=1)[:, None, :] <= np.arange(num)[:, None]
+    return perms, np.concatenate([np.zeros((1, num), dtype=bool), prefixes.reshape(-1, num)])
+
+
+def shapley_exact(cu: CoalitionUtility) -> np.ndarray:
+    """Exact Shapley values via the weighted-marginal sum over all subsets."""
+    num = cu.num_clients
+    members = _all_coalitions(num)
     # weight for a coalition of size s not containing i: s!(N-1-s)!/N!
     fact = [math.factorial(j) for j in range(num + 1)]
     weights = np.array(
         [fact[s] * fact[num - 1 - s] / fact[num] for s in range(num)]
     )
     masks = np.arange(1 << num)
-    members = (masks[:, None] >> np.arange(num) & 1).astype(bool)  # row = bits
     values = cu.values(members)
     sizes = members.sum(axis=1)
     phi = np.empty(num)
@@ -176,17 +217,8 @@ def shapley_mc(
     cu: CoalitionUtility, num_permutations: int, seed: int
 ) -> np.ndarray:
     """Mean marginal contribution over seeded uniform random permutations."""
-    if num_permutations < 1:
-        raise ValueError("num_permutations must be at least 1")
     num = cu.num_clients
-    rng = np.random.default_rng(seed)
-    perms = np.array([rng.permutation(num) for _ in range(num_permutations)])
-    # prefixes[p, j] holds the first j + 1 clients of permutation p
-    position = np.argsort(perms, axis=1)
-    prefixes = position[:, None, :] <= np.arange(num)[None, :, None]
-    coalitions = np.concatenate(
-        [np.zeros((1, num), dtype=bool), prefixes.reshape(-1, num)]
-    )
+    perms, coalitions = _permutation_prefixes(num, num_permutations, seed)
     unique, inverse = _unique_rows(coalitions)
     values = cu.values(unique)[inverse]
     after = values[1:].reshape(num_permutations, num)
@@ -228,9 +260,50 @@ def rank_clients(shares: np.ndarray) -> np.ndarray:
     """Rank 1 = largest share; ties break toward the lower client id."""
     order = sorted(range(len(shares)), key=lambda i: (-shares[i], i))
     ranks = np.empty(len(shares), dtype=np.int64)
-    for pos, i in enumerate(order):
-        ranks[i] = pos + 1
+    ranks[order] = np.arange(1, len(shares) + 1)
     return ranks
+
+
+def evaluate_log(
+    log: TrainingLog,
+    spec: ModelSpec,
+    test: LabeledBatch,
+    evaluators: Iterable[str],
+    *,
+    num_permutations: int = 200,
+    seed: int = 0,
+) -> dict[str, AttributionReport]:
+    """Logged-round evaluators over one log.  Each round scores the distinct
+    coalitions they ask for in one `CoalitionUtility.values` call (the 2^N of
+    `fedsv_exact` hold all others); every evaluator reads that table."""
+    totals = {name: np.zeros(log.num_clients) for name in evaluators}
+    if not set(totals) <= set(LOGGED_EVALUATORS):
+        raise ValueError(f"logged-round evaluators are {LOGGED_EVALUATORS}")
+    if not totals:
+        return {}
+    num = log.num_clients
+    loo = np.ones((num + 1, num), dtype=bool)  # all, then all minus client i
+    loo[1:] = ~np.eye(num, dtype=bool)
+    for rec in log.rounds:
+        if "fedsv_exact" in totals:
+            rows = _all_coalitions(num)
+        else:
+            parts = [loo] if "loo_round" in totals else []
+            if "fedsv_mc" in totals:
+                parts.append(_permutation_prefixes(num, num_permutations, seed + rec.t)[1])
+            rows = np.concatenate(parts)
+        table, _ = _unique_rows(rows)
+        cu = CoalitionUtility.from_round(rec, spec, test)
+        game = CoalitionTable(table, cu.values(table))
+        for name, total in totals.items():
+            if name == "fedsv_exact":
+                total += shapley_exact(game)
+            elif name == "fedsv_mc":
+                total += shapley_mc(game, num_permutations, seed + rec.t)
+            else:
+                values = game.values(loo)
+                total += values[0] - values[1:]
+    return {name: AttributionReport.from_raw(name, total) for name, total in totals.items()}
 
 
 def fedsv(
@@ -245,50 +318,26 @@ def fedsv(
     """Federated Shapley: per-round values summed across all rounds."""
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown FedSV mode {mode!r}")
-    total = np.zeros(log.num_clients)
-    for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
-        if mode == "exact":
-            total += shapley_exact(cu)
-        else:
-            total += shapley_mc(cu, num_permutations, seed + rec.t)
-    name = "fedsv_exact" if mode == "exact" else "fedsv_mc"
-    return AttributionReport.from_raw(name, total)
+    name = f"fedsv_{mode}"
+    return evaluate_log(
+        log, spec, test, [name], num_permutations=num_permutations, seed=seed
+    )[name]
 
 
 def loo_round(
     log: TrainingLog, spec: ModelSpec, test: LabeledBatch
 ) -> AttributionReport:
     """Leave-one-out on logged rounds: sum_t v_t(All) - v_t(All minus i)."""
-    num = log.num_clients
-    total = np.zeros(num)
-    # row 0 is the full coalition, row i + 1 leaves client i out
-    members = np.ones((num + 1, num), dtype=bool)
-    members[1:] = ~np.eye(num, dtype=bool)
-    for rec in log.rounds:
-        values = CoalitionUtility.from_round(rec, spec, test).values(members)
-        total += values[0] - values[1:]
-    return AttributionReport.from_raw("loo_round", total)
-
-
-def loo_retrain(cfg: FLConfig, client_id: int) -> float:
-    """Utility drop from rerunning the whole training without one client."""
-    full = run_training(cfg)
-    reduced = run_training(cfg.without_client(client_id))
-    return full.final_utility - reduced.final_utility
+    return evaluate_log(log, spec, test, ["loo_round"])["loo_round"]
 
 
 def loo_retrain_report(cfg: FLConfig, log: TrainingLog) -> AttributionReport:
-    """`loo_retrain` for every client; `log` is `run_training(cfg)`, which
-    the full-coalition utility is read from instead of training it again."""
-    raw = np.array(
-        [
-            log.final_utility
-            - run_training(cfg.without_client(s.client_id)).final_utility
-            for s in cfg.shards
-        ]
-    )
-    return AttributionReport.from_raw("loo_retrain", raw)
+    """Utility drop from rerunning the whole training without each client;
+    `log` is `run_training(cfg)`, which the full-coalition utility is read
+    from instead of training it again."""
+    retrained = (run_training(cfg.without_client(s.client_id)) for s in cfg.shards)
+    raw = [log.final_utility - run.final_utility for run in retrained]
+    return AttributionReport.from_raw("loo_retrain", np.array(raw))
 
 
 def write_report_csv(

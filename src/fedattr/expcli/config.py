@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
-from ..data import PartitionSpec, cycle_demand, train_rows_per_class
+from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
+from ..models import ModelSpec
 
 ATTACKS = (
     "attack_free",
@@ -92,6 +93,9 @@ class ExperimentConfig:
             raise ConfigError("num_clients must be at least 2")
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
+        for name in ("local_epochs", "batch_size", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if "fedsv_exact" in self.evaluator_list and self.num_clients > EXACT_LIMIT:
             raise ConfigError(
                 f"{self.num_clients} clients exceeds the fedsv_exact enumeration "
@@ -99,6 +103,12 @@ class ExperimentConfig:
             )
         if "fedsv_mc" in self.evaluator_list and self.mc_permutations < 1:
             raise ConfigError("mc_permutations must be at least 1")
+        if "loo_retrain" in self.evaluator_list and self.attack == "latent_opt":
+            # LatentOptBehavior keeps its state across runs (ROADMAP item 3)
+            raise ConfigError(
+                "loo_retrain cannot score the latent_opt attack yet: its retrain "
+                "runs would reuse the attack's per-run state"
+            )
         if self.defense_mode != "off":
             if not 0.0 < self.trim_tau < 1.0:
                 raise ConfigError("trim_tau must be in (0, 1)")
@@ -109,11 +119,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"trim_tau {self.trim_tau} trims all {self.num_clients} clients"
                 )
-        try:
-            partition = PartitionSpec(
-                self.num_clients, self.classes_per_client, self.samples_per_client, 0
-            )
-            demand = int(cycle_demand(partition, self.num_classes).max())
+        try:  # the specs check their own fields; seed 0 stands in for the run's
+            self.dataset_spec(0)
+            self.model_spec()
+            demand = int(cycle_demand(self.partition_spec(0), self.num_classes).max())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         available = train_rows_per_class(self.samples_per_class)
@@ -126,6 +135,33 @@ class ExperimentConfig:
             raise ConfigError("intensity must be non-negative")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
+
+    def dataset_spec(self, seed: int) -> DatasetSpec:
+        return DatasetSpec(
+            generator=self.generator,
+            num_classes=self.num_classes,
+            input_dim=self.input_dim,
+            samples_per_class=self.samples_per_class,
+            class_separation=self.class_separation,
+            noise_scale=self.noise_scale,
+            seed=seed,
+        )
+
+    def partition_spec(self, seed: int) -> PartitionSpec:
+        return PartitionSpec(
+            num_clients=self.num_clients,
+            classes_per_client=self.classes_per_client,
+            samples_per_client=self.samples_per_client,
+            seed=seed,
+        )
+
+    def model_spec(self) -> ModelSpec:
+        return ModelSpec(
+            kind=self.model_kind,
+            input_dim=self.input_dim,
+            num_classes=self.num_classes,
+            hidden_dim=self.hidden_dim,
+        )
 
     @property
     def evaluator_list(self) -> tuple[str, ...]:

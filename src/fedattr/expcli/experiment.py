@@ -59,22 +59,9 @@ class ExperimentReport:
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    dataset = data.DatasetSpec(
-        generator=cfg.generator,
-        num_classes=cfg.num_classes,
-        input_dim=cfg.input_dim,
-        samples_per_class=cfg.samples_per_class,
-        class_separation=cfg.class_separation,
-        noise_scale=cfg.noise_scale,
-        seed=streams.child_seed(cfg.master_seed, "dataset"),
-    )
+    dataset = cfg.dataset_spec(streams.child_seed(cfg.master_seed, "dataset"))
     train, test = data.synthesize(dataset)
-    partition = data.PartitionSpec(
-        num_clients=cfg.num_clients,
-        classes_per_client=cfg.classes_per_client,
-        samples_per_client=cfg.samples_per_client,
-        seed=streams.child_seed(cfg.master_seed, "partition"),
-    )
+    partition = cfg.partition_spec(streams.child_seed(cfg.master_seed, "partition"))
     shards = data.partition_noniid(train, partition, cfg.num_classes)
 
     # Public calibration pool for the frozen decoder; disjoint stream, same domain.
@@ -92,16 +79,10 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         num_classes=cfg.num_classes,
     )
 
-    spec = ModelSpec(
-        kind=cfg.model_kind,
-        input_dim=cfg.input_dim,
-        num_classes=cfg.num_classes,
-        hidden_dim=cfg.hidden_dim,
-    )
     hp = flcore.LocalHP(
         epochs=cfg.local_epochs, batch_size=cfg.batch_size, eta_w=cfg.local_lr
     )
-    return Scenario(spec=spec, shards=shards, test=test, decoder=decoder, hp=hp)
+    return Scenario(cfg.model_spec(), shards, test, decoder, hp)
 
 
 def select_malicious(
@@ -150,35 +131,17 @@ def _make_attack_behavior(
 
 
 def _evaluate(
-    name: str,
-    cfg: ExperimentConfig,
-    scenario: Scenario,
-    log: flcore.TrainingLog,
-    flcfg: flcore.FLConfig,
-) -> attribution.AttributionReport:
-    if name == "fedsv_exact":
-        return attribution.fedsv(log, scenario.spec, scenario.test, mode="exact")
-    if name == "fedsv_mc":
-        return attribution.fedsv(
-            log,
-            scenario.spec,
-            scenario.test,
-            mode="mc",
-            num_permutations=cfg.mc_permutations,
-            seed=cfg.mc_seed,
-        )
-    if name == "loo_round":
-        return attribution.loo_round(log, scenario.spec, scenario.test)
-    if name == "loo_retrain":
-        return attribution.loo_retrain_report(flcfg, log)
-    raise ConfigError(f"unknown evaluator {name!r}")
-
-
-def _median_benign_norm(log: flcore.TrainingLog) -> float:
-    norms = [
-        float(np.linalg.norm(u)) for rec in log.rounds for u in rec.updates
-    ]
-    return float(np.median(norms))
+    cfg: ExperimentConfig, flcfg: flcore.FLConfig, log: flcore.TrainingLog
+) -> dict[str, attribution.AttributionReport]:
+    """Every configured evaluator's report on one phase, in config order."""
+    logged = [name for name in cfg.evaluator_list if name in attribution.LOGGED_EVALUATORS]
+    reports = attribution.evaluate_log(
+        log, flcfg.spec, flcfg.test, logged,
+        num_permutations=cfg.mc_permutations, seed=cfg.mc_seed,
+    )
+    if "loo_retrain" in cfg.evaluator_list:
+        reports["loo_retrain"] = attribution.loo_retrain_report(flcfg, log)
+    return {name: reports[name] for name in cfg.evaluator_list}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> ExperimentReport:
@@ -204,22 +167,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
     free_cfg = fl_config(benign)
     free_log = flcore.run_training(free_cfg)
 
-    evaluations: dict[str, dict[str, attribution.AttributionReport]] = {}
-    for name in cfg.evaluator_list:
-        evaluations[name] = {
-            "attack_free": _evaluate(name, cfg, scenario, free_log, free_cfg)
-        }
+    evaluations = {
+        name: {"attack_free": report}
+        for name, report in _evaluate(cfg, free_cfg, free_log).items()
+    }
 
     primary = cfg.evaluator_list[0]
     malicious_id = select_malicious(
         evaluations[primary]["attack_free"], cfg.target_rule, cfg.target_rank
     )
 
-    kappa = (
-        cfg.kappa_mult * _median_benign_norm(free_log)
-        if cfg.kappa_mult > 0
-        else float("inf")
-    )
+    benign_norms = [np.linalg.norm(u) for rec in free_log.rounds for u in rec.updates]
+    kappa = cfg.kappa_mult * float(np.median(benign_norms)) if cfg.kappa_mult > 0 else np.inf
     attack_behavior = _make_attack_behavior(cfg, scenario, kappa)
     attacked_behaviors = [
         attack_behavior if shard.client_id == malicious_id else flcore.BenignBehavior(scenario.spec)
@@ -228,16 +187,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
     attacked_cfg = fl_config(attacked_behaviors)
     attacked_log = flcore.run_training(attacked_cfg)
 
-    for name in cfg.evaluator_list:
-        evaluations[name]["attacked"] = _evaluate(
-            name, cfg, scenario, attacked_log, attacked_cfg
-        )
-
-    # communication budget: update length never exceeds the parameter count
-    c_max = scenario.spec.param_count
-    assert all(
-        len(u) <= c_max for rec in attacked_log.rounds for u in rec.updates
-    ), "communication budget exceeded"
+    for name, report in _evaluate(cfg, attacked_cfg, attacked_log).items():
+        evaluations[name]["attacked"] = report
 
     flags = 0
     max_dev = 0.0

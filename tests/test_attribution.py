@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from fedattr import attribution, models, oracles
 from fedattr.attribution import (
     AttributionReport,
+    CoalitionTable,
     CoalitionUtility,
+    evaluate_log,
     fedsv,
-    loo_retrain,
     loo_retrain_report,
     loo_round,
     normalize_shares,
@@ -299,6 +300,133 @@ def test_shapley_exact_matches_subset_loop(model):
         assert shapley_exact(cu).tobytes() == shapley_exact_loop(cu).tobytes()
 
 
+# --- one coalition table per round shared by the logged-round evaluators ----
+
+LOGGED = ("fedsv_exact", "fedsv_mc", "loo_round")
+SUBSETS = [
+    combo for r in range(1, len(LOGGED) + 1) for combo in itertools.combinations(LOGGED, r)
+]
+MC_PERMUTATIONS, MC_SEED = 30, 11
+
+
+def loo_round_loop(cu):
+    everyone = range(cu.num_clients)
+    return np.array(
+        [cu.value(everyone) - cu.value([j for j in everyone if j != i]) for i in everyone]
+    )
+
+
+def per_round_reference(name, cu, t):
+    if name == "fedsv_exact":
+        return shapley_exact_loop(cu)
+    if name == "fedsv_mc":
+        return shapley_mc_loop(cu, MC_PERMUTATIONS, MC_SEED + t)
+    return loo_round_loop(cu)
+
+
+@pytest.fixture(scope="module")
+def six_client_runs():
+    return {
+        kind: small_run(num_clients=6, **kw)[1:]
+        for kind, kw in (
+            ("logistic", {}),
+            ("mlp1", {"model": "mlp1"}),
+            ("enforce", {"defense_mode": "enforce"}),
+        )
+    }
+
+
+@pytest.mark.parametrize("evaluators", SUBSETS, ids="+".join)
+@pytest.mark.parametrize("run", ["logistic", "mlp1", "enforce"])
+def test_evaluate_log_matches_per_round_references(six_client_runs, run, evaluators):
+    log, spec, test = six_client_runs[run]
+    reports = evaluate_log(
+        log, spec, test, evaluators, num_permutations=MC_PERMUTATIONS, seed=MC_SEED
+    )
+    assert list(reports) == list(evaluators)
+    for name in evaluators:
+        expected = np.zeros(6)
+        for rec in log.rounds:
+            cu = CoalitionUtility.from_round(rec, spec, test)
+            expected += per_round_reference(name, cu, rec.t)
+        assert reports[name].evaluator == name
+        assert reports[name].raw.tobytes() == expected.tobytes(), name
+
+
+def mc_prefix_rows(num, num_permutations, seed):
+    """Every coalition a permutation-sampling run asks for, drawn afresh."""
+    rng = np.random.default_rng(seed)
+    rows = {(False,) * num}
+    for _ in range(num_permutations):
+        perm = rng.permutation(num)
+        for j in range(num):
+            rows.add(tuple(bool(np.isin(i, perm[: j + 1])) for i in range(num)))
+    return rows
+
+
+@pytest.mark.parametrize("evaluators", SUBSETS, ids="+".join)
+def test_evaluate_log_scores_each_round_once_with_distinct_rows(
+    six_client_runs, monkeypatch, evaluators
+):
+    log, spec, test = six_client_runs["logistic"]
+    calls = []
+    score = CoalitionUtility.values
+
+    def spy(self, members):
+        calls.append((self.t, np.array(members)))
+        return score(self, members)
+
+    monkeypatch.setattr(CoalitionUtility, "values", spy)
+    evaluate_log(log, spec, test, evaluators, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
+    assert [t for t, _ in calls] == [rec.t for rec in log.rounds]
+    for t, rows in calls:
+        got = {tuple(row) for row in rows.tolist()}
+        assert len(got) == len(rows)  # distinct
+        if "fedsv_exact" in evaluators:
+            expected = {tuple(row) for row in every_coalition(6).tolist()}
+        else:
+            expected = set()
+            if "fedsv_mc" in evaluators:
+                expected |= mc_prefix_rows(6, MC_PERMUTATIONS, MC_SEED + t)
+            if "loo_round" in evaluators:
+                # i = -1 leaves nobody out: the full coalition
+                expected |= {tuple(j != i for j in range(6)) for i in range(-1, 6)}
+        assert got == expected
+
+
+def test_evaluate_log_mc_only_above_the_exact_guard(monkeypatch):
+    cfg, log, spec, test = small_run(num_clients=20, samples_per_class=400)
+    report = evaluate_log(log, spec, test, ["fedsv_mc"], num_permutations=12, seed=5)
+    expected = np.zeros(20)
+    for rec in log.rounds:
+        expected += shapley_mc_loop(CoalitionUtility.from_round(rec, spec, test), 12, 5 + rec.t)
+    assert report["fedsv_mc"].raw.tobytes() == expected.tobytes()
+
+    def no_scoring(self, members):
+        raise AssertionError("coalitions scored above the exact guard")
+
+    monkeypatch.setattr(CoalitionUtility, "values", no_scoring)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        evaluate_log(log, spec, test, ["fedsv_mc", "fedsv_exact"])
+
+
+def test_evaluate_log_rejects_other_evaluators():
+    cfg, log, spec, test = small_run()
+    with pytest.raises(ValueError, match="logged-round evaluators"):
+        evaluate_log(log, spec, test, ["fedsv_exact", "loo_retrain"])
+    assert evaluate_log(log, spec, test, []) == {}
+
+
+def test_coalition_table_reads_rows_in_any_order_and_only_its_own():
+    members = every_coalition(3)[[5, 0, 3, 6]]
+    table = CoalitionTable(members, np.array([0.5, 0.0, 0.25, 0.75]))
+    assert table.num_clients == 3
+    got = table.values(every_coalition(3)[[6, 6, 0, 3, 5]])
+    assert got.tolist() == [0.75, 0.75, 0.0, 0.25, 0.5]
+    with pytest.raises(KeyError):
+        table.values(every_coalition(3)[[1]])
+
+
 def test_fedsv_efficiency_over_log():
     cfg, log, spec, test = small_run()
     report = fedsv(log, spec, test, mode="exact")
@@ -378,8 +506,7 @@ def test_loo_retrain_duplicate_and_symmetry():
         spec=spec, shards=shards, behaviors=[BenignBehavior(spec)] * 2,
         hp=cfg.hp, rounds=2, test=test, master_seed=2,
     )
-    v0 = loo_retrain(pair_cfg, 0)
-    v1 = loo_retrain(pair_cfg, 1)
+    v0, v1 = loo_retrain_report(pair_cfg, run_training(pair_cfg)).raw
     # removing either of two duplicate-data clients costs about the same
     assert abs(v0 - v1) <= 0.02
 
@@ -407,7 +534,12 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     assert report.evaluator == "loo_retrain"
     # the report reuses the trained log; each value is still exactly the
     # full-retrain difference
-    assert [loo_retrain(cfg, s.client_id) for s in shards] == report.raw.tolist()
+    retrained = [
+        run_training(cfg).final_utility
+        - run_training(cfg.without_client(s.client_id)).final_utility
+        for s in shards
+    ]
+    assert retrained == report.raw.tolist()
     # and the full-coalition utility comes from the given log, not a rerun
     shifted = loo_retrain_report(cfg, dataclasses.replace(log, final_utility=2.0))
     assert shifted.raw == pytest.approx(report.raw + 2.0 - log.final_utility, abs=1e-12)

@@ -3,13 +3,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fedattr import data
-from fedattr.attribution import AttributionReport
+from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
-from fedattr.expcli.config import ConfigError, ExperimentConfig, load_config, parse_config
+from fedattr.expcli.config import (
+    ATTACKS,
+    TARGET_RULES,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
 from fedattr.expcli.experiment import (
     report_payload,
     run_experiment,
@@ -326,10 +333,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"defense_mode": "enforce", "trim_tau": 0.9}, "trims all 4 clients"),
         ({"num_clients": 1}, "num_clients must be at least 2"),
         ({"samples_per_client": 10_000}, "needs 10000 training samples of one class"),
+        ({"generator": "foo"}, "unknown generator 'foo'"),
+        ({"input_dim": 1}, "generators require input_dim >= 2"),
+        ({"noise_scale": 0}, "class_separation and noise_scale must be positive"),
+        ({"class_separation": 0}, "class_separation and noise_scale must be positive"),
+        ({"model_kind": "foo"}, "unknown model kind 'foo'"),
+        ({"model_kind": "mlp1", "hidden_dim": 0}, "mlp1 requires hidden_dim >= 1"),
+        ({"batch_size": 0}, "batch_size must be at least 1"),
+        ({"local_epochs": 0}, "local_epochs must be at least 1"),
+        ({"latent_dim": 0}, "latent_dim must be at least 1"),
+        (
+            {"attack": "latent_opt", "evaluators": "fedsv_exact,loo_retrain"},
+            "loo_retrain cannot score the latent_opt attack",
+        ),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
-        "one_client", "infeasible_partition",
+        "one_client", "infeasible_partition", "generator", "input_dim", "noise_scale",
+        "class_separation", "model_kind", "mlp1_hidden_dim", "batch_size",
+        "local_epochs", "latent_dim", "latent_opt_loo_retrain",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
@@ -379,6 +401,71 @@ def test_property_config_accepts_exactly_the_feasible_partitions(
     except ValueError:
         partitioned = False
     assert accepted == partitioned
+
+
+def finite_floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    kind, hidden = draw(
+        st.one_of(
+            st.just(("logistic", 0)), st.tuples(st.just("mlp1"), st.integers(1, 32))
+        )
+    )
+    evaluators = draw(
+        st.lists(st.sampled_from(EVALUATORS), min_size=1, max_size=4, unique=True)
+    )
+    values = dict(
+        generator=draw(st.sampled_from(data.GENERATORS)),
+        num_classes=draw(st.integers(2, 6)),
+        input_dim=draw(st.integers(2, 5)),
+        samples_per_class=draw(st.integers(200, 400)),
+        class_separation=draw(finite_floats(1e-6, 1e6).filter(lambda v: v > 0)),
+        noise_scale=draw(finite_floats(1e-6, 1e6).filter(lambda v: v > 0)),
+        num_clients=draw(st.integers(2, 8)),
+        classes_per_client=draw(st.integers(1, 2)),
+        samples_per_client=draw(st.integers(1, 40)),
+        model_kind=kind,
+        hidden_dim=hidden,
+        rounds=draw(st.integers(1, 50)),
+        local_epochs=draw(st.integers(1, 5)),
+        batch_size=draw(st.integers(1, 64)),
+        local_lr=draw(finite_floats(-1e3, 1e3)),
+        evaluators=",".join(evaluators),
+        mc_permutations=draw(st.integers(1, 500)),
+        mc_seed=draw(st.integers(0, 2**32)),
+        attack=draw(st.sampled_from(ATTACKS)),
+        target_rule=draw(st.sampled_from(TARGET_RULES)),
+        target_rank=draw(st.integers(1, 8)),
+        intensity=draw(finite_floats(0, 1e3)),
+        sigma_rel=draw(finite_floats(-1e3, 1e3)),
+        latent_dim=draw(st.integers(1, 16)),
+        latent_steps=draw(st.integers(0, 8)),
+        synth_batch=draw(st.integers(1, 64)),
+        latent_lr=draw(finite_floats(-1e3, 1e3)),
+        delta=draw(finite_floats(-1, 1)),
+        eps=draw(finite_floats(-1e3, 1e3)),
+        kappa_mult=draw(finite_floats(0, 1e3)),
+        defense_mode=draw(st.sampled_from(("off", "monitor", "enforce"))),
+        trim_tau=draw(finite_floats(0, 1).filter(lambda v: 0 < v < 1)),
+        pool_samples_per_class=draw(st.integers(1, 100)),
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError:
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_property_canonical_config_round_trip(cfg):
+    parsed = parse_config(cfg.canonical())
+    assert parsed == cfg
+    assert parsed.canonical() == cfg.canonical()
+    assert parsed.fingerprint == cfg.fingerprint
 
 
 def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):
