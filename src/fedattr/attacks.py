@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
 from .data import ClientShard, coverage_stats
-from .flcore import LocalHP, RoundContext, benign_local_update
+from .flcore import RoundContext, benign
 from .models import (
     LabeledBatch,
     ModelSpec,
@@ -41,101 +42,46 @@ def flip_labels(shard: ClientShard) -> LabeledBatch:
     )
 
 
-def behavior_label_flip(
-    spec: ModelSpec,
-    w_t: np.ndarray,
-    shard: ClientShard,
-    hp: LocalHP,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    seed = int(rng.integers(0, 2**63))
+def behavior_label_flip(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
+    seed = int(ctx.rng.integers(0, 2**63))
+    hp, w_t = ctx.hp, ctx.w_t
     trained = sgd_train(
-        spec, w_t, flip_labels(shard), hp.epochs, hp.batch_size, hp.eta_w, seed
+        ctx.spec, w_t, flip_labels(ctx.shard), hp.epochs, hp.batch_size, hp.eta_w, seed
     )
-    return trained - w_t
+    return trained - w_t, state, None
 
 
 def behavior_random_noise(
-    spec: ModelSpec,
-    w_t: np.ndarray,
-    shard: ClientShard,
-    hp: LocalHP,
-    rng: np.random.Generator,
-    sigma_rel: float,
-) -> np.ndarray:
+    ctx: RoundContext, state: Any, sigma_rel: float
+) -> tuple[np.ndarray, Any, None]:
     """Benign update plus Gaussian noise with total std sigma_rel * ||update||."""
     if sigma_rel < 0:
         raise ValueError("sigma_rel must be non-negative")
-    seed = int(rng.integers(0, 2**63))
-    u = benign_local_update(spec, w_t, shard, hp, seed)
+    u, state, _ = benign(ctx, state)
     if sigma_rel == 0.0:
-        return u
+        return u, state, None
     dim = u.size
     scale = sigma_rel * float(np.linalg.norm(u)) / math.sqrt(dim)
-    return u + scale * rng.standard_normal(dim)
+    return u + scale * ctx.rng.standard_normal(dim), state, None
 
 
-def behavior_free_rider(
-    w_t: np.ndarray, history: tuple[np.ndarray, ...]
-) -> np.ndarray:
+def behavior_free_rider(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Replay of the previous global step; zero before any step exists."""
-    if len(history) < 2:
-        return np.zeros_like(w_t)
-    return w_t - history[-2]
+    if len(ctx.history) < 2:
+        return np.zeros_like(ctx.w_t), state, None
+    return ctx.w_t - ctx.history[-2], state, None
 
 
-def behavior_direct_ref(
-    spec: ModelSpec,
-    w_t: np.ndarray,
-    history: tuple[np.ndarray, ...],
-    shard: ClientShard,
-    hp: LocalHP,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def behavior_direct_ref(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Benign-norm update rotated onto the observable global descent direction."""
-    seed = int(rng.integers(0, 2**63))
-    u = benign_local_update(spec, w_t, shard, hp, seed)
-    if len(history) < 2:
-        return u
-    ref = w_t - history[-2]
+    u, state, _ = benign(ctx, state)
+    if len(ctx.history) < 2:
+        return u, state, None
+    ref = ctx.w_t - ctx.history[-2]
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
-        return u
-    return float(np.linalg.norm(u)) * ref / ref_norm
-
-
-class LabelFlipBehavior:
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        return behavior_label_flip(self.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng)
-
-
-class RandomNoiseBehavior:
-    def __init__(self, spec: ModelSpec, sigma_rel: float = 1.0):
-        self.spec = spec
-        self.sigma_rel = sigma_rel
-
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        return behavior_random_noise(
-            self.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng, self.sigma_rel
-        )
-
-
-class FreeRiderBehavior:
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        return behavior_free_rider(ctx.w_t, ctx.history)
-
-
-class DirectRefBehavior:
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        return behavior_direct_ref(
-            self.spec, ctx.w_t, ctx.history, ctx.shard, ctx.hp, ctx.rng
-        )
+        return u, state, None
+    return float(np.linalg.norm(u)) * ref / ref_norm, state, None
 
 
 # --- decoder ----------------------------------------------------------------
@@ -345,14 +291,6 @@ def grad_z(
 
 
 @dataclass(frozen=True)
-class Budgets:
-    delta: float = 0.02  # utility tolerance, checked at run end
-    eps: float = 0.5  # plausibility deviation, checked server-side
-    kappa: float = math.inf  # update-norm cap, enforced by the client
-    c_max: int | None = None  # communication budget; None = parameter count
-
-
-@dataclass(frozen=True)
 class LatentHP:
     latent_dim: int = 8
     latent_steps: int = 4
@@ -366,13 +304,9 @@ class AttackState:
 
     z: np.ndarray  # (synth_batch, latent_dim)
     cached_round: int
-    budgets: Budgets
-    hyper: LatentHP
     refine_trace: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.z.shape != (self.hyper.synth_batch, self.hyper.latent_dim):
-            raise ValueError("latent matrix shape does not match hyperparameters")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("latent matrix must be finite")
 
@@ -391,35 +325,31 @@ def refine_latent(
     dec: Decoder,
     labels: np.ndarray,
     g_ref: np.ndarray,
-    num_steps: int | None = None,
+    eta_z: float,
+    num_steps: int,
 ) -> AttackState:
     """Descend the joint loss in latent space; returns a new state.
 
     The trace of total-loss values (before each step, plus the final value)
     is recorded on the returned state.
     """
-    steps = state.hyper.latent_steps if num_steps is None else num_steps
-    if steps < 0:
+    if num_steps < 0:
         raise ValueError("step count must be non-negative")
     z = state.z
     trace = [joint_loss(spec, w_t, dec, z, labels, g_ref).total]
-    for _ in range(steps):
+    for _ in range(num_steps):
         grad = grad_z(spec, w_t, dec, z, labels, g_ref)
-        z = z - state.hyper.eta_z * grad
+        z = z - eta_z * grad
         trace.append(joint_loss(spec, w_t, dec, z, labels, g_ref).total)
     return replace(state, z=z, refine_trace=tuple(trace))
 
 
 def behavior_latent_opt(
+    ctx: RoundContext,
     state: AttackState | None,
-    spec: ModelSpec,
-    w_t: np.ndarray,
-    history: tuple[np.ndarray, ...],
-    shard: ClientShard,
-    hp: LocalHP,
-    rng: np.random.Generator,
+    *,
     dec: Decoder,
-    budgets: Budgets,
+    kappa: float,
     hyper: LatentHP,
 ) -> tuple[np.ndarray, AttackState | None, dict]:
     """One round of the latent-optimization attack.
@@ -429,29 +359,30 @@ def behavior_latent_opt(
     re-selected each refinement step, trains on the real shard mixed with
     the decoded batch, clips the update norm to kappa, and caches the latent
     for the next round.  With synth_batch == 0 the behavior short-circuits
-    to a plain benign update.
+    to a plain benign update, so intensity 0 is a benign client exactly.
     """
     if hyper.synth_batch == 0:
-        return (
-            benign_local_update(spec, w_t, shard, hp, int(rng.integers(0, 2**63))),
-            state,
-            {"effective_alpha": 0.0, "clipped": False},
-        )
+        update, state, _ = benign(ctx, state)
+        return update, state, {"effective_alpha": 0.0, "clipped": False}
 
+    spec, w_t, shard, hp, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng
     num_classes = len(shard.class_counts)
     if state is None:
         z = rng.standard_normal((hyper.synth_batch, hyper.latent_dim))
-        state = AttackState(z=z, cached_round=0, budgets=budgets, hyper=hyper)
-    t = len(history)
-    if t < state.cached_round:
+        state = AttackState(z=z, cached_round=0)
+    if state.z.shape != (hyper.synth_batch, hyper.latent_dim):
+        raise ValueError("latent matrix shape does not match hyperparameters")
+    if ctx.t < state.cached_round:
         raise ValueError("rounds must be visited in increasing order")
 
-    g_ref = w_t - history[-2] if len(history) >= 2 else np.zeros_like(w_t)
+    g_ref = w_t - ctx.history[-2] if len(ctx.history) >= 2 else np.zeros_like(w_t)
     labels: np.ndarray | None = None
     if float(np.linalg.norm(g_ref)) > 0.0:
         for _ in range(hyper.latent_steps):
             labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
-            state = refine_latent(state, spec, w_t, dec, labels, g_ref, num_steps=1)
+            state = refine_latent(
+                state, spec, w_t, dec, labels, g_ref, hyper.eta_z, num_steps=1
+            )
     if labels is None:
         labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
 
@@ -463,8 +394,8 @@ def behavior_latent_opt(
 
     clipped = False
     norm = float(np.linalg.norm(update))
-    if norm > budgets.kappa:
-        update = update * (budgets.kappa / norm)
+    if norm > kappa:
+        update = update * (kappa / norm)
         clipped = True
 
     parts = joint_loss(spec, w_t, dec, state.z, labels, g_ref)
@@ -476,48 +407,4 @@ def behavior_latent_opt(
         "clipped": clipped,
         "update_norm": float(np.linalg.norm(update)),
     }
-    return update, replace(state, cached_round=t), diag
-
-
-class LatentOptBehavior:
-    """Stateful wrapper owning one attacker lifeline (state, decoder, budgets).
-
-    The intensity multiplier rescales the synthetic batch size; intensity 0
-    reduces to a benign client exactly.
-    """
-
-    def __init__(
-        self,
-        spec: ModelSpec,
-        dec: Decoder,
-        budgets: Budgets = Budgets(),
-        hyper: LatentHP = LatentHP(),
-        intensity: float = 1.0,
-    ):
-        if intensity < 0:
-            raise ValueError("intensity must be non-negative")
-        self.spec = spec
-        self.dec = dec
-        self.budgets = budgets
-        self.hyper = replace(
-            hyper, synth_batch=int(round(intensity * hyper.synth_batch))
-        )
-        self.state: AttackState | None = None
-        self.diagnostics: list[dict] = []
-
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        update, self.state, diag = behavior_latent_opt(
-            self.state,
-            self.spec,
-            ctx.w_t,
-            ctx.history,
-            ctx.shard,
-            ctx.hp,
-            ctx.rng,
-            self.dec,
-            self.budgets,
-            self.hyper,
-        )
-        diag["t"] = ctx.t
-        self.diagnostics.append(diag)
-        return update
+    return update, replace(state, cached_round=ctx.t), diag

@@ -8,7 +8,6 @@ the structural condition the attribution game exploits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,16 +205,3 @@ def coverage_stats(shard: ClientShard, num_classes: int) -> tuple[set[int], set[
     med = float(np.median(nonzero))
     under = {c for c in range(num_classes) if 0 < counts[c] < med}
     return missing, under
-
-
-def export_shards(shards: list[ClientShard], path) -> None:
-    """Plain-text inspection dump: one row per sample (client_id, label, features...)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = shards[0].data.inputs.shape[1] if shards else 0
-        writer.writerow(["client_id", "label"] + [f"x{j}" for j in range(dim)])
-        for shard in shards:
-            for row, label in zip(shard.data.inputs, shard.data.labels):
-                writer.writerow(
-                    [shard.client_id, int(label)] + [repr(float(v)) for v in row]
-                )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
@@ -25,6 +26,23 @@ ATTACKS = (
     "latent_opt",
 )
 TARGET_RULES = ("lowest_rank", "rank_k")
+
+_MAX = sys.float_info.max
+# field -> (lo, hi): checked as lo <= value <= hi, which NaN and +-inf fail
+_BOUNDS = {
+    "num_clients": (2, _MAX),
+    "rounds": (1, _MAX),
+    "local_epochs": (1, _MAX),
+    "batch_size": (1, _MAX),
+    "local_lr": (0, _MAX),
+    "intensity": (0, _MAX),
+    "sigma_rel": (0, _MAX),
+    "latent_dim": (1, _MAX),
+    "latent_steps": (0, _MAX),
+    "synth_batch": (0, _MAX),
+    "latent_lr": (-_MAX, _MAX),
+    "master_seed": (0, _MAX),
+}
 
 
 class ConfigError(ValueError):
@@ -89,13 +107,15 @@ class ExperimentConfig:
         for name in self.evaluator_list:
             if name not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {name!r}")
-        if self.num_clients < 2:
-            raise ConfigError("num_clients must be at least 2")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        for name in ("local_epochs", "batch_size", "latent_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        for name, (lo, hi) in _BOUNDS.items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                least = f"at least {lo} and " if lo > -_MAX else ""
+                raise ConfigError(f"{name} must be {least}finite, got {value!r}")
+        if self.target_rule == "rank_k" and not 1 <= self.target_rank <= self.num_clients:
+            raise ConfigError(
+                f"target rank {self.target_rank} out of range 1..{self.num_clients}"
+            )
         if "fedsv_exact" in self.evaluator_list and self.num_clients > EXACT_LIMIT:
             raise ConfigError(
                 f"{self.num_clients} clients exceeds the fedsv_exact enumeration "
@@ -103,12 +123,6 @@ class ExperimentConfig:
             )
         if "fedsv_mc" in self.evaluator_list and self.mc_permutations < 1:
             raise ConfigError("mc_permutations must be at least 1")
-        if "loo_retrain" in self.evaluator_list and self.attack == "latent_opt":
-            # LatentOptBehavior keeps its state across runs (ROADMAP item 3)
-            raise ConfigError(
-                "loo_retrain cannot score the latent_opt attack yet: its retrain "
-                "runs would reuse the attack's per-run state"
-            )
         if self.defense_mode != "off":
             if not 0.0 < self.trim_tau < 1.0:
                 raise ConfigError("trim_tau must be in (0, 1)")
@@ -131,10 +145,6 @@ class ExperimentConfig:
                 f"samples_per_client {self.samples_per_client} needs {demand} "
                 f"training samples of one class, but a class has {available}"
             )
-        if self.intensity < 0:
-            raise ConfigError("intensity must be non-negative")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
 
     def dataset_spec(self, seed: int) -> DatasetSpec:
         return DatasetSpec(

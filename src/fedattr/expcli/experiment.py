@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,17 @@ class ExperimentReport:
     plausibility_flags: int
     plausibility_max: float
     kappa: float
-    diagnostics: list[dict]
     attack_free_log: flcore.TrainingLog
     attacked_log: flcore.TrainingLog
+
+    @property
+    def diagnostics(self) -> list[dict]:
+        """The attacker's per-round diagnostics in the attacked log, with t added."""
+        return [
+            {**rec.diags[self.malicious_id], "t": rec.t}
+            for rec in self.attacked_log.rounds
+            if rec.diags[self.malicious_id] is not None
+        ]
 
     def target_share(self, evaluator: str, phase: str) -> float:
         return float(self.evaluations[evaluator][phase].shares[self.malicious_id])
@@ -102,32 +111,24 @@ def select_malicious(
 def _make_attack_behavior(
     cfg: ExperimentConfig, scenario: Scenario, kappa: float
 ) -> flcore.Behavior:
-    spec = scenario.spec
-    if cfg.attack == "attack_free":
-        return flcore.BenignBehavior(spec)
-    if cfg.attack == "label_flip":
-        return attacks.LabelFlipBehavior(spec)
     if cfg.attack == "random_noise":
-        return attacks.RandomNoiseBehavior(spec, cfg.sigma_rel)
-    if cfg.attack == "free_rider":
-        return attacks.FreeRiderBehavior()
-    if cfg.attack == "direct_ref":
-        return attacks.DirectRefBehavior(spec)
-    budgets = attacks.Budgets(
-        delta=cfg.delta,
-        eps=cfg.eps,
-        kappa=kappa,
-        c_max=spec.param_count,
-    )
-    hyper = attacks.LatentHP(
-        latent_dim=cfg.latent_dim,
-        latent_steps=cfg.latent_steps,
-        synth_batch=cfg.synth_batch,
-        eta_z=cfg.latent_lr,
-    )
-    return attacks.LatentOptBehavior(
-        spec, scenario.decoder, budgets, hyper, intensity=cfg.intensity
-    )
+        return partial(attacks.behavior_random_noise, sigma_rel=cfg.sigma_rel)
+    if cfg.attack == "latent_opt":
+        hyper = attacks.LatentHP(
+            latent_dim=cfg.latent_dim,
+            latent_steps=cfg.latent_steps,
+            synth_batch=int(round(cfg.intensity * cfg.synth_batch)),
+            eta_z=cfg.latent_lr,
+        )
+        return partial(
+            attacks.behavior_latent_opt, dec=scenario.decoder, kappa=kappa, hyper=hyper
+        )
+    return {
+        "attack_free": flcore.benign,
+        "label_flip": attacks.behavior_label_flip,
+        "free_rider": attacks.behavior_free_rider,
+        "direct_ref": attacks.behavior_direct_ref,
+    }[cfg.attack]
 
 
 def _evaluate(
@@ -163,8 +164,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
             fingerprint=fingerprint,
         )
 
-    benign = [flcore.BenignBehavior(scenario.spec) for _ in scenario.shards]
-    free_cfg = fl_config(benign)
+    free_cfg = fl_config([flcore.benign] * len(scenario.shards))
     free_log = flcore.run_training(free_cfg)
 
     evaluations = {
@@ -181,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
     kappa = cfg.kappa_mult * float(np.median(benign_norms)) if cfg.kappa_mult > 0 else np.inf
     attack_behavior = _make_attack_behavior(cfg, scenario, kappa)
     attacked_behaviors = [
-        attack_behavior if shard.client_id == malicious_id else flcore.BenignBehavior(scenario.spec)
+        attack_behavior if shard.client_id == malicious_id else flcore.benign
         for shard in scenario.shards
     ]
     attacked_cfg = fl_config(attacked_behaviors)
@@ -203,7 +203,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
         decisions = [rec.trim for rec in attacked_log.rounds if rec.trim is not None]
         detection = detection_metrics(decisions, {malicious_id})
 
-    diagnostics = getattr(attack_behavior, "diagnostics", [])
     report = ExperimentReport(
         config=cfg,
         fingerprint=fingerprint,
@@ -217,7 +216,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
         plausibility_flags=flags,
         plausibility_max=max_dev,
         kappa=kappa,
-        diagnostics=diagnostics,
         attack_free_log=free_log,
         attacked_log=attacked_log,
     )

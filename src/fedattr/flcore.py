@@ -1,9 +1,10 @@
 """FedAvg round loop: broadcast, client behaviors, weighted aggregation, logging.
 
-Client behaviors are interchangeable plug-ins invoked through one contract;
-a behavior sees only the broadcast history, its own shard, and its own RNG
-stream.  Every round is recorded so evaluators and defenses can replay the
-run without touching training.
+A client behavior is one pure step `(ctx, state) -> (update, state, diag)`:
+it sees only the broadcast history, its own shard, and its own RNG stream,
+and its state lives for one run, starting from None.  Every round is
+recorded, with each client's diagnostics, so evaluators and defenses can
+replay the run without touching training.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class LocalHP:
 class RoundContext:
     """What a behavior is allowed to see: broadcast history and its own shard."""
 
+    spec: ModelSpec
     t: int
     w_t: np.ndarray
     history: tuple[np.ndarray, ...]  # w_1 .. w_t, read-only
@@ -53,8 +55,10 @@ class RoundContext:
     rng: np.random.Generator
 
 
-class Behavior(Protocol):
-    def __call__(self, ctx: RoundContext) -> np.ndarray: ...
+# (ctx, state) -> (update, state, diag); state is None at the start of a run.
+# RoundContext is named by string: typing caches subscripted aliases, and a
+# cached class would keep each re-imported copy of this module alive.
+Behavior = Callable[["RoundContext", Any], tuple[np.ndarray, Any, dict | None]]
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class RoundRecord:
     t: int
     w_t: np.ndarray
     updates: tuple[np.ndarray, ...]
+    diags: tuple[dict | None, ...]  # one per client; None when it gave none
     n: tuple[int, ...]
     w_next: np.ndarray
     test_utility_after: float
@@ -160,19 +165,15 @@ def benign_local_update(
     return trained - w_t
 
 
-class BenignBehavior:
+def benign(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Standard client: trains on its shard, reports the weight delta.
 
-    `run_training` trains all of a round's `BenignBehavior` clients in
-    lockstep instead of calling them one by one; the updates are the same.
+    `run_training` trains all of a round's `benign` clients in lockstep
+    instead of calling them one by one; the updates are the same.
     """
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-
-    def __call__(self, ctx: RoundContext) -> np.ndarray:
-        seed = int(ctx.rng.integers(0, 2**63))
-        return benign_local_update(self.spec, ctx.w_t, ctx.shard, ctx.hp, seed)
+    seed = int(ctx.rng.integers(0, 2**63))
+    update = benign_local_update(ctx.spec, ctx.w_t, ctx.shard, ctx.hp, seed)
+    return update, state, None
 
 
 def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
@@ -181,19 +182,19 @@ def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
 
 
 def _lockstep_updates(cfg: FLConfig, t: int, w: np.ndarray) -> dict[int, np.ndarray]:
-    """Round-t updates of the `BenignBehavior` clients, by position.
+    """Round-t updates of the `benign` clients, by position.
 
-    Clients with the same spec and shard size train in one `sgd_train_many`
-    call, each with the seed its behavior would draw from its own stream, so
-    the updates equal the per-client ones bit for bit.  A group that fails
-    validation is left to the per-client path, which names the failing client.
+    Clients with the same shard size train in one `sgd_train_many` call, each
+    with the seed `benign` would draw from its own stream, so the updates
+    equal the per-client ones bit for bit.  A group that fails validation is
+    left to the per-client path, which names the failing client.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
-        if type(behavior) is BenignBehavior:
-            groups.setdefault((behavior.spec, shard.n_i), []).append(i)
+        if behavior is benign:
+            groups.setdefault(shard.n_i, []).append(i)
     updates: dict[int, np.ndarray] = {}
-    for (spec, _), group in groups.items():
+    for group in groups.values():
         shards = [cfg.shards[i] for i in group]
         rngs = [streams.stream(cfg.master_seed, "client", s.client_id, t) for s in shards]
         seeds = [int(rng.integers(0, 2**63)) for rng in rngs]
@@ -201,7 +202,7 @@ def _lockstep_updates(cfg: FLConfig, t: int, w: np.ndarray) -> dict[int, np.ndar
         hp = cfg.hp
         try:
             trained = sgd_train_many(
-                spec, starts, [s.data for s in shards],
+                cfg.spec, starts, [s.data for s in shards],
                 hp.epochs, hp.batch_size, hp.eta_w, seeds,
             )
         except ValueError:
@@ -217,18 +218,21 @@ def run_training(cfg: FLConfig) -> TrainingLog:
     history: list[np.ndarray] = [w]
     records: list[RoundRecord] = []
     n = tuple(int(s.n_i) for s in cfg.shards)
+    states: list[Any] = [None] * len(cfg.shards)
 
     for t in range(1, cfg.rounds + 1):
         lockstep = _lockstep_updates(cfg, t, w)
         updates: list[np.ndarray] = []
+        diags: list[dict | None] = []
         for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
             if i in lockstep:
-                u = lockstep[i]
+                u, diag = lockstep[i], None
             else:
                 rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-                ctx = RoundContext(t, w, tuple(history), shard, cfg.hp, rng)
+                ctx = RoundContext(cfg.spec, t, w, tuple(history), shard, cfg.hp, rng)
                 try:
-                    u = np.asarray(behavior(ctx), dtype=np.float64)
+                    u, states[i], diag = behavior(ctx, states[i])
+                    u = np.asarray(u, dtype=np.float64)
                 except Exception as exc:
                     raise FLRunError(t, shard.client_id, exc) from exc
             if u.shape != w.shape or not np.all(np.isfinite(u)):
@@ -236,6 +240,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
                     t, shard.client_id, ValueError("bad update shape or non-finite")
                 )
             updates.append(u)
+            diags.append(diag)
 
         trim = None
         kept_idx = list(range(len(updates)))
@@ -251,7 +256,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
         w_next.setflags(write=False)
         util = utility(cfg.spec, w_next, cfg.test)
         records.append(
-            RoundRecord(t, w, tuple(updates), n, w_next, util, trim)
+            RoundRecord(t, w, tuple(updates), tuple(diags), n, w_next, util, trim)
         )
         w = w_next
         history.append(w)
@@ -291,6 +296,7 @@ def save_log(log: TrainingLog, path) -> None:
                 "distances": (
                     [float(d) for d in rec.trim.distances] if rec.trim else None
                 ),
+                "diags": list(rec.diags),
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -317,6 +323,7 @@ def load_log(path) -> TrainingLog:
                     t=row["t"],
                     w_t=_dec(row["w_t"]),
                     updates=tuple(_dec(u) for u in row["updates"]),
+                    diags=tuple(row["diags"]),
                     n=tuple(row["n"]),
                     w_next=_dec(row["w_next"]),
                     test_utility_after=row["test_utility_after"],

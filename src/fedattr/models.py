@@ -25,7 +25,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -38,8 +37,6 @@ class ModelSpec:
             raise ValueError("logistic model takes hidden_dim=0")
         if self.kind == "mlp1" and self.hidden_dim < 1:
             raise ValueError("mlp1 requires hidden_dim >= 1")
-        if self.activation != "tanh":
-            raise ValueError("only tanh activation is supported")
 
     @property
     def param_count(self) -> int:

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fedattr import attacks, models, oracles
 from fedattr.attacks import (
     AttackState,
-    Budgets,
     LatentHP,
     behavior_direct_ref,
     behavior_free_rider,
@@ -24,7 +25,7 @@ from fedattr.attacks import (
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.expcli.config import ExperimentConfig
 from fedattr.expcli.experiment import run_experiment
-from fedattr.flcore import LocalHP, benign_local_update
+from fedattr.flcore import LocalHP, RoundContext, benign_local_update
 from fedattr.models import LabeledBatch, ModelSpec
 
 
@@ -43,6 +44,13 @@ def scenario():
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
+
+
+def ctx_for(scenario, w, rng, history=None, hp=LocalHP()):
+    """Round context of client 0 at round len(history)."""
+    spec, shards, _, _ = scenario
+    history = (w,) if history is None else tuple(history)
+    return RoundContext(spec, len(history), w, history, shards[0], hp, rng)
 
 
 # --- baselines ---------------------------------------------------------------
@@ -65,7 +73,8 @@ def test_label_flip_update_differs_from_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    flip = behavior_label_flip(spec, w, shards[0], hp, rng_for(3))
+    flip, state, diag = behavior_label_flip(ctx_for(scenario, w, rng_for(3)), None)
+    assert state is None and diag is None
     benign = benign_local_update(spec, w, shards[0], hp, seed=int(rng_for(3).integers(0, 2**63)))
     assert not np.allclose(flip, benign)
 
@@ -74,7 +83,9 @@ def test_random_noise_zero_sigma_is_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    noisy = behavior_random_noise(spec, w, shards[0], hp, rng_for(3), sigma_rel=0.0)
+    noisy, _, _ = behavior_random_noise(
+        ctx_for(scenario, w, rng_for(3), hp=hp), None, sigma_rel=0.0
+    )
     benign = benign_local_update(
         spec, w, shards[0], hp, seed=int(rng_for(3).integers(0, 2**63))
     )
@@ -93,8 +104,8 @@ def test_random_noise_norm_calibration(scenario):
         benign = benign_local_update(
             spec, w, shards[0], hp, seed=int(replay.integers(0, 2**63))
         )
-        noisy = behavior_random_noise(
-            spec, w, shards[0], hp, rng_for(trial), sigma_rel=sigma_rel
+        noisy, _, _ = behavior_random_noise(
+            ctx_for(scenario, w, rng_for(trial), hp=hp), None, sigma_rel=sigma_rel
         )
         noise_sq = float(np.linalg.norm(noisy - benign) ** 2)
         ratios.append(noise_sq / float(np.linalg.norm(benign) ** 2))
@@ -104,18 +115,22 @@ def test_random_noise_norm_calibration(scenario):
 def test_random_noise_deterministic_per_seed(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
-    a = behavior_random_noise(spec, w, shards[0], LocalHP(), rng_for(5), 0.5)
-    b = behavior_random_noise(spec, w, shards[0], LocalHP(), rng_for(5), 0.5)
+    a, _, _ = behavior_random_noise(ctx_for(scenario, w, rng_for(5)), None, 0.5)
+    b, _, _ = behavior_random_noise(ctx_for(scenario, w, rng_for(5)), None, 0.5)
     assert np.array_equal(a, b)
 
 
 def test_free_rider_edge_cases():
+    def free_ride(w, history):
+        ctx = RoundContext(None, len(history), w, history, None, LocalHP(), None)
+        return behavior_free_rider(ctx, None)[0]
+
     w1 = np.array([1.0, 2.0])
-    assert np.array_equal(behavior_free_rider(w1, (w1,)), np.zeros(2))
+    assert np.array_equal(free_ride(w1, (w1,)), np.zeros(2))
     # stationary model
-    assert np.array_equal(behavior_free_rider(w1, (w1, w1)), np.zeros(2))
+    assert np.array_equal(free_ride(w1, (w1, w1)), np.zeros(2))
     w2 = np.array([1.5, 1.0])
-    assert np.array_equal(behavior_free_rider(w2, (w1, w2)), w2 - w1)
+    assert np.array_equal(free_ride(w2, (w1, w2)), w2 - w1)
 
 
 def test_direct_ref_properties(scenario):
@@ -126,15 +141,15 @@ def test_direct_ref_properties(scenario):
     u = benign_local_update(
         spec, w, shards[0], hp, seed=int(rng_for(4).integers(0, 2**63))
     )
-    out = behavior_direct_ref(spec, w, (w_prev, w), shards[0], hp, rng_for(4))
+    out, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), (w_prev, w)), None)
     ref = w - w_prev
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(u), abs=1e-12)
     cos = out @ ref / (np.linalg.norm(out) * np.linalg.norm(ref))
     assert cos == pytest.approx(1.0, abs=1e-12)
     # first round or zero reference: fall back to the benign update
-    first = behavior_direct_ref(spec, w, (w,), shards[0], hp, rng_for(4))
+    first, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4)), None)
     assert np.array_equal(first, u)
-    stuck = behavior_direct_ref(spec, w, (w, w), shards[0], hp, rng_for(4))
+    stuck, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), (w, w)), None)
     assert np.array_equal(stuck, u)
 
 
@@ -325,13 +340,9 @@ def test_grad_z_closed_form_matches_fd_oracle(scenario, kind, hidden, zero_ref):
 # --- latent refinement -----------------------------------------------------------
 
 
-def fresh_state(dec, synth_batch=8, latent_steps=2, eta_z=0.01, seed=0):
-    hyper = LatentHP(
-        latent_dim=dec.latent_dim, latent_steps=latent_steps,
-        synth_batch=synth_batch, eta_z=eta_z,
-    )
+def fresh_state(dec, synth_batch=8, seed=0):
     z = rng_for(seed).standard_normal((synth_batch, dec.latent_dim))
-    return AttackState(z=z, cached_round=0, budgets=Budgets(), hyper=hyper)
+    return AttackState(z=z, cached_round=0)
 
 
 def test_refine_zero_steps_keeps_state(scenario):
@@ -340,17 +351,17 @@ def test_refine_zero_steps_keeps_state(scenario):
     w = models.init_params(spec, 2)
     labels = np.zeros(8, dtype=int)
     ref = rng_for(1).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, num_steps=0)
+    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=0.01, num_steps=0)
     assert np.array_equal(out.z, state.z)
 
 
 def test_refine_zero_lr_keeps_latents(scenario):
     spec, _, _, dec = scenario
-    state = fresh_state(dec, eta_z=0.0)
+    state = fresh_state(dec)
     w = models.init_params(spec, 2)
     labels = np.zeros(8, dtype=int)
     ref = rng_for(1).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref)
+    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=0.0, num_steps=2)
     assert np.array_equal(out.z, state.z)
     assert len(out.refine_trace) == 3  # initial value plus two steps
 
@@ -358,11 +369,11 @@ def test_refine_zero_lr_keeps_latents(scenario):
 def test_refine_first_step_decreases_loss(scenario):
     # fixed fixture: logistic model, latent_dim=4, batch of 8
     spec, _, _, dec = scenario
-    state = fresh_state(dec, eta_z=1e-2, seed=3)
+    state = fresh_state(dec, seed=3)
     w = models.init_params(spec, 4)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     ref = 0.05 * rng_for(9).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, num_steps=1)
+    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=1e-2, num_steps=1)
     before, after = out.refine_trace
     assert after < before
 
@@ -373,34 +384,35 @@ def test_refine_uses_closed_form_gradient(scenario, monkeypatch):
 
     monkeypatch.setattr(attacks, "grad_z_fd", fail)
     spec, _, _, dec = scenario
-    state = fresh_state(dec, eta_z=1e-2, seed=3)
+    state = fresh_state(dec, seed=3)
     w = models.init_params(spec, 4)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     ref = 0.05 * rng_for(9).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref)
+    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=1e-2, num_steps=2)
     assert len(out.refine_trace) == 3
     assert not np.array_equal(out.z, state.z)
 
 
 def test_attack_state_validation(scenario):
-    _, _, _, dec = scenario
+    spec, _, _, dec = scenario
     hyper = LatentHP(latent_dim=dec.latent_dim, synth_batch=4)
+    w = models.init_params(spec, 0)
+    wrong_shape = AttackState(z=np.zeros((3, dec.latent_dim)), cached_round=0)
+    with pytest.raises(ValueError, match="does not match hyperparameters"):
+        latent_call(scenario, wrong_shape, 1, w, (w,), rng_for(0), hyper=hyper)
     with pytest.raises(ValueError):
-        AttackState(z=np.zeros((3, dec.latent_dim)), cached_round=0,
-                    budgets=Budgets(), hyper=hyper)
-    with pytest.raises(ValueError):
-        AttackState(z=np.full((4, dec.latent_dim), np.nan), cached_round=0,
-                    budgets=Budgets(), hyper=hyper)
+        AttackState(z=np.full((4, dec.latent_dim), np.nan), cached_round=0)
 
 
 # --- full behavior ----------------------------------------------------------------
 
 
-def latent_call(scenario, state, t, w, history, rng, hyper=None, budgets=None):
+def latent_call(scenario, state, t, w, history, rng, hyper=None, kappa=math.inf):
     spec, shards, _, dec = scenario
+    ctx = RoundContext(spec, t, w, history, shards[0], LocalHP(), rng)
     return behavior_latent_opt(
-        state, spec, w, history, shards[0], LocalHP(),
-        rng, dec, budgets or Budgets(), hyper or LatentHP(latent_dim=dec.latent_dim),
+        ctx, state, dec=dec, kappa=kappa,
+        hyper=hyper or LatentHP(latent_dim=dec.latent_dim),
     )
 
 
@@ -422,10 +434,7 @@ def test_latent_zero_intensity_equals_benign(scenario):
 def test_latent_kappa_clip_exact(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    budgets = Budgets(kappa=1e-3)
-    update, _, diag = latent_call(
-        scenario, None, 1, w, (w,), rng_for(1), budgets=budgets
-    )
+    update, _, diag = latent_call(scenario, None, 1, w, (w,), rng_for(1), kappa=1e-3)
     assert np.linalg.norm(update) == pytest.approx(1e-3, abs=1e-12)
     assert diag["clipped"]
 

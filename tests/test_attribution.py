@@ -22,7 +22,7 @@ from fedattr.attribution import (
     shapley_mc,
 )
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
-from fedattr.flcore import BenignBehavior, FLConfig, LocalHP, run_training
+from fedattr.flcore import FLConfig, LocalHP, benign, run_training
 from fedattr.models import LabeledBatch, ModelSpec
 
 
@@ -156,7 +156,7 @@ def small_run(
         spec = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5)
     cfg = FLConfig(
         spec=spec, shards=shards,
-        behaviors=behaviors or [BenignBehavior(spec) for _ in shards],
+        behaviors=behaviors or [benign] * len(shards),
         hp=LocalHP(epochs=1, batch_size=16, eta_w=0.2),
         rounds=rounds, test=test, master_seed=master_seed,
         defense_mode=defense_mode, trim_tau=0.2,
@@ -205,10 +205,10 @@ def test_values_match_oracle(model, chunk_logits, monkeypatch):
 def test_values_match_oracle_with_zero_update_client():
     spec = ModelSpec("logistic", input_dim=2, num_classes=3)
 
-    def silent(ctx):
-        return np.zeros(spec.param_count)
+    def silent(ctx, state):
+        return np.zeros(spec.param_count), state, None
 
-    behaviors = [BenignBehavior(spec), silent, BenignBehavior(spec), BenignBehavior(spec)]
+    behaviors = [benign, silent, benign, benign]
     cfg, log, spec, test = small_run(num_clients=4, behaviors=behaviors)
     assert not np.any(log.rounds[0].updates[1])
     assert_values_match_oracle(log, spec, test)
@@ -240,7 +240,7 @@ def test_values_break_logit_ties_toward_the_lowest_class():
     rec = log.rounds[0]
     rec = type(rec)(
         rec.t, np.zeros(spec.param_count), (np.zeros(spec.param_count), bias_only),
-        (10, 30), rec.w_next, rec.test_utility_after,
+        (None, None), (10, 30), rec.w_next, rec.test_utility_after,
     )
     got = CoalitionUtility.from_round(rec, spec, test).values(every_coalition(2))
     expected = [
@@ -448,7 +448,7 @@ def test_fedsv_symmetry_for_duplicated_clients():
         for _ in range(2)
     ]
     twin_cfg = FLConfig(
-        spec=spec, shards=twin, behaviors=[BenignBehavior(spec)] * 2,
+        spec=spec, shards=twin, behaviors=[benign] * 2,
         hp=cfg.hp, rounds=2, test=test, master_seed=3,
     )
     twin_log = run_training(twin_cfg)
@@ -484,8 +484,8 @@ def test_loo_round_matches_direct_recomputation():
 def test_loo_round_all_zero_updates_gives_zero():
     cfg, log, spec, test = small_run()
 
-    def silent(ctx):
-        return np.zeros(spec.param_count)
+    def silent(ctx, state):
+        return np.zeros(spec.param_count), state, None
 
     zero_cfg = FLConfig(
         spec=spec, shards=cfg.shards, behaviors=[silent] * 3,
@@ -503,7 +503,7 @@ def test_loo_retrain_duplicate_and_symmetry():
         ClientShard(1, base.data, base.class_counts, base.n_i),
     ]
     pair_cfg = FLConfig(
-        spec=spec, shards=shards, behaviors=[BenignBehavior(spec)] * 2,
+        spec=spec, shards=shards, behaviors=[benign] * 2,
         hp=cfg.hp, rounds=2, test=test, master_seed=2,
     )
     v0, v1 = loo_retrain_report(pair_cfg, run_training(pair_cfg)).raw
@@ -518,7 +518,7 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     spec = ModelSpec("logistic", input_dim=2, num_classes=3)
     cfg = FLConfig(
         spec=spec, shards=shards,
-        behaviors=[BenignBehavior(spec) for _ in shards],
+        behaviors=[benign] * len(shards),
         hp=LocalHP(epochs=2, batch_size=16, eta_w=0.2),
         rounds=8, test=test, master_seed=3,
     )

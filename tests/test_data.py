@@ -7,7 +7,6 @@ from fedattr.data import (
     DatasetSpec,
     PartitionSpec,
     coverage_stats,
-    export_shards,
     partition_noniid,
     synthesize,
 )
@@ -162,16 +161,3 @@ def test_shard_invariant_enforced():
     batch = LabeledBatch(np.zeros((3, 2)), np.array([0, 0, 1]))
     with pytest.raises(ValueError):
         ClientShard(0, batch, np.array([1, 1]), 3)
-
-
-def test_export_shards_round_trip(tmp_path):
-    train, _ = synthesize(blob_spec(samples_per_class=20))
-    shards = partition_noniid(
-        train, PartitionSpec(num_clients=3, classes_per_client=2,
-                             samples_per_client=10, seed=0),
-    )
-    path = tmp_path / "shards.csv"
-    export_shards(shards, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "client_id,label,x0,x1"
-    assert len(lines) == 1 + sum(s.n_i for s in shards)

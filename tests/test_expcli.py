@@ -342,16 +342,28 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"batch_size": 0}, "batch_size must be at least 1"),
         ({"local_epochs": 0}, "local_epochs must be at least 1"),
         ({"latent_dim": 0}, "latent_dim must be at least 1"),
+        ({"intensity": "nan"}, "intensity must be at least 0 and finite, got nan"),
+        ({"intensity": "inf"}, "intensity must be at least 0 and finite, got inf"),
+        ({"latent_lr": "nan"}, "latent_lr must be finite, got nan"),
+        ({"latent_lr": "-inf"}, "latent_lr must be finite, got -inf"),
+        ({"synth_batch": -1}, "synth_batch must be at least 0 and finite"),
+        ({"latent_steps": -2}, "latent_steps must be at least 0 and finite"),
         (
-            {"attack": "latent_opt", "evaluators": "fedsv_exact,loo_retrain"},
-            "loo_retrain cannot score the latent_opt attack",
+            {"attack": "random_noise", "sigma_rel": -1},
+            "sigma_rel must be at least 0 and finite",
         ),
+        ({"local_lr": "nan"}, "local_lr must be at least 0 and finite, got nan"),
+        ({"local_lr": -1}, "local_lr must be at least 0 and finite, got -1.0"),
+        ({"target_rule": "rank_k", "target_rank": 9}, "target rank 9 out of range 1..4"),
+        ({"target_rule": "rank_k", "target_rank": 0}, "target rank 0 out of range 1..4"),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
         "one_client", "infeasible_partition", "generator", "input_dim", "noise_scale",
         "class_separation", "model_kind", "mlp1_hidden_dim", "batch_size",
-        "local_epochs", "latent_dim", "latent_opt_loo_retrain",
+        "local_epochs", "latent_dim", "intensity_nan", "intensity_inf",
+        "latent_lr_nan", "latent_lr_inf", "synth_batch", "latent_steps", "sigma_rel",
+        "local_lr_nan", "local_lr_negative", "target_rank_high", "target_rank_zero",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
@@ -368,6 +380,38 @@ def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, b
     assert err.startswith("config error:")
     assert message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_loo_retrain_scores_latent_opt(monkeypatch):
+    # each retrain run starts the attack from a fresh state, so no run sees
+    # another's latents and no rerun adds diagnostics to the report
+    from fedattr import flcore
+
+    real_training = flcore.run_training
+    trained = []
+
+    def recording(flcfg):
+        trained.append(flcfg)
+        return real_training(flcfg)
+
+    monkeypatch.setattr(flcore, "run_training", recording)
+    cfg = tiny_config(attack="latent_opt", evaluators="fedsv_exact,loo_retrain")
+    report = run_experiment(cfg)
+    assert [d["t"] for d in report.diagnostics] == list(range(1, cfg.rounds + 1))
+    logs = {"attack_free": report.attack_free_log, "attacked": report.attacked_log}
+    assert len(trained) == len(logs)
+    for flcfg, (phase, log) in zip(trained, logs.items()):
+        expected = [
+            log.final_utility - real_training(flcfg.without_client(i)).final_utility
+            for i in range(cfg.num_clients)
+        ]
+        assert report.evaluations["loo_retrain"][phase].raw.tolist() == expected
+
+
+def test_cli_runs_latent_opt_with_loo_retrain(tmp_path):
+    _, path = write_tiny_config(tmp_path, rounds=2, evaluators="loo_round,loo_retrain")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(list((tmp_path / "o").glob("run_*/report.json"))) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -432,7 +476,7 @@ def valid_configs(draw):
         rounds=draw(st.integers(1, 50)),
         local_epochs=draw(st.integers(1, 5)),
         batch_size=draw(st.integers(1, 64)),
-        local_lr=draw(finite_floats(-1e3, 1e3)),
+        local_lr=draw(finite_floats(0, 1e3)),
         evaluators=",".join(evaluators),
         mc_permutations=draw(st.integers(1, 500)),
         mc_seed=draw(st.integers(0, 2**32)),
@@ -440,7 +484,7 @@ def valid_configs(draw):
         target_rule=draw(st.sampled_from(TARGET_RULES)),
         target_rank=draw(st.integers(1, 8)),
         intensity=draw(finite_floats(0, 1e3)),
-        sigma_rel=draw(finite_floats(-1e3, 1e3)),
+        sigma_rel=draw(finite_floats(0, 1e3)),
         latent_dim=draw(st.integers(1, 16)),
         latent_steps=draw(st.integers(0, 8)),
         synth_batch=draw(st.integers(1, 64)),

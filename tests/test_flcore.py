@@ -1,4 +1,6 @@
+import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 from fedattr import attacks, flcore, models
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.flcore import (
-    BenignBehavior,
     FLConfig,
     FLRunError,
     LocalHP,
+    benign,
     benign_local_update,
     run_training,
     weighted_aggregate,
@@ -35,8 +37,15 @@ def make_scenario(num_clients=3, num_classes=3, seed=0, samples_per_client=30):
     return spec, shards, test
 
 
+def latent_attacker(spec, test):
+    """The latent-optimization attack as one step, decoder fitted on `test`."""
+    dec = attacks.calibrate_decoder(test, 2, seed=0, num_classes=spec.num_classes)
+    hyper = attacks.LatentHP(latent_dim=2, latent_steps=2, synth_batch=8)
+    return partial(attacks.behavior_latent_opt, dec=dec, kappa=math.inf, hyper=hyper)
+
+
 def make_config(spec, shards, test, rounds=3, **kw):
-    behaviors = kw.pop("behaviors", None) or [BenignBehavior(spec) for _ in shards]
+    behaviors = kw.pop("behaviors", None) or [benign] * len(shards)
     return FLConfig(
         spec=spec, shards=shards, behaviors=behaviors,
         hp=kw.pop("hp", LocalHP()), rounds=rounds, test=test,
@@ -91,7 +100,7 @@ def test_single_round_single_client_matches_local_training():
     spec, shards, test = make_scenario()
     shard = shards[0]
     cfg = FLConfig(
-        spec=spec, shards=[shard], behaviors=[BenignBehavior(spec)],
+        spec=spec, shards=[shard], behaviors=[benign],
         hp=LocalHP(), rounds=1, test=test, master_seed=5,
     )
     log = run_training(cfg)
@@ -126,7 +135,7 @@ def test_identical_shards_produce_identical_updates():
               for _ in range(3)]
     cfg = FLConfig(
         spec=spec, shards=clones,
-        behaviors=[BenignBehavior(spec) for _ in clones],
+        behaviors=[benign] * len(clones),
         hp=LocalHP(), rounds=1, test=test, master_seed=4,
     )
     log = run_training(cfg)
@@ -147,10 +156,10 @@ def test_round_record_invariant_no_defense():
 def test_client_failure_reports_round_and_client():
     spec, shards, test = make_scenario()
 
-    def exploding(ctx):
+    def exploding(ctx, state):
         raise RuntimeError("boom")
 
-    behaviors = [BenignBehavior(spec), exploding, BenignBehavior(spec)]
+    behaviors = [benign, exploding, benign]
     cfg = make_config(spec, shards, test, behaviors=behaviors)
     with pytest.raises(FLRunError) as err:
         run_training(cfg)
@@ -173,17 +182,13 @@ def test_history_is_read_only_and_limited_to_broadcasts():
     spec, shards, test = make_scenario()
     seen = {}
 
-    class Spy:
-        def __init__(self):
-            self.inner = BenignBehavior(spec)
+    def spy(ctx, state):
+        seen[ctx.t] = len(ctx.history)
+        with pytest.raises(ValueError):
+            ctx.w_t[0] = 99.0
+        return benign(ctx, state)
 
-        def __call__(self, ctx):
-            seen[ctx.t] = len(ctx.history)
-            with pytest.raises(ValueError):
-                ctx.w_t[0] = 99.0
-            return self.inner(ctx)
-
-    behaviors = [Spy()] + [BenignBehavior(spec) for _ in shards[1:]]
+    behaviors = [spy] + [benign] * (len(shards) - 1)
     run_training(make_config(spec, shards, test, behaviors=behaviors))
     assert seen == {1: 1, 2: 2, 3: 3}
 
@@ -208,10 +213,10 @@ def test_save_load_round_trip(tmp_path):
 def test_defense_enforce_changes_aggregate_membership():
     spec, shards, test = make_scenario()
 
-    def outlier(ctx):
-        return np.full(spec.param_count, 50.0)
+    def outlier(ctx, state):
+        return np.full(spec.param_count, 50.0), state, None
 
-    behaviors = [BenignBehavior(spec), BenignBehavior(spec), outlier]
+    behaviors = [benign, benign, outlier]
     cfg = make_config(
         spec, shards, test, behaviors=behaviors, defense_mode="enforce",
         trim_tau=0.3,  # ceil(0.3 * 3) = 1 trimmed per round
@@ -242,6 +247,7 @@ def assert_logs_identical(a, b):
                 rb.trim.t, rb.trim.trimmed, rb.trim.kept
             )
             assert ra.trim.distances.tobytes() == rb.trim.distances.tobytes()
+        assert ra.diags == rb.diags
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
@@ -249,23 +255,36 @@ def test_lockstep_benign_training_matches_per_client_path(kind):
     spec, shards, test = make_scenario(num_clients=5)
     if kind == "mlp1":
         spec = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5)
-    attacker = attacks.RandomNoiseBehavior(spec, 2.0)
+    attacker = partial(attacks.behavior_random_noise, sigma_rel=2.0)
 
-    def per_client(behavior):
-        # a plain function is not a BenignBehavior, so it is called on its own
-        return lambda ctx: behavior(ctx)
+    def per_client(ctx, state):
+        # a step other than `benign` itself is called on its own
+        return benign(ctx, state)
 
-    benign = [BenignBehavior(spec) for _ in shards[:-1]]
     logs = [
         run_training(
             make_config(
-                spec, shards, test, rounds=4, behaviors=behaviors + [attacker],
+                spec, shards, test, rounds=4,
+                behaviors=[behavior] * (len(shards) - 1) + [attacker],
                 defense_mode="enforce", trim_tau=0.2,
             )
         )
-        for behaviors in (benign, [per_client(b) for b in benign])
+        for behavior in (benign, per_client)
     ]
     assert_logs_identical(*logs)
+
+
+def test_latent_attacker_config_runs_twice_identically():
+    # the attack's latent cache lives in the run, so a second run of the same
+    # config starts from a fresh state and repeats the first bit for bit
+    spec, shards, test = make_scenario()
+    behaviors = [benign, latent_attacker(spec, test), benign]
+    cfg = make_config(spec, shards, test, rounds=4, behaviors=behaviors)
+    first = run_training(cfg)
+    assert_logs_identical(first, run_training(cfg))
+    for rec in first.rounds:
+        assert rec.diags[0] is None and rec.diags[2] is None
+        assert set(rec.diags[1]) >= {"l1", "l2", "l3", "clipped", "update_norm"}
 
 
 def test_lockstep_failure_names_the_failing_client():
@@ -285,14 +304,16 @@ run_params = dict(num_clients=st.integers(2, 6), master_seed=st.integers(0, 2**3
 @given(**run_params, defense_mode=st.sampled_from(flcore.DEFENSE_MODES))
 def test_property_log_round_trip(num_clients, master_seed, defense_mode):
     spec, shards, test = make_scenario(num_clients=num_clients, seed=master_seed % 7)
-    behaviors = [BenignBehavior(spec) for _ in shards[1:]]
-    behaviors.insert(0, attacks.RandomNoiseBehavior(spec, 3.0))
+    # one attacker that emits diagnostics, one that does not
+    noise = partial(attacks.behavior_random_noise, sigma_rel=3.0)
+    behaviors = [latent_attacker(spec, test), noise] + [benign] * (num_clients - 2)
     log = run_training(
         make_config(
             spec, shards, test, behaviors=behaviors, master_seed=master_seed,
             defense_mode=defense_mode, trim_tau=0.3, fingerprint="f00d",
         )
     )
+    assert all(rec.diags[0] is not None for rec in log.rounds)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.log.jsonl"
         flcore.save_log(log, path)
