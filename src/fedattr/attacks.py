@@ -14,7 +14,7 @@ check, since this client never sees other clients' updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -37,9 +37,7 @@ from .models import (
 def flip_labels(shard: ClientShard) -> LabeledBatch:
     """Copy of the shard's data with every label cyclically shifted by one."""
     c = len(shard.class_counts)
-    return LabeledBatch(
-        shard.data.inputs, (shard.data.labels + 1) % c, shard.data.num_classes
-    )
+    return LabeledBatch(shard.data.inputs, (shard.data.labels + 1) % c)
 
 
 def behavior_label_flip(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
@@ -67,17 +65,17 @@ def behavior_random_noise(
 
 def behavior_free_rider(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Replay of the previous global step; zero before any step exists."""
-    if len(ctx.history) < 2:
+    if ctx.w_prev is None:
         return np.zeros_like(ctx.w_t), state, None
-    return ctx.w_t - ctx.history[-2], state, None
+    return ctx.w_t - ctx.w_prev, state, None
 
 
 def behavior_direct_ref(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Benign-norm update rotated onto the observable global descent direction."""
     u, state, _ = benign(ctx, state)
-    if len(ctx.history) < 2:
+    if ctx.w_prev is None:
         return u, state, None
-    ref = ctx.w_t - ctx.history[-2]
+    ref = ctx.w_t - ctx.w_prev
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         return u, state, None
@@ -143,7 +141,7 @@ def decode(dec: Decoder, z: np.ndarray, labels: np.ndarray) -> LabeledBatch:
     if len(labels) and (labels.min() < 0 or labels.max() >= dec.num_classes):
         raise ValueError("label out of range")
     inputs = dec.prototypes[labels] + z @ dec.W.T
-    return LabeledBatch(inputs, labels, dec.num_classes)
+    return LabeledBatch(inputs, labels)
 
 
 def select_targets(
@@ -292,23 +290,9 @@ def grad_z(
 
 @dataclass(frozen=True)
 class LatentHP:
-    latent_dim: int = 8
     latent_steps: int = 4
     synth_batch: int = 16
     eta_z: float = 0.05
-
-
-@dataclass(frozen=True)
-class AttackState:
-    """Cross-round adversary state: the latent matrix and the round it was cached."""
-
-    z: np.ndarray  # (synth_batch, latent_dim)
-    cached_round: int
-    refine_trace: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError("latent matrix must be finite")
 
 
 def effective_alpha(shard_size: int, synth_batch: int) -> float:
@@ -319,74 +303,58 @@ def effective_alpha(shard_size: int, synth_batch: int) -> float:
 
 
 def refine_latent(
-    state: AttackState,
+    z: np.ndarray,
     spec: ModelSpec,
     w_t: np.ndarray,
     dec: Decoder,
     labels: np.ndarray,
     g_ref: np.ndarray,
     eta_z: float,
-    num_steps: int,
-) -> AttackState:
-    """Descend the joint loss in latent space; returns a new state.
-
-    The trace of total-loss values (before each step, plus the final value)
-    is recorded on the returned state.
-    """
-    if num_steps < 0:
-        raise ValueError("step count must be non-negative")
-    z = state.z
-    trace = [joint_loss(spec, w_t, dec, z, labels, g_ref).total]
-    for _ in range(num_steps):
-        grad = grad_z(spec, w_t, dec, z, labels, g_ref)
-        z = z - eta_z * grad
-        trace.append(joint_loss(spec, w_t, dec, z, labels, g_ref).total)
-    return replace(state, z=z, refine_trace=tuple(trace))
+) -> np.ndarray:
+    """One descent step on the joint loss in latent space; returns the new z."""
+    z = z - eta_z * grad_z(spec, w_t, dec, z, labels, g_ref)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("latent matrix must be finite")
+    return z
 
 
 def behavior_latent_opt(
     ctx: RoundContext,
-    state: AttackState | None,
+    z: np.ndarray | None,
     *,
     dec: Decoder,
     kappa: float,
     hyper: LatentHP,
-) -> tuple[np.ndarray, AttackState | None, dict]:
-    """One round of the latent-optimization attack.
+) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """One round of the latent-optimization attack; its state is the
+    (synth_batch, dec.latent_dim) latent matrix.
 
-    Warm-starts the latent matrix (fresh Gaussian when nothing is cached),
+    Warm-starts the latent matrix (fresh Gaussian at the start of a run),
     refines it against the observable global step w_t - w_{t-1} with labels
     re-selected each refinement step, trains on the real shard mixed with
-    the decoded batch, clips the update norm to kappa, and caches the latent
+    the decoded batch, clips the update norm to kappa, and keeps the latent
     for the next round.  With synth_batch == 0 the behavior short-circuits
     to a plain benign update, so intensity 0 is a benign client exactly.
     """
     if hyper.synth_batch == 0:
-        update, state, _ = benign(ctx, state)
-        return update, state, {"effective_alpha": 0.0, "clipped": False}
+        update, z, _ = benign(ctx, z)
+        return update, z, {"effective_alpha": 0.0, "clipped": False}
 
     spec, w_t, shard, hp, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng
     num_classes = len(shard.class_counts)
-    if state is None:
-        z = rng.standard_normal((hyper.synth_batch, hyper.latent_dim))
-        state = AttackState(z=z, cached_round=0)
-    if state.z.shape != (hyper.synth_batch, hyper.latent_dim):
-        raise ValueError("latent matrix shape does not match hyperparameters")
-    if ctx.t < state.cached_round:
-        raise ValueError("rounds must be visited in increasing order")
+    if z is None:
+        z = rng.standard_normal((hyper.synth_batch, dec.latent_dim))
 
-    g_ref = w_t - ctx.history[-2] if len(ctx.history) >= 2 else np.zeros_like(w_t)
+    g_ref = np.zeros_like(w_t) if ctx.w_prev is None else w_t - ctx.w_prev
     labels: np.ndarray | None = None
     if float(np.linalg.norm(g_ref)) > 0.0:
         for _ in range(hyper.latent_steps):
             labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
-            state = refine_latent(
-                state, spec, w_t, dec, labels, g_ref, hyper.eta_z, num_steps=1
-            )
+            z = refine_latent(z, spec, w_t, dec, labels, g_ref, hyper.eta_z)
     if labels is None:
         labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
 
-    synthetic = decode(dec, state.z, labels)
+    synthetic = decode(dec, z, labels)
     combined = concat_batches(shard.data, synthetic)
     seed = int(rng.integers(0, 2**63))
     trained = sgd_train(spec, w_t, combined, hp.epochs, hp.batch_size, hp.eta_w, seed)
@@ -398,7 +366,7 @@ def behavior_latent_opt(
         update = update * (kappa / norm)
         clipped = True
 
-    parts = joint_loss(spec, w_t, dec, state.z, labels, g_ref)
+    parts = joint_loss(spec, w_t, dec, z, labels, g_ref)
     diag = {
         "l1": parts.l1,
         "l2": parts.l2,
@@ -407,4 +375,4 @@ def behavior_latent_opt(
         "clipped": clipped,
         "update_norm": float(np.linalg.norm(update)),
     }
-    return update, replace(state, cached_round=ctx.t), diag
+    return update, z, diag

@@ -33,7 +33,6 @@ _CHUNK_LOGITS = 1 << 16
 class CoalitionUtility:
     """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S)."""
 
-    t: int
     base_w: np.ndarray
     updates: tuple[np.ndarray, ...]
     n: tuple[int, ...]
@@ -42,7 +41,7 @@ class CoalitionUtility:
 
     @classmethod
     def from_round(cls, record, spec: ModelSpec, test: LabeledBatch) -> "CoalitionUtility":
-        return cls(record.t, record.w_t, record.updates, record.n, spec, test)
+        return cls(record.w_t, record.updates, record.n, spec, test)
 
     @property
     def num_clients(self) -> int:
@@ -148,27 +147,6 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[first]], inverse
 
 
-@dataclass(frozen=True)
-class CoalitionTable:
-    """Utilities of distinct coalitions scored once, read back through the
-    `values` interface of the game they were scored on."""
-
-    members: np.ndarray
-    utilities: np.ndarray
-
-    @property
-    def num_clients(self) -> int:
-        return self.members.shape[1]
-
-    def values(self, members) -> np.ndarray:
-        known = len(self.members)
-        distinct, inverse = _unique_rows(np.concatenate([self.members, members]))
-        if len(distinct) > known:
-            raise KeyError("coalition not in the table")
-        # the table's rows are distinct: its ids are a permutation of 0..known-1
-        return self.utilities[np.argsort(inverse[:known])[inverse[known:]]]
-
-
 def _all_coalitions(num: int) -> np.ndarray:
     """The 2^N x N membership matrix whose row `mask` holds mask's set bits."""
     if num > EXACT_LIMIT:
@@ -192,9 +170,14 @@ def _permutation_prefixes(
     return perms, np.concatenate([np.zeros((1, num), dtype=bool), prefixes.reshape(-1, num)])
 
 
-def shapley_exact(cu: CoalitionUtility) -> np.ndarray:
-    """Exact Shapley values via the weighted-marginal sum over all subsets."""
-    num = cu.num_clients
+def shapley_exact(values) -> np.ndarray:
+    """Exact Shapley values via the weighted-marginal sum over all subsets;
+    `values[mask]` is the utility of the coalition whose members are the set
+    bits of `mask`."""
+    values = np.asarray(values, dtype=np.float64)
+    num = max(values.size.bit_length() - 1, 0)
+    if values.shape != (1 << num,):
+        raise ValueError("need one utility per coalition: 2^N values in mask order")
     members = _all_coalitions(num)
     # weight for a coalition of size s not containing i: s!(N-1-s)!/N!
     fact = [math.factorial(j) for j in range(num + 1)]
@@ -202,7 +185,6 @@ def shapley_exact(cu: CoalitionUtility) -> np.ndarray:
         [fact[s] * fact[num - 1 - s] / fact[num] for s in range(num)]
     )
     masks = np.arange(1 << num)
-    values = cu.values(members)
     sizes = members.sum(axis=1)
     phi = np.empty(num)
     for i in range(num):
@@ -213,14 +195,13 @@ def shapley_exact(cu: CoalitionUtility) -> np.ndarray:
     return phi
 
 
-def shapley_mc(
-    cu: CoalitionUtility, num_permutations: int, seed: int
-) -> np.ndarray:
-    """Mean marginal contribution over seeded uniform random permutations."""
-    num = cu.num_clients
-    perms, coalitions = _permutation_prefixes(num, num_permutations, seed)
-    unique, inverse = _unique_rows(coalitions)
-    values = cu.values(unique)[inverse]
+def shapley_mc(values, perms: np.ndarray) -> np.ndarray:
+    """Mean marginal contribution over the permutations `perms`; `values`
+    are the utilities of the `_permutation_prefixes` rows drawn with them."""
+    values = np.asarray(values, dtype=np.float64)
+    num_permutations, num = perms.shape
+    if values.shape != (1 + num_permutations * num,):
+        raise ValueError("need the empty coalition's utility, then one per prefix")
     after = values[1:].reshape(num_permutations, num)
     before = np.concatenate(
         [np.full((num_permutations, 1), values[0]), after[:, :-1]], axis=1
@@ -273,9 +254,10 @@ def evaluate_log(
     num_permutations: int = 200,
     seed: int = 0,
 ) -> dict[str, AttributionReport]:
-    """Logged-round evaluators over one log.  Each round scores the distinct
-    coalitions they ask for in one `CoalitionUtility.values` call (the 2^N of
-    `fedsv_exact` hold all others); every evaluator reads that table."""
+    """Logged-round evaluators over one log.  Each round concatenates the
+    coalitions every evaluator asks for, scores the distinct ones in one
+    `CoalitionUtility.values` call, and hands each evaluator its own rows'
+    utilities."""
     totals = {name: np.zeros(log.num_clients) for name in evaluators}
     if not set(totals) <= set(LOGGED_EVALUATORS):
         raise ValueError(f"logged-round evaluators are {LOGGED_EVALUATORS}")
@@ -284,25 +266,26 @@ def evaluate_log(
     num = log.num_clients
     loo = np.ones((num + 1, num), dtype=bool)  # all, then all minus client i
     loo[1:] = ~np.eye(num, dtype=bool)
+    exact = _all_coalitions(num) if "fedsv_exact" in totals else None
     for rec in log.rounds:
-        if "fedsv_exact" in totals:
-            rows = _all_coalitions(num)
-        else:
-            parts = [loo] if "loo_round" in totals else []
-            if "fedsv_mc" in totals:
-                parts.append(_permutation_prefixes(num, num_permutations, seed + rec.t)[1])
-            rows = np.concatenate(parts)
-        table, _ = _unique_rows(rows)
-        cu = CoalitionUtility.from_round(rec, spec, test)
-        game = CoalitionTable(table, cu.values(table))
+        rows = {}
+        if exact is not None:
+            rows["fedsv_exact"] = exact
+        if "fedsv_mc" in totals:
+            perms, rows["fedsv_mc"] = _permutation_prefixes(num, num_permutations, seed + rec.t)
+        if "loo_round" in totals:
+            rows["loo_round"] = loo
+        distinct, inverse = _unique_rows(np.concatenate(list(rows.values())))
+        scored = CoalitionUtility.from_round(rec, spec, test).values(distinct)[inverse]
+        ends = np.cumsum([len(part) for part in rows.values()])
+        values = dict(zip(rows, np.split(scored, ends[:-1])))
         for name, total in totals.items():
             if name == "fedsv_exact":
-                total += shapley_exact(game)
+                total += shapley_exact(values[name])
             elif name == "fedsv_mc":
-                total += shapley_mc(game, num_permutations, seed + rec.t)
+                total += shapley_mc(values[name], perms)
             else:
-                values = game.values(loo)
-                total += values[0] - values[1:]
+                total += values[name][0] - values[name][1:]
     return {name: AttributionReport.from_raw(name, total) for name, total in totals.items()}
 
 

@@ -119,10 +119,8 @@ def synthesize(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
         train_y.append(np.full(n_train, c))
         test_y.append(np.full(n_test, c))
 
-    train = LabeledBatch(
-        np.concatenate(train_x), np.concatenate(train_y), spec.num_classes
-    )
-    test = LabeledBatch(np.concatenate(test_x), np.concatenate(test_y), spec.num_classes)
+    train = LabeledBatch(np.concatenate(train_x), np.concatenate(train_y))
+    test = LabeledBatch(np.concatenate(test_x), np.concatenate(test_y))
     return train, test
 
 
@@ -188,7 +186,7 @@ def partition_noniid(
             pool = pools[cls]
             chosen.extend(int(pool.pop()) for _ in range(q))
         idx = np.array(sorted(chosen), dtype=np.int64)
-        batch = LabeledBatch(train.inputs[idx], train.labels[idx], c)
+        batch = LabeledBatch(train.inputs[idx], train.labels[idx])
         shards.append(ClientShard.build(i, batch, c))
     return shards
 

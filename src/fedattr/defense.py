@@ -28,24 +28,15 @@ class DetectionScore:
     f1: float
 
 
-def trim_round(
-    updates: Sequence[np.ndarray],
-    n: Sequence[int],
-    tau: float,
-    *,
-    t: int = 0,
-) -> TrimDecision:
+def trim_round(updates: Sequence[np.ndarray], tau: float, *, t: int = 0) -> TrimDecision:
     """Trim the ceil(tau*N) updates farthest from the coordinate-wise median.
 
     Distance ties break toward the higher client id.  Aggregation afterwards
-    runs over the kept clients only (enforce mode); `n` is accepted for
-    interface symmetry with the aggregator.
+    runs over the kept clients only (enforce mode).
     """
     num = len(updates)
     if num < 2:
         raise ValueError("trimming needs at least two clients")
-    if len(n) != num:
-        raise ValueError("updates and counts differ in length")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
     stacked = np.stack(updates)

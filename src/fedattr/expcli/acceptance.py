@@ -77,17 +77,11 @@ def _random_game(rng: np.random.Generator, n: int) -> dict[frozenset[int], float
     }
 
 
-class _TableGame:
-    """Adapter exposing an explicit value table through the CoalitionUtility API."""
-
-    def __init__(self, table: dict[frozenset[int], float], n: int):
-        self.table = table
-        self.num_clients = n
-
-    def values(self, members: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.table[frozenset(np.flatnonzero(row).tolist())] for row in members]
-        )
+def _in_mask_order(table: dict[frozenset[int], float], n: int) -> list[float]:
+    """The game's values, coalition `mask` (members: its set bits) at index mask."""
+    return [
+        table[frozenset(i for i in range(n) if mask >> i & 1)] for mask in range(1 << n)
+    ]
 
 
 def check_shapley_correctness() -> tuple[bool, str]:
@@ -96,7 +90,7 @@ def check_shapley_correctness() -> tuple[bool, str]:
     for trial in range(100):
         n = int(rng.integers(2, 7))
         table = _random_game(rng, n)
-        exact = attribution.shapley_exact(_TableGame(table, n))
+        exact = attribution.shapley_exact(_in_mask_order(table, n))
         brute = oracles.shapley_bruteforce(table, n)
         worst = max(worst, float(np.max(np.abs(exact - brute))))
     if worst > 1e-12:
@@ -107,7 +101,7 @@ def check_shapley_correctness() -> tuple[bool, str]:
     for trial in range(20):
         n = int(rng.integers(2, 7))
         table = _random_game(rng, n)
-        phi = attribution.shapley_exact(_TableGame(table, n))
+        phi = attribution.shapley_exact(_in_mask_order(table, n))
         full = frozenset(range(n))
         axiom_err = max(
             axiom_err,
@@ -116,8 +110,8 @@ def check_shapley_correctness() -> tuple[bool, str]:
         # linearity: phi(v1+v2) = phi(v1)+phi(v2)
         other = _random_game(rng, n)
         combined = {s: table[s] + other[s] for s in table}
-        lin = attribution.shapley_exact(_TableGame(combined, n))
-        parts = phi + attribution.shapley_exact(_TableGame(other, n))
+        lin = attribution.shapley_exact(_in_mask_order(combined, n))
+        parts = phi + attribution.shapley_exact(_in_mask_order(other, n))
         axiom_err = max(axiom_err, float(np.max(np.abs(lin - parts))))
     # dummy and symmetry on constructed games
     for n in (3, 4, 5):
@@ -126,11 +120,11 @@ def check_shapley_correctness() -> tuple[bool, str]:
         for s, v in base.items():
             dummy_table[s] = v
             dummy_table[s | {n - 1}] = v  # player n-1 adds nothing
-        phi = attribution.shapley_exact(_TableGame(dummy_table, n))
+        phi = attribution.shapley_exact(_in_mask_order(dummy_table, n))
         axiom_err = max(axiom_err, abs(float(phi[n - 1])))
         # symmetry: value depends on coalition size only, so all players tie
         sym = {s: float(len(s)) ** 1.5 for s in _random_game(rng, n)}
-        phi_sym = attribution.shapley_exact(_TableGame(sym, n))
+        phi_sym = attribution.shapley_exact(_in_mask_order(sym, n))
         axiom_err = max(axiom_err, float(phi_sym.max() - phi_sym.min()))
     if axiom_err > 1e-9:
         return False, f"axiom violation {axiom_err:.2e} > 1e-9"

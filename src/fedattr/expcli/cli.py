@@ -13,10 +13,10 @@ import os
 import sys
 from pathlib import Path
 
-from ..flcore import FLRunError
+from ..flcore import DEFENSE_MODES, FLRunError
 from . import acceptance, plots
 from .config import ConfigError, ExperimentConfig, load_config
-from .experiment import run_experiment, sweep
+from .experiment import SWEEP_AXES, run_experiment, sweep
 
 OUT_ENV = "FEDATTR_OUT"
 
@@ -32,7 +32,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--evaluator", type=str, default=None, help="evaluator list override")
     p.add_argument(
         "--defense",
-        choices=("off", "monitor", "enforce"),
+        choices=DEFENSE_MODES,
         default=None,
         help="defense mode override",
     )
@@ -130,9 +130,7 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="sweep one experiment axis")
     _add_common(sweep_p)
-    sweep_p.add_argument(
-        "--axis", required=True, choices=("num_clients", "target_rank", "intensity")
-    )
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument(
         "--values", required=True, help="comma-separated axis values"
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
 from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
+from ..flcore import DEFENSE_MODES
 from ..models import ModelSpec
 
 ATTACKS = (
@@ -28,21 +29,32 @@ ATTACKS = (
 TARGET_RULES = ("lowest_rank", "rank_k")
 
 _MAX = sys.float_info.max
-# field -> (lo, hi): checked as lo <= value <= hi, which NaN and +-inf fail
+# field -> (lo, hi): checked as lo <= value <= hi, which NaN and +-inf fail.
+# The finite caps keep training and latent refinement inside float64.
 _BOUNDS = {
+    "class_separation": (0, 1e6),
+    "noise_scale": (0, 1e6),
     "num_clients": (2, _MAX),
     "rounds": (1, _MAX),
     "local_epochs": (1, _MAX),
     "batch_size": (1, _MAX),
-    "local_lr": (0, _MAX),
+    "local_lr": (0, 1e3),
     "intensity": (0, _MAX),
-    "sigma_rel": (0, _MAX),
+    "sigma_rel": (0, 1e3),
     "latent_dim": (1, _MAX),
     "latent_steps": (0, _MAX),
     "synth_batch": (0, _MAX),
-    "latent_lr": (-_MAX, _MAX),
+    "latent_lr": (-1e3, 1e3),
+    "delta": (0, _MAX),
+    "eps": (-_MAX, _MAX),
+    "kappa_mult": (0, _MAX),
+    "pool_samples_per_class": (1, _MAX),
     "master_seed": (0, _MAX),
+    "mc_seed": (0, _MAX),
 }
+# The latent attacker decodes at most this many rows per sample of its shard;
+# the default intensity x synth_batch (32 rows) fits any shard.
+SYNTH_ROWS_PER_SAMPLE = 32
 
 
 class ConfigError(ValueError):
@@ -102,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown attack {self.attack!r}")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"unknown target rule {self.target_rule!r}")
-        if self.defense_mode not in ("off", "monitor", "enforce"):
+        if self.defense_mode not in DEFENSE_MODES:
             raise ConfigError(f"unknown defense mode {self.defense_mode!r}")
         for name in self.evaluator_list:
             if name not in EVALUATORS:
@@ -110,8 +122,11 @@ class ExperimentConfig:
         for name, (lo, hi) in _BOUNDS.items():
             value = getattr(self, name)
             if not lo <= value <= hi:
-                least = f"at least {lo} and " if lo > -_MAX else ""
-                raise ConfigError(f"{name} must be {least}finite, got {value!r}")
+                least = f"at least {lo:g} and " if lo > -_MAX else ""
+                most = "finite" if hi == _MAX else f"at most {hi:g}"
+                raise ConfigError(f"{name} must be {least}{most}, got {value!r}")
+        if not 0.0 < self.trim_tau < 1.0:
+            raise ConfigError("trim_tau must be in (0, 1)")
         if self.target_rule == "rank_k" and not 1 <= self.target_rank <= self.num_clients:
             raise ConfigError(
                 f"target rank {self.target_rank} out of range 1..{self.num_clients}"
@@ -123,16 +138,11 @@ class ExperimentConfig:
             )
         if "fedsv_mc" in self.evaluator_list and self.mc_permutations < 1:
             raise ConfigError("mc_permutations must be at least 1")
-        if self.defense_mode != "off":
-            if not 0.0 < self.trim_tau < 1.0:
-                raise ConfigError("trim_tau must be in (0, 1)")
-            if (
-                self.defense_mode == "enforce"
-                and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients
-            ):
-                raise ConfigError(
-                    f"trim_tau {self.trim_tau} trims all {self.num_clients} clients"
-                )
+        if (
+            self.defense_mode == "enforce"
+            and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients
+        ):
+            raise ConfigError(f"trim_tau {self.trim_tau} trims all {self.num_clients} clients")
         try:  # the specs check their own fields; seed 0 stands in for the run's
             self.dataset_spec(0)
             self.model_spec()
@@ -144,6 +154,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"samples_per_client {self.samples_per_client} needs {demand} "
                 f"training samples of one class, but a class has {available}"
+            )
+        rows = self.intensity * self.synth_batch  # inf when the product overflows
+        cap = SYNTH_ROWS_PER_SAMPLE * self.samples_per_client
+        if not rows <= cap:
+            raise ConfigError(
+                f"intensity x synth_batch asks for {rows:g} synthetic rows; the cap is "
+                f"{SYNTH_ROWS_PER_SAMPLE} x samples_per_client = {cap}"
             )
 
     def dataset_spec(self, seed: int) -> DatasetSpec:
@@ -172,6 +189,11 @@ class ExperimentConfig:
             num_classes=self.num_classes,
             hidden_dim=self.hidden_dim,
         )
+
+    @property
+    def synthetic_rows(self) -> int:
+        """Decoded rows the latent attacker adds to its shard each round."""
+        return round(self.intensity * self.synth_batch)
 
     @property
     def evaluator_list(self) -> tuple[str, ...]:

@@ -115,9 +115,8 @@ def _make_attack_behavior(
         return partial(attacks.behavior_random_noise, sigma_rel=cfg.sigma_rel)
     if cfg.attack == "latent_opt":
         hyper = attacks.LatentHP(
-            latent_dim=cfg.latent_dim,
             latent_steps=cfg.latent_steps,
-            synth_batch=int(round(cfg.intensity * cfg.synth_batch)),
+            synth_batch=cfg.synthetic_rows,
             eta_z=cfg.latent_lr,
         )
         return partial(

@@ -1,10 +1,10 @@
 """FedAvg round loop: broadcast, client behaviors, weighted aggregation, logging.
 
 A client behavior is one pure step `(ctx, state) -> (update, state, diag)`:
-it sees only the broadcast history, its own shard, and its own RNG stream,
-and its state lives for one run, starting from None.  Every round is
-recorded, with each client's diagnostics, so evaluators and defenses can
-replay the run without touching training.
+it sees only the current and previous broadcasts, its own shard, and its
+own RNG stream, and its state lives for one run, starting from None.  Every
+round is recorded, with each client's diagnostics, so evaluators and
+defenses can replay the run without touching training.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ class LocalHP:
 
 @dataclass(frozen=True)
 class RoundContext:
-    """What a behavior is allowed to see: broadcast history and its own shard."""
+    """What a behavior is allowed to see: the last two broadcasts and its own shard."""
 
     spec: ModelSpec
     t: int
     w_t: np.ndarray
-    history: tuple[np.ndarray, ...]  # w_1 .. w_t, read-only
+    w_prev: np.ndarray | None  # w_{t-1}, read-only; None at t = 1
     shard: ClientShard
     hp: LocalHP
     rng: np.random.Generator
@@ -215,7 +215,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
     """Run T FedAvg rounds and record every broadcast, update, and aggregate."""
     w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
     w.setflags(write=False)
-    history: list[np.ndarray] = [w]
+    w_prev = None
     records: list[RoundRecord] = []
     n = tuple(int(s.n_i) for s in cfg.shards)
     states: list[Any] = [None] * len(cfg.shards)
@@ -229,7 +229,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
                 u, diag = lockstep[i], None
             else:
                 rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-                ctx = RoundContext(cfg.spec, t, w, tuple(history), shard, cfg.hp, rng)
+                ctx = RoundContext(cfg.spec, t, w, w_prev, shard, cfg.hp, rng)
                 try:
                     u, states[i], diag = behavior(ctx, states[i])
                     u = np.asarray(u, dtype=np.float64)
@@ -245,7 +245,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
         trim = None
         kept_idx = list(range(len(updates)))
         if cfg.defense_mode != "off":
-            trim = trim_round(updates, n, cfg.trim_tau, t=t)
+            trim = trim_round(updates, cfg.trim_tau, t=t)
             if cfg.defense_mode == "enforce":
                 kept_idx = sorted(trim.kept)
 
@@ -258,8 +258,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
         records.append(
             RoundRecord(t, w, tuple(updates), tuple(diags), n, w_next, util, trim)
         )
-        w = w_next
-        history.append(w)
+        w_prev, w = w, w_next
 
     return TrainingLog(tuple(records), records[-1].test_utility_after, cfg.fingerprint)
 

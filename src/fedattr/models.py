@@ -9,7 +9,7 @@ aggregates all live in one vector space.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ class LabeledBatch:
 
     inputs: np.ndarray
     labels: np.ndarray
-    num_classes: int = field(default=0)  # 0 means "infer from labels"
 
     def __post_init__(self) -> None:
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
@@ -80,7 +79,6 @@ def concat_batches(a: LabeledBatch, b: LabeledBatch) -> LabeledBatch:
     return LabeledBatch(
         np.concatenate([a.inputs, b.inputs], axis=0),
         np.concatenate([a.labels, b.labels]),
-        max(a.num_classes, b.num_classes),
     )
 
 

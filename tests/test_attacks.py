@@ -5,7 +5,6 @@ import pytest
 
 from fedattr import attacks, models, oracles
 from fedattr.attacks import (
-    AttackState,
     LatentHP,
     behavior_direct_ref,
     behavior_free_rider,
@@ -46,11 +45,11 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
-def ctx_for(scenario, w, rng, history=None, hp=LocalHP()):
-    """Round context of client 0 at round len(history)."""
+def ctx_for(scenario, w, rng, w_prev=None, hp=LocalHP()):
+    """Round context of client 0: round 1 without w_prev, else round 2."""
     spec, shards, _, _ = scenario
-    history = (w,) if history is None else tuple(history)
-    return RoundContext(spec, len(history), w, history, shards[0], hp, rng)
+    t = 1 if w_prev is None else 2
+    return RoundContext(spec, t, w, w_prev, shards[0], hp, rng)
 
 
 # --- baselines ---------------------------------------------------------------
@@ -121,16 +120,17 @@ def test_random_noise_deterministic_per_seed(scenario):
 
 
 def test_free_rider_edge_cases():
-    def free_ride(w, history):
-        ctx = RoundContext(None, len(history), w, history, None, LocalHP(), None)
+    def free_ride(w, w_prev):
+        t = 1 if w_prev is None else 2
+        ctx = RoundContext(None, t, w, w_prev, None, LocalHP(), None)
         return behavior_free_rider(ctx, None)[0]
 
     w1 = np.array([1.0, 2.0])
-    assert np.array_equal(free_ride(w1, (w1,)), np.zeros(2))
+    assert np.array_equal(free_ride(w1, None), np.zeros(2))
     # stationary model
-    assert np.array_equal(free_ride(w1, (w1, w1)), np.zeros(2))
+    assert np.array_equal(free_ride(w1, w1), np.zeros(2))
     w2 = np.array([1.5, 1.0])
-    assert np.array_equal(free_ride(w2, (w1, w2)), w2 - w1)
+    assert np.array_equal(free_ride(w2, w1), w2 - w1)
 
 
 def test_direct_ref_properties(scenario):
@@ -141,7 +141,7 @@ def test_direct_ref_properties(scenario):
     u = benign_local_update(
         spec, w, shards[0], hp, seed=int(rng_for(4).integers(0, 2**63))
     )
-    out, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), (w_prev, w)), None)
+    out, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), w_prev), None)
     ref = w - w_prev
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(u), abs=1e-12)
     cos = out @ ref / (np.linalg.norm(out) * np.linalg.norm(ref))
@@ -149,7 +149,7 @@ def test_direct_ref_properties(scenario):
     # first round or zero reference: fall back to the benign update
     first, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4)), None)
     assert np.array_equal(first, u)
-    stuck, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), (w, w)), None)
+    stuck, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), w), None)
     assert np.array_equal(stuck, u)
 
 
@@ -340,41 +340,41 @@ def test_grad_z_closed_form_matches_fd_oracle(scenario, kind, hidden, zero_ref):
 # --- latent refinement -----------------------------------------------------------
 
 
-def fresh_state(dec, synth_batch=8, seed=0):
-    z = rng_for(seed).standard_normal((synth_batch, dec.latent_dim))
-    return AttackState(z=z, cached_round=0)
+def fresh_latents(dec, synth_batch=8, seed=0):
+    return rng_for(seed).standard_normal((synth_batch, dec.latent_dim))
 
 
 def test_refine_zero_steps_keeps_state(scenario):
+    # latent_steps = 0: the warm-started latents pass through a refining round
     spec, _, _, dec = scenario
-    state = fresh_state(dec)
-    w = models.init_params(spec, 2)
-    labels = np.zeros(8, dtype=int)
-    ref = rng_for(1).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=0.01, num_steps=0)
-    assert np.array_equal(out.z, state.z)
+    z = fresh_latents(dec, synth_batch=LatentHP().synth_batch)
+    w1 = models.init_params(spec, 2)
+    w2 = w1 + 0.05 * rng_for(1).normal(size=spec.param_count)
+    hyper = LatentHP(latent_steps=0)
+    _, out, _ = latent_call(scenario, z, 2, w2, w1, rng_for(0), hyper=hyper)
+    assert out is z
 
 
 def test_refine_zero_lr_keeps_latents(scenario):
     spec, _, _, dec = scenario
-    state = fresh_state(dec)
+    z = fresh_latents(dec)
     w = models.init_params(spec, 2)
     labels = np.zeros(8, dtype=int)
     ref = rng_for(1).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=0.0, num_steps=2)
-    assert np.array_equal(out.z, state.z)
-    assert len(out.refine_trace) == 3  # initial value plus two steps
+    out = refine_latent(z, spec, w, dec, labels, ref, eta_z=0.0)
+    assert np.array_equal(out, z)
 
 
 def test_refine_first_step_decreases_loss(scenario):
     # fixed fixture: logistic model, latent_dim=4, batch of 8
     spec, _, _, dec = scenario
-    state = fresh_state(dec, seed=3)
+    z = fresh_latents(dec, seed=3)
     w = models.init_params(spec, 4)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     ref = 0.05 * rng_for(9).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=1e-2, num_steps=1)
-    before, after = out.refine_trace
+    out = refine_latent(z, spec, w, dec, labels, ref, eta_z=1e-2)
+    before = joint_loss(spec, w, dec, z, labels, ref).total
+    after = joint_loss(spec, w, dec, out, labels, ref).total
     assert after < before
 
 
@@ -384,45 +384,44 @@ def test_refine_uses_closed_form_gradient(scenario, monkeypatch):
 
     monkeypatch.setattr(attacks, "grad_z_fd", fail)
     spec, _, _, dec = scenario
-    state = fresh_state(dec, seed=3)
+    z = fresh_latents(dec, seed=3)
     w = models.init_params(spec, 4)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3])
     ref = 0.05 * rng_for(9).normal(size=spec.param_count)
-    out = refine_latent(state, spec, w, dec, labels, ref, eta_z=1e-2, num_steps=2)
-    assert len(out.refine_trace) == 3
-    assert not np.array_equal(out.z, state.z)
+    out = refine_latent(z, spec, w, dec, labels, ref, eta_z=1e-2)
+    out = refine_latent(out, spec, w, dec, labels, ref, eta_z=1e-2)
+    assert not np.array_equal(out, z)
 
 
 def test_attack_state_validation(scenario):
+    # the attack's state is its latent matrix: one row per label, finite
     spec, _, _, dec = scenario
-    hyper = LatentHP(latent_dim=dec.latent_dim, synth_batch=4)
     w = models.init_params(spec, 0)
-    wrong_shape = AttackState(z=np.zeros((3, dec.latent_dim)), cached_round=0)
-    with pytest.raises(ValueError, match="does not match hyperparameters"):
-        latent_call(scenario, wrong_shape, 1, w, (w,), rng_for(0), hyper=hyper)
-    with pytest.raises(ValueError):
-        AttackState(z=np.full((4, dec.latent_dim), np.nan), cached_round=0)
+    labels = np.zeros(4, dtype=int)
+    ref = rng_for(1).normal(size=spec.param_count)
+    with pytest.raises(ValueError, match="one latent row per label"):
+        refine_latent(fresh_latents(dec, 3), spec, w, dec, labels, ref, eta_z=0.01)
+    nan = np.full((4, dec.latent_dim), np.nan)
+    with pytest.raises(ValueError, match="must be finite"):
+        refine_latent(nan, spec, w, dec, labels, ref, eta_z=0.01)
+    with pytest.raises(ValueError, match="latent matrix must be finite"):
+        refine_latent(fresh_latents(dec, 4), spec, w, dec, labels, ref, eta_z=np.inf)
 
 
 # --- full behavior ----------------------------------------------------------------
 
 
-def latent_call(scenario, state, t, w, history, rng, hyper=None, kappa=math.inf):
+def latent_call(scenario, z, t, w, w_prev, rng, hyper=None, kappa=math.inf):
     spec, shards, _, dec = scenario
-    ctx = RoundContext(spec, t, w, history, shards[0], LocalHP(), rng)
-    return behavior_latent_opt(
-        ctx, state, dec=dec, kappa=kappa,
-        hyper=hyper or LatentHP(latent_dim=dec.latent_dim),
-    )
+    ctx = RoundContext(spec, t, w, w_prev, shards[0], LocalHP(), rng)
+    return behavior_latent_opt(ctx, z, dec=dec, kappa=kappa, hyper=hyper or LatentHP())
 
 
 def test_latent_zero_intensity_equals_benign(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    hyper = LatentHP(latent_dim=dec.latent_dim, synth_batch=0)
-    update, state, diag = latent_call(
-        scenario, None, 1, w, (w,), rng_for(42), hyper=hyper
-    )
+    hyper = LatentHP(synth_batch=0)
+    update, state, diag = latent_call(scenario, None, 1, w, None, rng_for(42), hyper=hyper)
     benign = benign_local_update(
         spec, w, shards[0], LocalHP(), seed=int(rng_for(42).integers(0, 2**63))
     )
@@ -434,7 +433,7 @@ def test_latent_zero_intensity_equals_benign(scenario):
 def test_latent_kappa_clip_exact(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    update, _, diag = latent_call(scenario, None, 1, w, (w,), rng_for(1), kappa=1e-3)
+    update, _, diag = latent_call(scenario, None, 1, w, None, rng_for(1), kappa=1e-3)
     assert np.linalg.norm(update) == pytest.approx(1e-3, abs=1e-12)
     assert diag["clipped"]
 
@@ -442,42 +441,59 @@ def test_latent_kappa_clip_exact(scenario):
 def test_latent_cache_and_warm_start(scenario):
     spec, shards, _, dec = scenario
     w1 = models.init_params(spec, 0)
-    update, state, _ = latent_call(scenario, None, 1, w1, (w1,), rng_for(2))
-    assert state.cached_round == 1
-    z_before = state.z.copy()
+    update, z1, _ = latent_call(scenario, None, 1, w1, None, rng_for(2))
+    assert z1.shape == (LatentHP().synth_batch, dec.latent_dim)
+    z_before = z1.copy()
     w2 = w1 + update * 0.1
-    _, state2, _ = latent_call(scenario, state, 2, w2, (w1, w2), rng_for(3))
-    assert state2.cached_round == 2
+    _, z2, _ = latent_call(scenario, z1, 2, w2, w1, rng_for(3))
+    assert np.array_equal(z1, z_before)  # the step does not mutate its state
     # round 2 has a nonzero reference, so refinement moved the cached latents
-    assert not np.array_equal(state2.z, z_before)
-    # rounds must advance monotonically
-    with pytest.raises(ValueError):
-        latent_call(scenario, state2, 1, w1, (w1,), rng_for(4))
+    assert not np.array_equal(z2, z_before)
+    # the same state and context give the same step
+    _, again, _ = latent_call(scenario, z1, 2, w2, w1, rng_for(3))
+    assert np.array_equal(again, z2)
+
+
+def test_latent_round_evaluates_the_joint_loss_once(scenario, monkeypatch):
+    # refinement steps use the closed-form gradient; only the diag reads the loss
+    calls = []
+    real = attacks.joint_loss
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(attacks, "joint_loss", counted)
+    spec, _, _, dec = scenario
+    w1 = models.init_params(spec, 0)
+    w2 = w1 + 0.05 * rng_for(1).normal(size=spec.param_count)
+    _, z, diag = latent_call(scenario, None, 2, w2, w1, rng_for(6))
+    assert LatentHP().latent_steps > 1
+    assert len(calls) == 1
+    assert calls[0][3] is z  # the refined latents
+    assert diag["l1"] == real(*calls[0]).l1
 
 
 def test_latent_first_round_skips_refinement(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    _, state, diag = latent_call(scenario, None, 1, w, (w,), rng_for(5))
+    _, z, diag = latent_call(scenario, None, 1, w, None, rng_for(5))
     # zero reference at t=1: latents keep their warm-start draw
-    fresh = rng_for(5).standard_normal(state.z.shape)
-    assert np.array_equal(state.z, fresh)
+    fresh = rng_for(5).standard_normal(z.shape)
+    assert np.array_equal(z, fresh)
     assert diag["l1"] == 1.0  # degenerate-reference convention
 
 
 def test_latent_decoded_batch_stays_in_domain(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    state = None
-    history = [w]
+    z, w_prev = None, None
     for t in range(1, 4):
-        update, state, _ = latent_call(
-            scenario, state, t, history[-1], tuple(history), rng_for(10 + t)
-        )
+        update, z, _ = latent_call(scenario, z, t, w, w_prev, rng_for(10 + t))
         assert np.all(np.isfinite(update))
-        assert np.all(np.isfinite(state.z))
-        history.append(history[-1] + 0.2 * update)
-    synth = decode(dec, state.z, np.zeros(state.z.shape[0], dtype=int))
+        assert np.all(np.isfinite(z))
+        w_prev, w = w, w + 0.2 * update
+    synth = decode(dec, z, np.zeros(z.shape[0], dtype=int))
     assert np.all(np.isfinite(synth.inputs))
     assert synth.labels.max() < 4
 

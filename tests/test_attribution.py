@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedattr import attribution, models, oracles
 from fedattr.attribution import (
     AttributionReport,
-    CoalitionTable,
     CoalitionUtility,
     evaluate_log,
     fedsv,
@@ -26,17 +25,26 @@ from fedattr.flcore import FLConfig, LocalHP, benign, run_training
 from fedattr.models import LabeledBatch, ModelSpec
 
 
-class TableGame:
-    """Explicit coalition-value table behind the CoalitionUtility interface."""
+def in_mask_order(table, n):
+    """A coalition-value table as the list shapley_exact reads: index = mask."""
+    return [table[frozenset(i for i in range(n) if mask >> i & 1)] for mask in range(1 << n)]
 
-    def __init__(self, table, n):
-        self.table = table
-        self.num_clients = n
 
-    def values(self, members):
-        return np.array(
-            [self.table[frozenset(np.flatnonzero(row).tolist())] for row in members]
-        )
+def mc_values(table, n, num_permutations, seed):
+    """The utilities of a table's permutation-prefix rows, and the permutations."""
+    perms, rows = attribution._permutation_prefixes(n, num_permutations, seed)
+    return np.array(in_mask_order(table, n))[rows @ (1 << np.arange(n))], perms
+
+
+def exact_of(cu):
+    """shapley_exact of a real round game."""
+    return shapley_exact(cu.values(attribution._all_coalitions(cu.num_clients)))
+
+
+def mc_of(cu, num_permutations, seed):
+    """shapley_mc of a real round game."""
+    perms, rows = attribution._permutation_prefixes(cu.num_clients, num_permutations, seed)
+    return shapley_mc(cu.values(rows), perms)
 
 
 def full_table(n, fn):
@@ -54,7 +62,7 @@ def random_table(rng, n):
 def test_shapley_exact_additive():
     weights = [2.0, -1.0, 0.25, 3.0]
     table = full_table(4, lambda s: sum(weights[i] for i in s))
-    assert np.allclose(shapley_exact(TableGame(table, 4)), weights, atol=1e-12)
+    assert np.allclose(shapley_exact(in_mask_order(table, 4)), weights, atol=1e-12)
 
 
 def test_shapley_exact_two_player_hand_case():
@@ -64,7 +72,7 @@ def test_shapley_exact_two_player_hand_case():
         frozenset([1]): 2.0,
         frozenset([0, 1]): 4.0,
     }
-    phi = shapley_exact(TableGame(table, 2))
+    phi = shapley_exact(in_mask_order(table, 2))
     assert phi[0] == pytest.approx(1.5)
     assert phi[1] == pytest.approx(2.5)
 
@@ -74,7 +82,7 @@ def test_shapley_exact_matches_bruteforce_oracle():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         table = random_table(rng, n)
-        exact = shapley_exact(TableGame(table, n))
+        exact = shapley_exact(in_mask_order(table, n))
         brute = oracles.shapley_bruteforce(table, n)
         assert np.max(np.abs(exact - brute)) <= 1e-12
 
@@ -84,15 +92,15 @@ def test_shapley_axioms():
     for _ in range(30):
         n = int(rng.integers(2, 7))
         table = random_table(rng, n)
-        phi = shapley_exact(TableGame(table, n))
+        phi = shapley_exact(in_mask_order(table, n))
         # efficiency
         assert abs(phi.sum() - (table[frozenset(range(n))] - table[frozenset()])) <= 1e-9
         # linearity
         other = random_table(rng, n)
         combined = {s: table[s] + other[s] for s in table}
         assert np.allclose(
-            shapley_exact(TableGame(combined, n)),
-            phi + shapley_exact(TableGame(other, n)),
+            shapley_exact(in_mask_order(combined, n)),
+            phi + shapley_exact(in_mask_order(other, n)),
             atol=1e-9,
         )
     # dummy player: adding player n-1 never changes the value
@@ -101,41 +109,50 @@ def test_shapley_axioms():
     for s, v in base.items():
         table[s] = v
         table[s | {3}] = v
-    assert abs(shapley_exact(TableGame(table, 4))[3]) <= 1e-12
+    assert abs(shapley_exact(in_mask_order(table, 4))[3]) <= 1e-12
     # symmetry: size-only game values every player equally
     sym = full_table(5, lambda s: len(s) ** 2 / 7.0)
-    phi = shapley_exact(TableGame(sym, 5))
+    phi = shapley_exact(in_mask_order(sym, 5))
     assert phi.max() - phi.min() <= 1e-12
 
 
 def test_shapley_exact_guard():
-    with pytest.raises(ValueError):
-        shapley_exact(TableGame({}, 17))
+    with pytest.raises(ValueError, match="enumeration guard"):
+        shapley_exact(np.zeros(1 << 17))
+
+
+@pytest.mark.parametrize("length", [0, 3, 6, 31, 33])
+def test_shapley_exact_rejects_a_length_that_is_not_a_power_of_two(length):
+    with pytest.raises(ValueError, match="2\\^N values in mask order"):
+        shapley_exact(np.zeros(length))
+    with pytest.raises(ValueError, match="2\\^N values in mask order"):
+        shapley_exact(np.zeros((length, 2)))
 
 
 def test_shapley_mc_additive_exact_for_one_permutation():
     weights = [1.0, 2.0, 3.0]
     table = full_table(3, lambda s: sum(weights[i] for i in s))
-    est = shapley_mc(TableGame(table, 3), num_permutations=1, seed=0)
+    est = shapley_mc(*mc_values(table, 3, num_permutations=1, seed=0))
     assert np.allclose(est, weights, atol=1e-12)
 
 
 def test_shapley_mc_converges_to_exact():
     rng = np.random.default_rng(5)
     table = random_table(rng, 5)
-    game = TableGame(table, 5)
-    exact = shapley_exact(game)
-    est = shapley_mc(game, num_permutations=20000, seed=0)
+    exact = shapley_exact(in_mask_order(table, 5))
+    est = shapley_mc(*mc_values(table, 5, num_permutations=20000, seed=0))
     spread = max(table.values()) - min(table.values())
     assert np.max(np.abs(est - exact)) <= 0.01 * spread
 
 
 def test_shapley_mc_seed_determinism():
     table = random_table(np.random.default_rng(9), 4)
-    game = TableGame(table, 4)
-    a = shapley_mc(game, 50, seed=3)
-    b = shapley_mc(game, 50, seed=3)
+    a = shapley_mc(*mc_values(table, 4, 50, seed=3))
+    b = shapley_mc(*mc_values(table, 4, 50, seed=3))
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="then one per prefix"):
+        values, perms = mc_values(table, 4, 50, seed=3)
+        shapley_mc(values[:-1], perms)
 
 
 # --- coalition utilities over real rounds -----------------------------------
@@ -272,7 +289,7 @@ def test_shapley_mc_matches_per_permutation_loop(num_clients, num_permutations):
     cfg, log, spec, test = small_run(num_clients=num_clients, samples_per_class=400)
     for rec in log.rounds:
         cu = CoalitionUtility.from_round(rec, spec, test)
-        fast = shapley_mc(cu, num_permutations, seed=rec.t)
+        fast = mc_of(cu, num_permutations, seed=rec.t)
         loop = shapley_mc_loop(cu, num_permutations, seed=rec.t)
         assert fast.tobytes() == loop.tobytes()
 
@@ -297,7 +314,7 @@ def test_shapley_exact_matches_subset_loop(model):
     cfg, log, spec, test = small_run(num_clients=6, model=model)
     for rec in log.rounds:
         cu = CoalitionUtility.from_round(rec, spec, test)
-        assert shapley_exact(cu).tobytes() == shapley_exact_loop(cu).tobytes()
+        assert exact_of(cu).tobytes() == shapley_exact_loop(cu).tobytes()
 
 
 # --- one coalition table per round shared by the logged-round evaluators ----
@@ -373,13 +390,15 @@ def test_evaluate_log_scores_each_round_once_with_distinct_rows(
     score = CoalitionUtility.values
 
     def spy(self, members):
-        calls.append((self.t, np.array(members)))
+        calls.append((self.base_w, np.array(members)))
         return score(self, members)
 
     monkeypatch.setattr(CoalitionUtility, "values", spy)
     evaluate_log(log, spec, test, evaluators, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
-    assert [t for t, _ in calls] == [rec.t for rec in log.rounds]
-    for t, rows in calls:
+    assert len(calls) == len(log.rounds)
+    for rec, (base_w, rows) in zip(log.rounds, calls):
+        assert base_w is rec.w_t
+        t = rec.t
         got = {tuple(row) for row in rows.tolist()}
         assert len(got) == len(rows)  # distinct
         if "fedsv_exact" in evaluators:
@@ -417,14 +436,25 @@ def test_evaluate_log_rejects_other_evaluators():
     assert evaluate_log(log, spec, test, []) == {}
 
 
-def test_coalition_table_reads_rows_in_any_order_and_only_its_own():
-    members = every_coalition(3)[[5, 0, 3, 6]]
-    table = CoalitionTable(members, np.array([0.5, 0.0, 0.25, 0.75]))
-    assert table.num_clients == 3
-    got = table.values(every_coalition(3)[[6, 6, 0, 3, 5]])
-    assert got.tolist() == [0.75, 0.75, 0.0, 0.25, 0.5]
-    with pytest.raises(KeyError):
-        table.values(every_coalition(3)[[1]])
+def test_evaluate_log_sorts_rows_and_draws_permutations_once_per_round(
+    six_client_runs, monkeypatch
+):
+    log, spec, test = six_client_runs["logistic"]
+    counts = {"_unique_rows": 0, "_permutation_prefixes": 0}
+
+    def counting(name):
+        real = getattr(attribution, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(attribution, name, counting(name))
+    evaluate_log(log, spec, test, LOGGED, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
+    assert counts == dict.fromkeys(counts, len(log.rounds))
 
 
 def test_fedsv_efficiency_over_log():
@@ -559,7 +589,7 @@ def test_property_exact_efficiency(num_clients, master_seed):
     for rec in log.rounds:
         cu = CoalitionUtility.from_round(rec, spec, test)
         gain = cu.value(range(num_clients)) - cu.value([])
-        assert abs(shapley_exact(cu).sum() - gain) <= 1e-12
+        assert abs(exact_of(cu).sum() - gain) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)
@@ -585,7 +615,7 @@ def test_property_one_permutation_mc_is_efficient(num_clients, master_seed, seed
     for rec in log.rounds:
         cu = CoalitionUtility.from_round(rec, spec, test)
         gain = cu.value(range(num_clients)) - cu.value([])
-        assert abs(shapley_mc(cu, 1, seed).sum() - gain) <= 1e-12
+        assert abs(mc_of(cu, 1, seed).sum() - gain) <= 1e-12
 
 
 def test_normalize_shares_examples():

@@ -11,7 +11,7 @@ from fedattr.defense import (
 
 def test_trim_flags_the_distant_client():
     updates = [np.zeros(4) for _ in range(9)] + [np.full(4, 100.0)]
-    decision = trim_round(updates, [10] * 10, tau=0.1)
+    decision = trim_round(updates, tau=0.1)
     assert decision.trimmed == {9}
     assert decision.kept == set(range(9))
     assert len(decision.distances) == 10
@@ -19,25 +19,25 @@ def test_trim_flags_the_distant_client():
 
 def test_trim_identical_updates_uses_tie_rule():
     updates = [np.ones(3) for _ in range(5)]
-    decision = trim_round(updates, [1] * 5, tau=0.2)
+    decision = trim_round(updates, tau=0.2)
     assert np.allclose(decision.distances, 0.0)
     assert decision.trimmed == {4}  # ties break toward the higher id
 
 
 def test_trim_count_is_ceil():
     updates = [np.full(2, float(i)) for i in range(10)]
-    assert len(trim_round(updates, [1] * 10, tau=0.1).trimmed) == 1
-    assert len(trim_round(updates, [1] * 10, tau=0.11).trimmed) == 2
-    assert len(trim_round(updates, [1] * 10, tau=0.5).trimmed) == 5
+    assert len(trim_round(updates, tau=0.1).trimmed) == 1
+    assert len(trim_round(updates, tau=0.11).trimmed) == 2
+    assert len(trim_round(updates, tau=0.5).trimmed) == 5
 
 
 def test_trim_validation():
     with pytest.raises(ValueError):
-        trim_round([np.ones(2)], [1], tau=0.1)
+        trim_round([np.ones(2)], tau=0.1)
     with pytest.raises(ValueError):
-        trim_round([np.ones(2), np.ones(2)], [1, 1], tau=1.0)
+        trim_round([np.ones(2), np.ones(2)], tau=1.0)
     with pytest.raises(ValueError):
-        trim_round([np.ones(2), np.ones(2)], [1], tau=0.1)
+        trim_round([np.ones(2), np.ones(2)], tau=0.0)
 
 
 def test_plausibility_examples():
@@ -110,12 +110,12 @@ def test_trim_then_aggregate_reduces_to_fedavg_over_kept():
     rng = np.random.default_rng(5)
     updates = [rng.normal(size=6) for _ in range(4)]
     n = [2, 3, 4, 5]
-    dec = trim_round(updates, n, tau=0.25)
+    dec = trim_round(updates, tau=0.25)
     kept = sorted(dec.kept)
     agg = weighted_aggregate([updates[i] for i in kept], [n[i] for i in kept])
     # identical updates: trimming any subset leaves the aggregate unchanged
     same = [np.ones(6)] * 4
-    dec2 = trim_round(same, n, tau=0.25)
+    dec2 = trim_round(same, tau=0.25)
     kept2 = sorted(dec2.kept)
     assert np.allclose(
         weighted_aggregate([same[i] for i in kept2], [n[i] for i in kept2]),

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fedattr import data
 from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import (
+    _FIELD_TYPES,
     ATTACKS,
     TARGET_RULES,
     ConfigError,
@@ -344,18 +346,35 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"latent_dim": 0}, "latent_dim must be at least 1"),
         ({"intensity": "nan"}, "intensity must be at least 0 and finite, got nan"),
         ({"intensity": "inf"}, "intensity must be at least 0 and finite, got inf"),
-        ({"latent_lr": "nan"}, "latent_lr must be finite, got nan"),
-        ({"latent_lr": "-inf"}, "latent_lr must be finite, got -inf"),
+        ({"latent_lr": "nan"}, "latent_lr must be at least -1000 and at most 1000, got nan"),
+        ({"latent_lr": "-inf"}, "latent_lr must be at least -1000 and at most 1000, got -inf"),
         ({"synth_batch": -1}, "synth_batch must be at least 0 and finite"),
         ({"latent_steps": -2}, "latent_steps must be at least 0 and finite"),
         (
             {"attack": "random_noise", "sigma_rel": -1},
-            "sigma_rel must be at least 0 and finite",
+            "sigma_rel must be at least 0 and at most 1000",
         ),
-        ({"local_lr": "nan"}, "local_lr must be at least 0 and finite, got nan"),
-        ({"local_lr": -1}, "local_lr must be at least 0 and finite, got -1.0"),
+        ({"local_lr": "nan"}, "local_lr must be at least 0 and at most 1000, got nan"),
+        ({"local_lr": -1}, "local_lr must be at least 0 and at most 1000, got -1.0"),
+        ({"local_lr": 1e4}, "local_lr must be at least 0 and at most 1000, got 10000.0"),
         ({"target_rule": "rank_k", "target_rank": 9}, "target rank 9 out of range 1..4"),
         ({"target_rule": "rank_k", "target_rank": 0}, "target rank 0 out of range 1..4"),
+        (
+            {"class_separation": "nan"},
+            "class_separation must be at least 0 and at most 1e+06, got nan",
+        ),
+        ({"noise_scale": "nan"}, "noise_scale must be at least 0 and at most 1e+06, got nan"),
+        ({"noise_scale": 1e7}, "noise_scale must be at least 0 and at most 1e+06"),
+        ({"delta": "nan"}, "delta must be at least 0 and finite, got nan"),
+        ({"delta": -1}, "delta must be at least 0 and finite, got -1.0"),
+        ({"eps": "nan"}, "eps must be finite, got nan"),
+        ({"kappa_mult": "nan"}, "kappa_mult must be at least 0 and finite, got nan"),
+        ({"trim_tau": "nan"}, "trim_tau must be in (0, 1)"),
+        ({"intensity": 1e308}, "asks for inf synthetic rows"),
+        ({"intensity": 201}, "cap is 32 x samples_per_client = 1600"),
+        ({"latent_lr": 1e4}, "latent_lr must be at least -1000 and at most 1000"),
+        ({"pool_samples_per_class": 0}, "pool_samples_per_class must be at least 1"),
+        ({"mc_seed": -2}, "mc_seed must be at least 0 and finite, got -2"),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
@@ -363,7 +382,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "class_separation", "model_kind", "mlp1_hidden_dim", "batch_size",
         "local_epochs", "latent_dim", "intensity_nan", "intensity_inf",
         "latent_lr_nan", "latent_lr_inf", "synth_batch", "latent_steps", "sigma_rel",
-        "local_lr_nan", "local_lr_negative", "target_rank_high", "target_rank_zero",
+        "local_lr_nan", "local_lr_negative", "local_lr_high", "target_rank_high",
+        "target_rank_zero", "class_separation_nan", "noise_scale_nan", "noise_scale_high",
+        "delta_nan", "delta_negative", "eps_nan", "kappa_mult_nan", "trim_tau_nan_defense_off",
+        "intensity_overflow", "synthetic_rows_cap", "latent_lr_high", "pool_samples",
+        "mc_seed",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
@@ -483,13 +506,13 @@ def valid_configs(draw):
         attack=draw(st.sampled_from(ATTACKS)),
         target_rule=draw(st.sampled_from(TARGET_RULES)),
         target_rank=draw(st.integers(1, 8)),
-        intensity=draw(finite_floats(0, 1e3)),
+        intensity=draw(finite_floats(0, 4)),
         sigma_rel=draw(finite_floats(0, 1e3)),
         latent_dim=draw(st.integers(1, 16)),
         latent_steps=draw(st.integers(0, 8)),
         synth_batch=draw(st.integers(1, 64)),
         latent_lr=draw(finite_floats(-1e3, 1e3)),
-        delta=draw(finite_floats(-1, 1)),
+        delta=draw(finite_floats(0, 1)),
         eps=draw(finite_floats(-1e3, 1e3)),
         kappa_mult=draw(finite_floats(0, 1e3)),
         defense_mode=draw(st.sampled_from(("off", "monitor", "enforce"))),
@@ -510,6 +533,39 @@ def test_property_canonical_config_round_trip(cfg):
     assert parsed == cfg
     assert parsed.canonical() == cfg.canonical()
     assert parsed.fingerprint == cfg.fingerprint
+
+
+NUMERIC_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.type in ("int", "float") and f.name != "rounds"
+)
+
+
+@st.composite
+def numeric_overrides(draw):
+    """One to three numeric fields set to any value: floats include NaN, +-inf,
+    subnormals and the extremes of float64."""
+    names = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), min_size=1, max_size=3, unique=True))
+    return {
+        name: draw(st.floats() if _FIELD_TYPES[name] == "float" else st.integers(-3, 12))
+        for name in names
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=numeric_overrides(), attack=st.sampled_from(ATTACKS))
+def test_property_numeric_fields_are_rejected_or_run(overrides, attack):
+    base = dict(
+        TINY, rounds=1, attack=attack, defense_mode="monitor",
+        evaluators="fedsv_exact,fedsv_mc,loo_round", mc_permutations=5,
+    )
+    try:
+        cfg = ExperimentConfig(**{**base, **overrides})
+    except ConfigError:
+        return
+    report = run_experiment(cfg)
+    for phases in report.evaluations.values():
+        for rep in phases.values():
+            assert np.all(np.isfinite(rep.raw))
 
 
 def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):

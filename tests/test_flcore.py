@@ -40,7 +40,7 @@ def make_scenario(num_clients=3, num_classes=3, seed=0, samples_per_client=30):
 def latent_attacker(spec, test):
     """The latent-optimization attack as one step, decoder fitted on `test`."""
     dec = attacks.calibrate_decoder(test, 2, seed=0, num_classes=spec.num_classes)
-    hyper = attacks.LatentHP(latent_dim=2, latent_steps=2, synth_batch=8)
+    hyper = attacks.LatentHP(latent_steps=2, synth_batch=8)
     return partial(attacks.behavior_latent_opt, dec=dec, kappa=math.inf, hyper=hyper)
 
 
@@ -183,14 +183,22 @@ def test_history_is_read_only_and_limited_to_broadcasts():
     seen = {}
 
     def spy(ctx, state):
-        seen[ctx.t] = len(ctx.history)
-        with pytest.raises(ValueError):
-            ctx.w_t[0] = 99.0
+        seen[ctx.t] = (ctx.w_t, ctx.w_prev)
+        for broadcast in (ctx.w_t, ctx.w_prev):
+            if broadcast is not None:
+                with pytest.raises(ValueError):
+                    broadcast[0] = 99.0
         return benign(ctx, state)
 
     behaviors = [spy] + [benign] * (len(shards) - 1)
-    run_training(make_config(spec, shards, test, behaviors=behaviors))
-    assert seen == {1: 1, 2: 2, 3: 3}
+    log = run_training(make_config(spec, shards, test, behaviors=behaviors))
+    assert list(seen) == [1, 2, 3]
+    assert seen[1][1] is None  # no broadcast before w_1
+    for rec in log.rounds:
+        w_t, w_prev = seen[rec.t]
+        assert w_t is rec.w_t
+        if rec.t > 1:
+            assert w_prev is log.rounds[rec.t - 2].w_t
 
 
 def test_save_load_round_trip(tmp_path):
