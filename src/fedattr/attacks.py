@@ -89,14 +89,16 @@ def behavior_direct_ref(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any,
 class Decoder:
     """Frozen affine generator: decode(z, y) = prototype[y] + W @ z."""
 
-    latent_dim: int
     W: np.ndarray  # (input_dim, latent_dim)
     prototypes: np.ndarray  # (num_classes, input_dim)
-    scale: float
 
     def __post_init__(self) -> None:
         for arr in (self.W, self.prototypes):
             arr.setflags(write=False)
+
+    @property
+    def latent_dim(self) -> int:
+        return self.W.shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -130,7 +132,7 @@ def calibrate_decoder(
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((pool.inputs.shape[1], latent_dim))
     w *= target / float(np.linalg.norm(w))
-    return Decoder(latent_dim=latent_dim, W=w, prototypes=protos, scale=target)
+    return Decoder(W=w, prototypes=protos)
 
 
 def decode(dec: Decoder, z: np.ndarray, labels: np.ndarray) -> LabeledBatch:
@@ -288,13 +290,6 @@ def grad_z(
 # --- latent-optimization attack ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatentHP:
-    latent_steps: int = 4
-    synth_batch: int = 16
-    eta_z: float = 0.05
-
-
 def effective_alpha(shard_size: int, synth_batch: int) -> float:
     """Realized synthetic fraction of the hybrid training set."""
     if shard_size < 1:
@@ -324,7 +319,9 @@ def behavior_latent_opt(
     *,
     dec: Decoder,
     kappa: float,
-    hyper: LatentHP,
+    latent_steps: int,
+    synth_batch: int,
+    eta_z: float,
 ) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """One round of the latent-optimization attack; its state is the
     (synth_batch, dec.latent_dim) latent matrix.
@@ -336,23 +333,23 @@ def behavior_latent_opt(
     for the next round.  With synth_batch == 0 the behavior short-circuits
     to a plain benign update, so intensity 0 is a benign client exactly.
     """
-    if hyper.synth_batch == 0:
+    if synth_batch == 0:
         update, z, _ = benign(ctx, z)
         return update, z, {"effective_alpha": 0.0, "clipped": False}
 
     spec, w_t, shard, hp, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng
     num_classes = len(shard.class_counts)
     if z is None:
-        z = rng.standard_normal((hyper.synth_batch, dec.latent_dim))
+        z = rng.standard_normal((synth_batch, dec.latent_dim))
 
     g_ref = np.zeros_like(w_t) if ctx.w_prev is None else w_t - ctx.w_prev
     labels: np.ndarray | None = None
     if float(np.linalg.norm(g_ref)) > 0.0:
-        for _ in range(hyper.latent_steps):
-            labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
-            z = refine_latent(z, spec, w_t, dec, labels, g_ref, hyper.eta_z)
+        for _ in range(latent_steps):
+            labels = select_targets(shard, num_classes, synth_batch, rng)
+            z = refine_latent(z, spec, w_t, dec, labels, g_ref, eta_z)
     if labels is None:
-        labels = select_targets(shard, num_classes, hyper.synth_batch, rng)
+        labels = select_targets(shard, num_classes, synth_batch, rng)
 
     synthetic = decode(dec, z, labels)
     combined = concat_batches(shard.data, synthetic)
@@ -371,7 +368,7 @@ def behavior_latent_opt(
         "l1": parts.l1,
         "l2": parts.l2,
         "l3": parts.l3,
-        "effective_alpha": effective_alpha(shard.n_i, hyper.synth_batch),
+        "effective_alpha": effective_alpha(shard.n_i, synth_batch),
         "clipped": clipped,
         "update_norm": float(np.linalg.norm(update)),
     }

@@ -63,19 +63,21 @@ class ClientShard:
     client_id: int
     data: LabeledBatch
     class_counts: np.ndarray
-    n_i: int
 
     def __post_init__(self) -> None:
         counts = np.ascontiguousarray(self.class_counts, dtype=np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "class_counts", counts)
-        if int(counts.sum()) != len(self.data) or self.n_i != len(self.data):
+        if int(counts.sum()) != len(self.data):
             raise ValueError("class_counts must sum to the shard size")
+
+    @property
+    def n_i(self) -> int:
+        return len(self.data)
 
     @classmethod
     def build(cls, client_id: int, data: LabeledBatch, num_classes: int) -> "ClientShard":
-        counts = np.bincount(data.labels, minlength=num_classes)
-        return cls(client_id, data, counts, len(data))
+        return cls(client_id, data, np.bincount(data.labels, minlength=num_classes))
 
 
 def _class_centers(spec: DatasetSpec) -> np.ndarray:

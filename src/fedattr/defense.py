@@ -18,7 +18,10 @@ class TrimDecision:
     t: int
     distances: np.ndarray
     trimmed: frozenset[int]
-    kept: frozenset[int]
+
+    @property
+    def kept(self) -> frozenset[int]:
+        return frozenset(range(len(self.distances))) - self.trimmed
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,7 @@ def trim_round(updates: Sequence[np.ndarray], tau: float, *, t: int = 0) -> Trim
     distances = np.linalg.norm(stacked - center, axis=1)
     m = math.ceil(tau * num)
     order = sorted(range(num), key=lambda i: (-distances[i], -i))
-    trimmed = frozenset(order[:m])
-    kept = frozenset(range(num)) - trimmed
-    return TrimDecision(t=t, distances=distances, trimmed=trimmed, kept=kept)
+    return TrimDecision(t=t, distances=distances, trimmed=frozenset(order[:m]))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import attacks, attribution, models, oracles
 from .config import ExperimentConfig
-from .experiment import run_experiment, write_run_outputs
+from .experiment import ExperimentReport, run_experiment, write_run_outputs
 
 SEEDS = (101, 202, 303, 404, 505)
 
@@ -44,18 +44,13 @@ class _Battery:
 
     def __init__(self, base: ExperimentConfig = DEFAULT):
         self.base = base
-        self._cache: dict[tuple, object] = {}
+        self._cache: dict[ExperimentConfig, ExperimentReport] = {}
 
-    def run(self, **overrides):
-        # overrides equal to the base value share the base run's cache entry
-        key = tuple(
-            sorted(
-                (k, v) for k, v in overrides.items() if getattr(self.base, k) != v
-            )
-        )
-        if key not in self._cache:
-            self._cache[key] = run_experiment(self.base.override(**overrides))
-        return self._cache[key]
+    def run(self, **overrides) -> ExperimentReport:
+        cfg = self.base.override(**overrides)
+        if cfg not in self._cache:
+            self._cache[cfg] = run_experiment(cfg)
+        return self._cache[cfg]
 
     def per_seed(self, **overrides):
         return [self.run(master_seed=s, **overrides) for s in SEEDS]

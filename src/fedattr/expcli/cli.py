@@ -112,8 +112,11 @@ def _cmd_plot(args) -> int:
     report_path = args.run / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no report.json under {args.run}")
-    payload = json.loads(report_path.read_text())
-    plots.emit_run_plots(payload, args.run / "plots")
+    try:
+        payload = json.loads(report_path.read_text())
+        plots.emit_run_plots(payload, args.run / "plots")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {report_path}: {exc!r}") from exc
     print(f"plots written under {args.run / 'plots'}")
     return 0
 

@@ -30,25 +30,28 @@ TARGET_RULES = ("lowest_rank", "rank_k")
 
 _MAX = sys.float_info.max
 # field -> (lo, hi): checked as lo <= value <= hi, which NaN and +-inf fail.
-# The finite caps keep training and latent refinement inside float64.
+# The finite float caps keep training and latent refinement inside float64;
+# the integer caps bound a run's work and memory (see the README).
 _BOUNDS = {
     "class_separation": (0, 1e6),
     "noise_scale": (0, 1e6),
-    "num_clients": (2, _MAX),
+    "samples_per_class": (2, 100_000),
+    "num_clients": (2, 100),
     "rounds": (1, _MAX),
     "local_epochs": (1, _MAX),
     "batch_size": (1, _MAX),
     "local_lr": (0, 1e3),
     "intensity": (0, _MAX),
     "sigma_rel": (0, 1e3),
-    "latent_dim": (1, _MAX),
+    "latent_dim": (1, 1024),
     "latent_steps": (0, _MAX),
     "synth_batch": (0, _MAX),
     "latent_lr": (-1e3, 1e3),
     "delta": (0, _MAX),
     "eps": (-_MAX, _MAX),
     "kappa_mult": (0, _MAX),
-    "pool_samples_per_class": (1, _MAX),
+    "pool_samples_per_class": (2, 100_000),
+    "mc_permutations": (1, 10_000),
     "master_seed": (0, _MAX),
     "mc_seed": (0, _MAX),
 }
@@ -116,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown target rule {self.target_rule!r}")
         if self.defense_mode not in DEFENSE_MODES:
             raise ConfigError(f"unknown defense mode {self.defense_mode!r}")
+        if not self.evaluator_list:
+            raise ConfigError("evaluators must name at least one evaluator")
         for name in self.evaluator_list:
             if name not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {name!r}")
@@ -136,8 +141,6 @@ class ExperimentConfig:
                 f"{self.num_clients} clients exceeds the fedsv_exact enumeration "
                 f"guard ({EXACT_LIMIT}); use fedsv_mc"
             )
-        if "fedsv_mc" in self.evaluator_list and self.mc_permutations < 1:
-            raise ConfigError("mc_permutations must be at least 1")
         if (
             self.defense_mode == "enforce"
             and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients

@@ -18,31 +18,15 @@ import numpy as np
 
 from .. import attacks, attribution, data, flcore, streams
 from ..defense import DetectionScore, detection_metrics, plausibility_check
-from ..models import LabeledBatch, ModelSpec
 from .config import ConfigError, ExperimentConfig
 
 SWEEP_AXES = ("num_clients", "target_rank", "intensity")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Materialized inputs shared by both phases of a run."""
-
-    spec: ModelSpec
-    shards: list[data.ClientShard]
-    test: LabeledBatch
-    decoder: attacks.Decoder
-    hp: flcore.LocalHP
-
-
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
-    fingerprint: str
     malicious_id: int
-    u0: float
-    u1: float
-    utility_within_delta: bool
     evaluations: dict[str, dict[str, attribution.AttributionReport]]
     detection: DetectionScore | None
     plausibility_flags: int
@@ -50,6 +34,22 @@ class ExperimentReport:
     kappa: float
     attack_free_log: flcore.TrainingLog
     attacked_log: flcore.TrainingLog
+
+    @property
+    def fingerprint(self) -> str:
+        return self.config.fingerprint
+
+    @property
+    def u0(self) -> float:
+        return self.attack_free_log.final_utility
+
+    @property
+    def u1(self) -> float:
+        return self.attacked_log.final_utility
+
+    @property
+    def utility_within_delta(self) -> bool:
+        return abs(self.u1 - self.u0) <= self.config.delta
 
     @property
     def diagnostics(self) -> list[dict]:
@@ -67,31 +67,28 @@ class ExperimentReport:
         return int(self.evaluations[evaluator][phase].ranks[self.malicious_id])
 
 
-def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    dataset = cfg.dataset_spec(streams.child_seed(cfg.master_seed, "dataset"))
-    train, test = data.synthesize(dataset)
+def build_scenario(cfg: ExperimentConfig) -> flcore.FLConfig:
+    """The attack-free run of `cfg`: its data, model and training, every
+    client `benign`."""
+    train, test = data.synthesize(
+        cfg.dataset_spec(streams.child_seed(cfg.master_seed, "dataset"))
+    )
     partition = cfg.partition_spec(streams.child_seed(cfg.master_seed, "partition"))
     shards = data.partition_noniid(train, partition, cfg.num_classes)
-
-    # Public calibration pool for the frozen decoder; disjoint stream, same domain.
-    pool, _ = data.synthesize(
-        replace(
-            dataset,
-            samples_per_class=cfg.pool_samples_per_class,
-            seed=streams.child_seed(cfg.master_seed, "decoder_pool"),
-        )
+    return flcore.FLConfig(
+        spec=cfg.model_spec(),
+        shards=shards,
+        behaviors=[flcore.benign] * len(shards),
+        hp=flcore.LocalHP(
+            epochs=cfg.local_epochs, batch_size=cfg.batch_size, eta_w=cfg.local_lr
+        ),
+        rounds=cfg.rounds,
+        test=test,
+        master_seed=cfg.master_seed,
+        defense_mode=cfg.defense_mode,
+        trim_tau=cfg.trim_tau,
+        fingerprint=cfg.fingerprint,
     )
-    decoder = attacks.calibrate_decoder(
-        pool,
-        cfg.latent_dim,
-        streams.child_seed(cfg.master_seed, "decoder"),
-        num_classes=cfg.num_classes,
-    )
-
-    hp = flcore.LocalHP(
-        epochs=cfg.local_epochs, batch_size=cfg.batch_size, eta_w=cfg.local_lr
-    )
-    return Scenario(cfg.model_spec(), shards, test, decoder, hp)
 
 
 def select_malicious(
@@ -108,19 +105,30 @@ def select_malicious(
     return int(np.flatnonzero(report.ranks == k)[0])
 
 
-def _make_attack_behavior(
-    cfg: ExperimentConfig, scenario: Scenario, kappa: float
-) -> flcore.Behavior:
+def _make_attack_behavior(cfg: ExperimentConfig, kappa: float) -> flcore.Behavior:
     if cfg.attack == "random_noise":
         return partial(attacks.behavior_random_noise, sigma_rel=cfg.sigma_rel)
     if cfg.attack == "latent_opt":
-        hyper = attacks.LatentHP(
+        # Public calibration pool for the frozen decoder; disjoint stream, same domain.
+        pool, _ = data.synthesize(
+            replace(
+                cfg.dataset_spec(streams.child_seed(cfg.master_seed, "decoder_pool")),
+                samples_per_class=cfg.pool_samples_per_class,
+            )
+        )
+        decoder = attacks.calibrate_decoder(
+            pool,
+            cfg.latent_dim,
+            streams.child_seed(cfg.master_seed, "decoder"),
+            num_classes=cfg.num_classes,
+        )
+        return partial(
+            attacks.behavior_latent_opt,
+            dec=decoder,
+            kappa=kappa,
             latent_steps=cfg.latent_steps,
             synth_batch=cfg.synthetic_rows,
             eta_z=cfg.latent_lr,
-        )
-        return partial(
-            attacks.behavior_latent_opt, dec=scenario.decoder, kappa=kappa, hyper=hyper
         )
     return {
         "attack_free": flcore.benign,
@@ -146,24 +154,7 @@ def _evaluate(
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> ExperimentReport:
     """Attack-free run, target selection, attacked run, evaluation, verdicts."""
-    scenario = build_scenario(cfg)
-    fingerprint = cfg.fingerprint
-
-    def fl_config(behaviors) -> flcore.FLConfig:
-        return flcore.FLConfig(
-            spec=scenario.spec,
-            shards=scenario.shards,
-            behaviors=behaviors,
-            hp=scenario.hp,
-            rounds=cfg.rounds,
-            test=scenario.test,
-            master_seed=cfg.master_seed,
-            defense_mode=cfg.defense_mode,
-            trim_tau=cfg.trim_tau,
-            fingerprint=fingerprint,
-        )
-
-    free_cfg = fl_config([flcore.benign] * len(scenario.shards))
+    free_cfg = build_scenario(cfg)
     free_log = flcore.run_training(free_cfg)
 
     evaluations = {
@@ -178,12 +169,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
 
     benign_norms = [np.linalg.norm(u) for rec in free_log.rounds for u in rec.updates]
     kappa = cfg.kappa_mult * float(np.median(benign_norms)) if cfg.kappa_mult > 0 else np.inf
-    attack_behavior = _make_attack_behavior(cfg, scenario, kappa)
-    attacked_behaviors = [
-        attack_behavior if shard.client_id == malicious_id else flcore.benign
-        for shard in scenario.shards
-    ]
-    attacked_cfg = fl_config(attacked_behaviors)
+    attack_behavior = _make_attack_behavior(cfg, kappa)
+    attacked_cfg = replace(
+        free_cfg,
+        behaviors=[
+            attack_behavior if shard.client_id == malicious_id else flcore.benign
+            for shard in free_cfg.shards
+        ],
+    )
     attacked_log = flcore.run_training(attacked_cfg)
 
     for name, report in _evaluate(cfg, attacked_cfg, attacked_log).items():
@@ -204,12 +197,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
 
     report = ExperimentReport(
         config=cfg,
-        fingerprint=fingerprint,
         malicious_id=malicious_id,
-        u0=free_log.final_utility,
-        u1=attacked_log.final_utility,
-        utility_within_delta=abs(attacked_log.final_utility - free_log.final_utility)
-        <= cfg.delta,
         evaluations=evaluations,
         detection=detection,
         plausibility_flags=flags,

@@ -74,13 +74,15 @@ class SvgCanvas:
         path.write_text("\n".join(self.parts) + "\n</svg>\n")
 
 
+def _primary(payload: dict) -> str:
+    """The run's first configured evaluator, the one that picked the attacker."""
+    return next(e.strip() for e in payload["config"]["evaluators"].split(",") if e.strip())
+
+
 def share_composition_chart(payload: dict, path: Path) -> None:
     """One stacked bar per phase; segments are per-client normalized shares."""
-    evaluators = [
-        k for k in sorted(payload["evaluators"]) if "attack_free" in payload["evaluators"][k]
-    ]
     rows = []
-    for name in evaluators:
+    for name in sorted(payload["evaluators"]):
         for phase in ("attack_free", "attacked"):
             rows.append((f"{name} / {phase}", payload["evaluators"][name][phase]["shares"]))
     bar_h, gap, left, top = 30, 16, 170, 40
@@ -133,7 +135,7 @@ def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> Non
         canvas.line(x, bottom, x, bottom + 3)
         canvas.text(x, bottom + 16, f"{v}x", anchor="middle", size=10)
 
-    primary = sorted(payloads[0]["evaluators"])[0]
+    primary = _primary(payloads[0])
     shares = [p["evaluators"][primary]["target_share_after"] for p in payloads]
     accs = [p["u1"] for p in payloads]
 
@@ -204,7 +206,7 @@ def emit_sweep_plots(payloads: list[dict], axis: str, values: list, out_dir: Pat
     if axis == "intensity":
         intensity_curve_chart(payloads, values, out_dir / "intensity_curve.svg")
         return
-    primary = sorted(payloads[0]["evaluators"])[0]
+    primary = _primary(payloads[0])
     series = {
         "share_before": [
             p["evaluators"][primary]["target_share_before"] for p in payloads

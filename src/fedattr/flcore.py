@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -76,8 +76,11 @@ class RoundRecord:
 @dataclass(frozen=True)
 class TrainingLog:
     rounds: tuple[RoundRecord, ...]
-    final_utility: float
     fingerprint: str
+
+    @property
+    def final_utility(self) -> float:
+        return self.rounds[-1].test_utility_after
 
     @property
     def num_clients(self) -> int:
@@ -110,17 +113,10 @@ class FLConfig:
         keep = [i for i, s in enumerate(self.shards) if s.client_id != client_id]
         if len(keep) == len(self.shards):
             raise ValueError(f"no client with id {client_id}")
-        return FLConfig(
-            spec=self.spec,
+        return replace(
+            self,
             shards=[self.shards[i] for i in keep],
             behaviors=[self.behaviors[i] for i in keep],
-            hp=self.hp,
-            rounds=self.rounds,
-            test=self.test,
-            master_seed=self.master_seed,
-            defense_mode=self.defense_mode,
-            trim_tau=self.trim_tau,
-            fingerprint=self.fingerprint,
         )
 
 
@@ -217,7 +213,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
     w.setflags(write=False)
     w_prev = None
     records: list[RoundRecord] = []
-    n = tuple(int(s.n_i) for s in cfg.shards)
+    n = tuple(s.n_i for s in cfg.shards)
     states: list[Any] = [None] * len(cfg.shards)
 
     for t in range(1, cfg.rounds + 1):
@@ -260,7 +256,7 @@ def run_training(cfg: FLConfig) -> TrainingLog:
         )
         w_prev, w = w, w_next
 
-    return TrainingLog(tuple(records), records[-1].test_utility_after, cfg.fingerprint)
+    return TrainingLog(tuple(records), cfg.fingerprint)
 
 
 # --- line-delimited persistence -------------------------------------------
@@ -310,12 +306,8 @@ def load_log(path) -> TrainingLog:
             row = json.loads(line)
             trim = None
             if row["trimmed"] is not None:
-                all_ids = set(range(len(row["updates"])))
                 trim = TrimDecision(
-                    t=row["t"],
-                    distances=np.array(row["distances"]),
-                    trimmed=frozenset(row["trimmed"]),
-                    kept=frozenset(all_ids - set(row["trimmed"])),
+                    row["t"], np.array(row["distances"]), frozenset(row["trimmed"])
                 )
             records.append(
                 RoundRecord(
@@ -329,4 +321,12 @@ def load_log(path) -> TrainingLog:
                     trim=trim,
                 )
             )
-    return TrainingLog(tuple(records), header["final_utility"], header["fingerprint"])
+    log = TrainingLog(tuple(records), header["fingerprint"])
+    if not records or (header["rounds"], header["final_utility"]) != (
+        len(records), log.final_utility
+    ):
+        raise ValueError(
+            f"log header ({header['rounds']} rounds, final utility "
+            f"{header['final_utility']!r}) disagrees with its {len(records)} records"
+        )
+    return log

@@ -72,3 +72,15 @@ def test_criterion_09_evaluator_robustness_loo(battery):
 
 def test_criterion_10_determinism():
     _run(10, "determinism", acceptance.check_determinism)
+
+
+def test_battery_shares_one_run_between_equal_configs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        acceptance, "run_experiment", lambda cfg: calls.append(cfg) or len(calls)
+    )
+    battery = acceptance._Battery()
+    base = acceptance.DEFAULT
+    assert battery.run() == battery.run(master_seed=base.master_seed) == 1
+    assert battery.run(master_seed=base.master_seed + 1) == 2
+    assert calls == [base, base.override(master_seed=base.master_seed + 1)]

@@ -5,7 +5,6 @@ import pytest
 
 from fedattr import attacks, models, oracles
 from fedattr.attacks import (
-    LatentHP,
     behavior_direct_ref,
     behavior_free_rider,
     behavior_label_flip,
@@ -39,6 +38,10 @@ def scenario():
     )
     dec = calibrate_decoder(pool, latent_dim=4, seed=5, num_classes=4)
     return spec, shards, test, dec
+
+
+# the latent attack's hyperparameters in these tests
+LATENT = dict(latent_steps=4, synth_batch=16, eta_z=0.05)
 
 
 def rng_for(seed=0):
@@ -203,12 +206,18 @@ def test_decode_label_out_of_range(scenario):
 
 
 def test_decoder_scale_matches_expected_offset_norm(scenario):
+    # a standard-normal latent lands about half the mean pairwise prototype
+    # distance away from its prototype
     _, _, _, dec = scenario
+    protos = dec.prototypes
+    pairs = [(a, b) for a in range(len(protos)) for b in range(a + 1, len(protos))]
+    half_mean = 0.5 * np.mean([np.linalg.norm(protos[a] - protos[b]) for a, b in pairs])
     rng = rng_for(11)
     z = rng.standard_normal((4000, dec.latent_dim))
     offsets = z @ dec.W.T
     rms = float(np.sqrt((np.linalg.norm(offsets, axis=1) ** 2).mean()))
-    assert rms == pytest.approx(dec.scale, rel=0.1)
+    assert rms == pytest.approx(half_mean, rel=0.1)
+    assert dec.latent_dim == dec.W.shape[1] == 4
 
 
 # --- target selection ----------------------------------------------------------
@@ -347,11 +356,10 @@ def fresh_latents(dec, synth_batch=8, seed=0):
 def test_refine_zero_steps_keeps_state(scenario):
     # latent_steps = 0: the warm-started latents pass through a refining round
     spec, _, _, dec = scenario
-    z = fresh_latents(dec, synth_batch=LatentHP().synth_batch)
+    z = fresh_latents(dec, synth_batch=LATENT["synth_batch"])
     w1 = models.init_params(spec, 2)
     w2 = w1 + 0.05 * rng_for(1).normal(size=spec.param_count)
-    hyper = LatentHP(latent_steps=0)
-    _, out, _ = latent_call(scenario, z, 2, w2, w1, rng_for(0), hyper=hyper)
+    _, out, _ = latent_call(scenario, z, 2, w2, w1, rng_for(0), latent_steps=0)
     assert out is z
 
 
@@ -411,17 +419,16 @@ def test_attack_state_validation(scenario):
 # --- full behavior ----------------------------------------------------------------
 
 
-def latent_call(scenario, z, t, w, w_prev, rng, hyper=None, kappa=math.inf):
+def latent_call(scenario, z, t, w, w_prev, rng, kappa=math.inf, **hyper):
     spec, shards, _, dec = scenario
     ctx = RoundContext(spec, t, w, w_prev, shards[0], LocalHP(), rng)
-    return behavior_latent_opt(ctx, z, dec=dec, kappa=kappa, hyper=hyper or LatentHP())
+    return behavior_latent_opt(ctx, z, dec=dec, kappa=kappa, **{**LATENT, **hyper})
 
 
 def test_latent_zero_intensity_equals_benign(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
-    hyper = LatentHP(synth_batch=0)
-    update, state, diag = latent_call(scenario, None, 1, w, None, rng_for(42), hyper=hyper)
+    update, state, diag = latent_call(scenario, None, 1, w, None, rng_for(42), synth_batch=0)
     benign = benign_local_update(
         spec, w, shards[0], LocalHP(), seed=int(rng_for(42).integers(0, 2**63))
     )
@@ -442,7 +449,7 @@ def test_latent_cache_and_warm_start(scenario):
     spec, shards, _, dec = scenario
     w1 = models.init_params(spec, 0)
     update, z1, _ = latent_call(scenario, None, 1, w1, None, rng_for(2))
-    assert z1.shape == (LatentHP().synth_batch, dec.latent_dim)
+    assert z1.shape == (LATENT["synth_batch"], dec.latent_dim)
     z_before = z1.copy()
     w2 = w1 + update * 0.1
     _, z2, _ = latent_call(scenario, z1, 2, w2, w1, rng_for(3))
@@ -468,7 +475,7 @@ def test_latent_round_evaluates_the_joint_loss_once(scenario, monkeypatch):
     w1 = models.init_params(spec, 0)
     w2 = w1 + 0.05 * rng_for(1).normal(size=spec.param_count)
     _, z, diag = latent_call(scenario, None, 2, w2, w1, rng_for(6))
-    assert LatentHP().latent_steps > 1
+    assert LATENT["latent_steps"] > 1
     assert len(calls) == 1
     assert calls[0][3] is z  # the refined latents
     assert diag["l1"] == real(*calls[0]).l1

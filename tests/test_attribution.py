@@ -474,7 +474,7 @@ def test_fedsv_symmetry_for_duplicated_clients():
     cfg, log, spec, test = small_run()
     base = cfg.shards[0]
     twin = [
-        ClientShard(base.client_id, base.data, base.class_counts, base.n_i)
+        ClientShard(base.client_id, base.data, base.class_counts)
         for _ in range(2)
     ]
     twin_cfg = FLConfig(
@@ -529,8 +529,8 @@ def test_loo_retrain_duplicate_and_symmetry():
     cfg, log, spec, test = small_run()
     base = cfg.shards[0]
     shards = [
-        ClientShard(0, base.data, base.class_counts, base.n_i),
-        ClientShard(1, base.data, base.class_counts, base.n_i),
+        ClientShard(0, base.data, base.class_counts),
+        ClientShard(1, base.data, base.class_counts),
     ]
     pair_cfg = FLConfig(
         spec=spec, shards=shards, behaviors=[benign] * 2,
@@ -571,7 +571,8 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     ]
     assert retrained == report.raw.tolist()
     # and the full-coalition utility comes from the given log, not a rerun
-    shifted = loo_retrain_report(cfg, dataclasses.replace(log, final_utility=2.0))
+    last = dataclasses.replace(log.rounds[-1], test_utility_after=2.0)
+    shifted = loo_retrain_report(cfg, dataclasses.replace(log, rounds=(*log.rounds[:-1], last)))
     assert shifted.raw == pytest.approx(report.raw + 2.0 - log.final_utility, abs=1e-12)
 
 

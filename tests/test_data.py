@@ -160,4 +160,5 @@ def test_coverage_sets_disjoint():
 def test_shard_invariant_enforced():
     batch = LabeledBatch(np.zeros((3, 2)), np.array([0, 0, 1]))
     with pytest.raises(ValueError):
-        ClientShard(0, batch, np.array([1, 1]), 3)
+        ClientShard(0, batch, np.array([1, 1]))
+    assert ClientShard(0, batch, np.array([2, 1])).n_i == 3

@@ -59,13 +59,7 @@ def test_plausibility_examples():
 
 
 def decision(t, trimmed, n=10):
-    trimmed = frozenset(trimmed)
-    return TrimDecision(
-        t=t,
-        distances=np.zeros(n),
-        trimmed=trimmed,
-        kept=frozenset(range(n)) - trimmed,
-    )
+    return TrimDecision(t=t, distances=np.zeros(n), trimmed=frozenset(trimmed))
 
 
 def test_detection_perfect_and_zero():

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,9 @@ from fedattr import data
 from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import (
+    _BOUNDS,
     _FIELD_TYPES,
+    _MAX,
     ATTACKS,
     TARGET_RULES,
     ConfigError,
@@ -244,6 +247,26 @@ def test_intensity_plot_has_one_tick_per_value(tmp_path):
     assert text.startswith("<svg")
 
 
+def test_sweep_charts_plot_the_primary_evaluator(tmp_path):
+    # the first configured evaluator picks the attacker, and the charts show
+    # its shares, not those of the alphabetically first evaluator
+    cfg = tiny_config(attack="free_rider", evaluators="loo_round,fedsv_exact")
+    values = [1, 4]
+    reports = sweep(cfg, "target_rank", values, tmp_path)
+    svg = (tmp_path / "plots" / "grouped_target_rank.svg").read_text()
+    titles = set(re.findall(r"<title>(share_\w+)@(\w+): ([0-9.]+)</title>", svg))
+    expected = {
+        (series, str(value), f"{report.target_share('loo_round', phase):.4f}")
+        for value, report in zip(values, reports)
+        for series, phase in (("share_before", "attack_free"), ("share_after", "attacked"))
+    }
+    assert titles == expected
+    other = {
+        f"{report.target_share('fedsv_exact', 'attacked'):.4f}" for report in reports
+    }
+    assert other - {share for _, _, share in titles}  # the charts would differ
+
+
 def test_share_chart_segments_cover_full_bar(tmp_path):
     report = run_experiment(tiny_config(attack="label_flip"))
     payload = report_payload(report)
@@ -281,6 +304,14 @@ def test_cli_run_and_plot(tmp_path, capsys):
     code = cli.main(["plot", "--run", str(run_dirs[0])])
     assert code == 0
     assert (run_dirs[0] / "plots" / "share_composition.svg").exists()
+
+
+def test_cli_plot_rejects_a_malformed_report(tmp_path, capsys):
+    for text in ("{}", "not json", '{"evaluators": {"loo_round": 1}}'):
+        (tmp_path / "report.json").write_text(text)
+        assert cli.main(["plot", "--run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: malformed")
+    assert not (tmp_path / "plots").exists()
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -373,8 +404,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"intensity": 1e308}, "asks for inf synthetic rows"),
         ({"intensity": 201}, "cap is 32 x samples_per_client = 1600"),
         ({"latent_lr": 1e4}, "latent_lr must be at least -1000 and at most 1000"),
-        ({"pool_samples_per_class": 0}, "pool_samples_per_class must be at least 1"),
+        (
+            {"pool_samples_per_class": 0},
+            "pool_samples_per_class must be at least 2 and at most 100000, got 0",
+        ),
         ({"mc_seed": -2}, "mc_seed must be at least 0 and finite, got -2"),
+        ({"evaluators": ","}, "evaluators must name at least one evaluator"),
+        ({"pool_samples_per_class": 1}, "pool_samples_per_class must be at least 2"),
+        (
+            {"pool_samples_per_class": 100_001},
+            "pool_samples_per_class must be at least 2 and at most 100000, got 100001",
+        ),
+        (
+            {"samples_per_class": 100_001},
+            "samples_per_class must be at least 2 and at most 100000, got 100001",
+        ),
+        (
+            {"evaluators": "loo_round", "num_clients": 101},
+            "num_clients must be at least 2 and at most 100, got 101",
+        ),
+        ({"latent_dim": 1025}, "latent_dim must be at least 1 and at most 1024, got 1025"),
+        (
+            {"mc_permutations": 10_001},
+            "mc_permutations must be at least 1 and at most 10000, got 10001",
+        ),
+        ({"evaluators": "loo_round", "mc_permutations": 0}, "mc_permutations must be at least 1"),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
@@ -386,7 +440,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "target_rank_zero", "class_separation_nan", "noise_scale_nan", "noise_scale_high",
         "delta_nan", "delta_negative", "eps_nan", "kappa_mult_nan", "trim_tau_nan_defense_off",
         "intensity_overflow", "synthetic_rows_cap", "latent_lr_high", "pool_samples",
-        "mc_seed",
+        "mc_seed", "no_evaluators", "pool_samples_one", "pool_samples_cap",
+        "samples_per_class_cap", "num_clients_cap", "latent_dim_cap", "mc_permutations_cap",
+        "mc_permutations_without_fedsv_mc",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
@@ -517,7 +573,7 @@ def valid_configs(draw):
         kappa_mult=draw(finite_floats(0, 1e3)),
         defense_mode=draw(st.sampled_from(("off", "monitor", "enforce"))),
         trim_tau=draw(finite_floats(0, 1).filter(lambda v: 0 < v < 1)),
-        pool_samples_per_class=draw(st.integers(1, 100)),
+        pool_samples_per_class=draw(st.integers(2, 100)),
         master_seed=draw(st.integers(0, 2**32)),
     )
     try:
@@ -540,15 +596,28 @@ NUMERIC_FIELDS = tuple(
 )
 
 
+# integer fields with a finite cap; every other integer is drawn from -3..12
+INT_CAPS = {
+    name: hi for name, (_, hi) in _BOUNDS.items() if _FIELD_TYPES[name] == "int" and hi < _MAX
+}
+
+
+def numeric_values(name):
+    if _FIELD_TYPES[name] == "float":
+        return st.floats()
+    small = st.integers(-3, 12)
+    if name not in INT_CAPS:
+        return small
+    # above its cap a field is rejected up front, so these draws never train
+    return small | st.integers(INT_CAPS[name] + 1, 2**64)
+
+
 @st.composite
 def numeric_overrides(draw):
     """One to three numeric fields set to any value: floats include NaN, +-inf,
-    subnormals and the extremes of float64."""
+    subnormals and the extremes of float64; capped integers go past their cap."""
     names = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), min_size=1, max_size=3, unique=True))
-    return {
-        name: draw(st.floats() if _FIELD_TYPES[name] == "float" else st.integers(-3, 12))
-        for name in names
-    }
+    return {name: draw(numeric_values(name)) for name in names}
 
 
 @settings(max_examples=60, deadline=None)
@@ -648,3 +717,20 @@ def test_cli_overrides(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "loo_round" in printed
     assert "detection" in printed
+
+
+def test_decoder_is_calibrated_only_for_the_latent_attack(monkeypatch):
+    from fedattr import attacks
+
+    real = attacks.calibrate_decoder
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "calibrate_decoder", counted)
+    run_experiment(tiny_config(attack="label_flip", rounds=1))
+    assert calls == []
+    run_experiment(tiny_config(attack="latent_opt", rounds=1))
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from functools import partial
@@ -40,8 +41,10 @@ def make_scenario(num_clients=3, num_classes=3, seed=0, samples_per_client=30):
 def latent_attacker(spec, test):
     """The latent-optimization attack as one step, decoder fitted on `test`."""
     dec = attacks.calibrate_decoder(test, 2, seed=0, num_classes=spec.num_classes)
-    hyper = attacks.LatentHP(latent_steps=2, synth_batch=8)
-    return partial(attacks.behavior_latent_opt, dec=dec, kappa=math.inf, hyper=hyper)
+    return partial(
+        attacks.behavior_latent_opt, dec=dec, kappa=math.inf,
+        latent_steps=2, synth_batch=8, eta_z=0.05,
+    )
 
 
 def make_config(spec, shards, test, rounds=3, **kw):
@@ -131,8 +134,7 @@ def test_identical_shards_produce_identical_updates():
     # instead give every client the same shard CONTENT but distinct ids, then
     # check the aggregate equals each update when ids share one RNG stream.
     base = shards[0]
-    clones = [ClientShard(base.client_id, base.data, base.class_counts, base.n_i)
-              for _ in range(3)]
+    clones = [ClientShard(base.client_id, base.data, base.class_counts) for _ in range(3)]
     cfg = FLConfig(
         spec=spec, shards=clones,
         behaviors=[benign] * len(clones),
@@ -216,6 +218,20 @@ def test_save_load_round_trip(tmp_path):
         assert ra.n == rb.n
         for ua, ub in zip(ra.updates, rb.updates):
             assert np.array_equal(ua, ub)
+
+
+def test_load_log_rejects_a_header_that_disagrees_with_its_records(tmp_path):
+    spec, shards, test = make_scenario()
+    log = run_training(make_config(spec, shards, test, rounds=5))
+    path = tmp_path / "run.log.jsonl"
+    flcore.save_log(log, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    edited = json.loads(header)
+    edited["final_utility"] = 2.0
+    for lines in ([header, *rows[:3]], [header], [json.dumps(edited) + "\n", *rows]):
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="disagrees with its"):
+            flcore.load_log(path)
 
 
 def test_defense_enforce_changes_aggregate_membership():
