@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flcore import FLConfig, TrainingLog, run_training
+from .flcore import FLConfig, TrainingLog, run_training_many
 from .models import LabeledBatch, ModelSpec, _layers
 
 # Evaluators that read only the logged rounds; `evaluate_log` scores them together.
@@ -24,6 +24,9 @@ EVALUATORS = (*LOGGED_EVALUATORS, "loo_retrain")
 
 # Largest client count shapley_exact enumerates (2^N coalitions per round).
 EXACT_LIMIT = 16
+# Client models one group of leave-one-out reruns trains per round: enough
+# to fill a lockstep call, while only one group's logs are held at a time.
+_RERUN_MODELS = 32
 # Float64 logits held at once while evaluating a batch of coalitions; bounds
 # the working set independently of how many coalitions are asked for.
 _CHUNK_LOGITS = 1 << 16
@@ -317,9 +320,15 @@ def loo_round(
 def loo_retrain_report(cfg: FLConfig, log: TrainingLog) -> AttributionReport:
     """Utility drop from rerunning the whole training without each client;
     `log` is `run_training(cfg)`, which the full-coalition utility is read
-    from instead of training it again."""
-    retrained = (run_training(cfg.without_client(s.client_id)) for s in cfg.shards)
-    raw = [log.final_utility - run.final_utility for run in retrained]
+    from instead of training it again.  The reruns train in lockstep, in
+    groups of about `_RERUN_MODELS` client models, and only each rerun's
+    final utility outlives its group."""
+    reruns = [cfg.without_client(s.client_id) for s in cfg.shards]
+    per_group = max(1, _RERUN_MODELS // max(1, len(cfg.shards) - 1))
+    raw = []
+    for start in range(0, len(reruns), per_group):
+        retrained = run_training_many(reruns[start : start + per_group])
+        raw += [log.final_utility - run.final_utility for run in retrained]
     return AttributionReport.from_raw("loo_retrain", np.array(raw))
 
 

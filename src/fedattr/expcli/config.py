@@ -35,16 +35,19 @@ _MAX = sys.float_info.max
 _BOUNDS = {
     "class_separation": (0, 1e6),
     "noise_scale": (0, 1e6),
+    "input_dim": (1, 1024),
+    "num_classes": (2, 100),
     "samples_per_class": (2, 100_000),
     "num_clients": (2, 100),
-    "rounds": (1, _MAX),
-    "local_epochs": (1, _MAX),
+    "hidden_dim": (0, 1024),
+    "rounds": (1, 1000),
+    "local_epochs": (1, 100),
     "batch_size": (1, _MAX),
     "local_lr": (0, 1e3),
     "intensity": (0, _MAX),
     "sigma_rel": (0, 1e3),
     "latent_dim": (1, 1024),
-    "latent_steps": (0, _MAX),
+    "latent_steps": (0, 1000),
     "synth_batch": (0, _MAX),
     "latent_lr": (-1e3, 1e3),
     "delta": (0, _MAX),
@@ -121,9 +124,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown defense mode {self.defense_mode!r}")
         if not self.evaluator_list:
             raise ConfigError("evaluators must name at least one evaluator")
-        for name in self.evaluator_list:
+        for k, name in enumerate(self.evaluator_list):
             if name not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {name!r}")
+            if name in self.evaluator_list[:k]:
+                raise ConfigError(f"evaluator {name!r} is listed twice")
         for name, (lo, hi) in _BOUNDS.items():
             value = getattr(self, name)
             if not lo <= value <= hi:

@@ -5,6 +5,10 @@ it sees only the current and previous broadcasts, its own shard, and its
 own RNG stream, and its state lives for one run, starting from None.  Every
 round is recorded, with each client's diagnostics, so evaluators and
 defenses can replay the run without touching training.
+
+`run_training_many` advances several runs round by round, so the `benign`
+clients of all of them train in shared lockstep calls; each run's log is
+bit for bit the one `run_training` gives it alone.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def benign_local_update(
 def benign(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
     """Standard client: trains on its shard, reports the weight delta.
 
-    `run_training` trains all of a round's `benign` clients in lockstep
+    `run_training_many` trains all of a round's `benign` clients in lockstep
     instead of calling them one by one; the updates are the same.
     """
     seed = int(ctx.rng.integers(0, 2**63))
@@ -177,47 +181,21 @@ def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
     return accuracy(spec, params, test)
 
 
-def _lockstep_updates(cfg: FLConfig, t: int, w: np.ndarray) -> dict[int, np.ndarray]:
-    """Round-t updates of the `benign` clients, by position.
+class _Run:
+    """One run's progress between rounds: broadcasts, client states, records."""
 
-    Clients with the same shard size train in one `sgd_train_many` call, each
-    with the seed `benign` would draw from its own stream, so the updates
-    equal the per-client ones bit for bit.  A group that fails validation is
-    left to the per-client path, which names the failing client.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
-        if behavior is benign:
-            groups.setdefault(shard.n_i, []).append(i)
-    updates: dict[int, np.ndarray] = {}
-    for group in groups.values():
-        shards = [cfg.shards[i] for i in group]
-        rngs = [streams.stream(cfg.master_seed, "client", s.client_id, t) for s in shards]
-        seeds = [int(rng.integers(0, 2**63)) for rng in rngs]
-        starts = np.broadcast_to(w, (len(group), w.size))
-        hp = cfg.hp
-        try:
-            trained = sgd_train_many(
-                cfg.spec, starts, [s.data for s in shards],
-                hp.epochs, hp.batch_size, hp.eta_w, seeds,
-            )
-        except ValueError:
-            continue
-        updates.update(zip(group, trained - w))
-    return updates
+    def __init__(self, cfg: FLConfig):
+        self.cfg = cfg
+        self.w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
+        self.w.setflags(write=False)
+        self.w_prev: np.ndarray | None = None
+        self.n = tuple(s.n_i for s in cfg.shards)
+        self.states: list[Any] = [None] * len(cfg.shards)
+        self.records: list[RoundRecord] = []
 
-
-def run_training(cfg: FLConfig) -> TrainingLog:
-    """Run T FedAvg rounds and record every broadcast, update, and aggregate."""
-    w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
-    w.setflags(write=False)
-    w_prev = None
-    records: list[RoundRecord] = []
-    n = tuple(s.n_i for s in cfg.shards)
-    states: list[Any] = [None] * len(cfg.shards)
-
-    for t in range(1, cfg.rounds + 1):
-        lockstep = _lockstep_updates(cfg, t, w)
+    def play_round(self, t: int, lockstep: dict[int, np.ndarray]) -> None:
+        """Round t: the other clients' steps, trimming, aggregation, utility."""
+        cfg, w, n = self.cfg, self.w, self.n
         updates: list[np.ndarray] = []
         diags: list[dict | None] = []
         for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
@@ -225,9 +203,9 @@ def run_training(cfg: FLConfig) -> TrainingLog:
                 u, diag = lockstep[i], None
             else:
                 rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-                ctx = RoundContext(cfg.spec, t, w, w_prev, shard, cfg.hp, rng)
+                ctx = RoundContext(cfg.spec, t, w, self.w_prev, shard, cfg.hp, rng)
                 try:
-                    u, states[i], diag = behavior(ctx, states[i])
+                    u, self.states[i], diag = behavior(ctx, self.states[i])
                     u = np.asarray(u, dtype=np.float64)
                 except Exception as exc:
                     raise FLRunError(t, shard.client_id, exc) from exc
@@ -251,12 +229,71 @@ def run_training(cfg: FLConfig) -> TrainingLog:
         w_next = w + agg
         w_next.setflags(write=False)
         util = utility(cfg.spec, w_next, cfg.test)
-        records.append(
+        self.records.append(
             RoundRecord(t, w, tuple(updates), tuple(diags), n, w_next, util, trim)
         )
-        w_prev, w = w, w_next
+        self.w_prev, self.w = w, w_next
 
-    return TrainingLog(tuple(records), cfg.fingerprint)
+
+def _lockstep_updates(runs: Sequence[_Run], t: int) -> list[dict[int, np.ndarray]]:
+    """Round-t updates of the `benign` clients of each run, by run and then
+    by position.
+
+    Clients of every run that share a model, hyperparameters and shard size
+    train in one `sgd_train_many` call, each row from its own run's w_t and
+    with the seed `benign` would draw from its own stream, so the updates
+    equal the per-client ones bit for bit.  That seed depends only on
+    (master seed, client id, t), so it is drawn once for all runs.  A group
+    that fails validation is left to the per-client path, which names the
+    failing client.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for r, run in enumerate(runs):
+        cfg = run.cfg
+        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
+            if behavior is benign:
+                groups.setdefault((cfg.spec, cfg.hp, shard.n_i), []).append((r, i))
+    seeds: dict[tuple[int, int], int] = {}
+    updates: list[dict[int, np.ndarray]] = [{} for _ in runs]
+    for (spec, hp, _), members in groups.items():
+        shards = [runs[r].cfg.shards[i] for r, i in members]
+        keys = [(runs[r].cfg.master_seed, s.client_id) for (r, _), s in zip(members, shards)]
+        for key in keys:
+            if key not in seeds:
+                rng = streams.stream(key[0], "client", key[1], t)
+                seeds[key] = int(rng.integers(0, 2**63))
+        starts = np.stack([runs[r].w for r, _ in members])
+        try:
+            trained = sgd_train_many(
+                spec, starts, [s.data for s in shards],
+                hp.epochs, hp.batch_size, hp.eta_w, [seeds[k] for k in keys],
+            )
+        except ValueError:
+            continue
+        for (r, i), update in zip(members, trained - starts):
+            updates[r][i] = update
+    return updates
+
+
+def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
+    """Run several configs round by round; each log equals its run alone.
+
+    At round t the `benign` clients of every run that still trains go
+    through `_lockstep_updates` together; every other step, and trimming,
+    aggregation and utility, stay per run, in config order.
+    """
+    runs = [_Run(cfg) for cfg in cfgs]
+    for t in range(1, max((cfg.rounds for cfg in cfgs), default=0) + 1):
+        active = [run for run in runs if t <= run.cfg.rounds]
+        lockstep = _lockstep_updates(active, t)
+        for run, updates in zip(active, lockstep):
+            run.play_round(t, updates)
+    return [TrainingLog(tuple(run.records), run.cfg.fingerprint) for run in runs]
+
+
+def run_training(cfg: FLConfig) -> TrainingLog:
+    """Run T FedAvg rounds and record every broadcast, update, and aggregate."""
+    return run_training_many([cfg])[0]
 
 
 # --- line-delimited persistence -------------------------------------------

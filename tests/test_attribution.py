@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedattr import attribution, models, oracles
+from fedattr import attribution, flcore, models, oracles
 from fedattr.attribution import (
     AttributionReport,
     CoalitionUtility,
@@ -574,6 +574,42 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     last = dataclasses.replace(log.rounds[-1], test_utility_after=2.0)
     shifted = loo_retrain_report(cfg, dataclasses.replace(log, rounds=(*log.rounds[:-1], last)))
     assert shifted.raw == pytest.approx(report.raw + 2.0 - log.final_utility, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_clients", [6, 40])
+def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
+    # about 32 client models per lockstep call: all six N=6 reruns share one
+    # call per round, and at N=40 each rerun trains alone
+    dataset = DatasetSpec("gaussian_blobs", 4, 2, 150, 5.0, 1.0, seed=3)
+    train, test = synthesize(dataset)
+    shards = partition_noniid(train, PartitionSpec(num_clients, 2, 12, seed=4), 4)
+    rounds = 2
+    cfg = FLConfig(
+        spec=ModelSpec("mlp1", input_dim=2, num_classes=4, hidden_dim=3),
+        shards=shards, behaviors=[benign] * num_clients,
+        hp=LocalHP(epochs=1, batch_size=8, eta_w=0.2),
+        rounds=rounds, test=test, master_seed=5,
+    )
+    log = run_training(cfg)
+    sizes = []
+
+    def spy(spec, params, *args):
+        sizes.append(len(params))
+        return models.sgd_train_many(spec, params, *args)
+
+    monkeypatch.setattr(flcore, "sgd_train_many", spy)
+    report = loo_retrain_report(cfg, log)
+    monkeypatch.undo()
+    if num_clients == 6:
+        assert sizes == [6 * 5] * rounds
+    else:
+        assert max(sizes) <= num_clients - 1
+        assert len(sizes) == num_clients * rounds
+    expected = [
+        log.final_utility - run_training(cfg.without_client(s.client_id)).final_utility
+        for s in shards
+    ]
+    assert report.raw.tolist() == expected
 
 
 # --- properties of real round games ------------------------------------------

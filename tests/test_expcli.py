@@ -380,7 +380,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"latent_lr": "nan"}, "latent_lr must be at least -1000 and at most 1000, got nan"),
         ({"latent_lr": "-inf"}, "latent_lr must be at least -1000 and at most 1000, got -inf"),
         ({"synth_batch": -1}, "synth_batch must be at least 0 and finite"),
-        ({"latent_steps": -2}, "latent_steps must be at least 0 and finite"),
+        ({"latent_steps": -2}, "latent_steps must be at least 0 and at most 1000, got -2"),
         (
             {"attack": "random_noise", "sigma_rel": -1},
             "sigma_rel must be at least 0 and at most 1000",
@@ -429,6 +429,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             "mc_permutations must be at least 1 and at most 10000, got 10001",
         ),
         ({"evaluators": "loo_round", "mc_permutations": 0}, "mc_permutations must be at least 1"),
+        ({"evaluators": "loo_round,loo_round"}, "evaluator 'loo_round' is listed twice"),
+        ({"rounds": 1001}, "rounds must be at least 1 and at most 1000, got 1001"),
+        ({"local_epochs": 101}, "local_epochs must be at least 1 and at most 100, got 101"),
+        ({"latent_steps": 1001}, "latent_steps must be at least 0 and at most 1000, got 1001"),
+        ({"input_dim": 1025}, "input_dim must be at least 1 and at most 1024, got 1025"),
+        ({"num_classes": 101}, "num_classes must be at least 2 and at most 100, got 101"),
+        (
+            {"model_kind": "mlp1", "hidden_dim": 1025},
+            "hidden_dim must be at least 0 and at most 1024, got 1025",
+        ),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
@@ -442,7 +452,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "intensity_overflow", "synthetic_rows_cap", "latent_lr_high", "pool_samples",
         "mc_seed", "no_evaluators", "pool_samples_one", "pool_samples_cap",
         "samples_per_class_cap", "num_clients_cap", "latent_dim_cap", "mc_permutations_cap",
-        "mc_permutations_without_fedsv_mc",
+        "mc_permutations_without_fedsv_mc", "duplicate_evaluator", "rounds_cap",
+        "local_epochs_cap", "latent_steps_cap", "input_dim_cap", "num_classes_cap",
+        "hidden_dim_cap",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):

@@ -18,6 +18,7 @@ from fedattr.flcore import (
     benign,
     benign_local_update,
     run_training,
+    run_training_many,
     weighted_aggregate,
 )
 from fedattr.models import ModelSpec
@@ -318,6 +319,77 @@ def test_lockstep_failure_names_the_failing_client():
     shards = shards[:2] + [ClientShard.build(2, bad, spec.num_classes + 1)]
     with pytest.raises(FLRunError, match="label out of range") as err:
         run_training(make_config(spec, shards, test))
+    assert (err.value.round_index, err.value.client_id) == (1, 2)
+
+
+def test_run_training_many_matches_each_run_alone(monkeypatch):
+    # benign clients of different runs share lockstep calls only when model,
+    # hyperparameters and shard size agree; every other step runs per run
+    spec, shards, test = make_scenario(num_clients=5)
+    mlp = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=4)
+    cut = shards[4].data
+    short = models.LabeledBatch(cut.inputs[:25], cut.labels[:25])
+    uneven = [*shards[:4], ClientShard.build(4, short, 3)]
+    latent = latent_attacker(spec, test)
+    noise = partial(attacks.behavior_random_noise, sigma_rel=2.0)
+    slow = LocalHP(epochs=1, batch_size=8, eta_w=0.05)
+    enforce = dict(defense_mode="enforce", trim_tau=0.2)
+    cfgs = [
+        make_config(spec, shards, test, rounds=4, behaviors=[benign] * 2 + [noise] + [benign] * 2),
+        make_config(
+            spec, uneven, test, rounds=3, defense_mode="monitor", trim_tau=0.2,
+            behaviors=[benign, attacks.behavior_label_flip, benign, latent, benign],
+        ),
+        make_config(
+            spec, shards, test, rounds=2, hp=slow,
+            behaviors=[attacks.behavior_free_rider] + [benign] * 4, **enforce,
+        ),
+        make_config(
+            spec, uneven, test, rounds=4, master_seed=3,
+            behaviors=[benign] * 4 + [latent], **enforce,
+        ),
+        make_config(mlp, shards[:4], test, rounds=3, hp=slow),
+        make_config(spec, shards[1:], test, rounds=1),
+    ]
+    sizes = []
+
+    def spy(spec, params, *args):
+        sizes.append(len(params))
+        return models.sgd_train_many(spec, params, *args)
+
+    monkeypatch.setattr(flcore, "sgd_train_many", spy)
+    logs = run_training_many(cfgs)
+    assert max(sizes) > len(shards)  # some call trained clients of several runs
+    monkeypatch.undo()
+    assert len(logs) == len(cfgs)
+    for cfg, log in zip(cfgs, logs):
+        assert_logs_identical(log, run_training(cfg))
+    assert run_training_many([]) == []
+
+
+def test_run_training_many_failure_names_the_run_round_and_client():
+    spec, shards, test = make_scenario()
+
+    def exploding_in_round_2(ctx, state):
+        if ctx.t == 2:
+            raise RuntimeError("boom")
+        return benign(ctx, state)
+
+    cfgs = [
+        make_config(spec, shards, test, rounds=4),
+        make_config(spec, shards[1:], test, behaviors=[benign, exploding_in_round_2]),
+        make_config(spec, shards, test, rounds=1),
+    ]
+    with pytest.raises(FLRunError, match="boom") as err:
+        run_training_many(cfgs)
+    assert (err.value.round_index, err.value.client_id) == (2, 2)
+    # a shard that fails lockstep validation is named even when its group
+    # holds valid clients of other runs
+    data = shards[2].data
+    bad = models.LabeledBatch(data.inputs, np.full(len(data), spec.num_classes))
+    broken = shards[:2] + [ClientShard.build(2, bad, spec.num_classes + 1)]
+    with pytest.raises(FLRunError, match="label out of range") as err:
+        run_training_many([cfgs[0], make_config(spec, broken, test)])
     assert (err.value.round_index, err.value.client_id) == (1, 2)
 
 
