@@ -28,7 +28,6 @@ from .models import (
     concat_batches,
     forward,
     loss_and_grad,
-    sgd_train,
 )
 
 # --- baseline behaviors -----------------------------------------------------
@@ -40,22 +39,17 @@ def flip_labels(shard: ClientShard) -> LabeledBatch:
     return LabeledBatch(shard.data.inputs, (shard.data.labels + 1) % c)
 
 
-def behavior_label_flip(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
-    seed = int(ctx.rng.integers(0, 2**63))
-    hp, w_t = ctx.hp, ctx.w_t
-    trained = sgd_train(
-        ctx.spec, w_t, flip_labels(ctx.shard), hp.epochs, hp.batch_size, hp.eta_w, seed
-    )
-    return trained - w_t, state, None
+def behavior_label_flip(ctx: RoundContext, state: Any):
+    """Trains on its shard with every label shifted by one."""
+    update = yield flip_labels(ctx.shard)
+    return update, state, None
 
 
-def behavior_random_noise(
-    ctx: RoundContext, state: Any, sigma_rel: float
-) -> tuple[np.ndarray, Any, None]:
+def behavior_random_noise(ctx: RoundContext, state: Any, sigma_rel: float):
     """Benign update plus Gaussian noise with total std sigma_rel * ||update||."""
     if sigma_rel < 0:
         raise ValueError("sigma_rel must be non-negative")
-    u, state, _ = benign(ctx, state)
+    u, state, _ = yield from benign(ctx, state)
     if sigma_rel == 0.0:
         return u, state, None
     dim = u.size
@@ -70,9 +64,9 @@ def behavior_free_rider(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any,
     return ctx.w_t - ctx.w_prev, state, None
 
 
-def behavior_direct_ref(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
+def behavior_direct_ref(ctx: RoundContext, state: Any):
     """Benign-norm update rotated onto the observable global descent direction."""
-    u, state, _ = benign(ctx, state)
+    u, state, _ = yield from benign(ctx, state)
     if ctx.w_prev is None:
         return u, state, None
     ref = ctx.w_t - ctx.w_prev
@@ -322,22 +316,22 @@ def behavior_latent_opt(
     latent_steps: int,
     synth_batch: int,
     eta_z: float,
-) -> tuple[np.ndarray, np.ndarray | None, dict]:
+):
     """One round of the latent-optimization attack; its state is the
     (synth_batch, dec.latent_dim) latent matrix.
 
     Warm-starts the latent matrix (fresh Gaussian at the start of a run),
     refines it against the observable global step w_t - w_{t-1} with labels
-    re-selected each refinement step, trains on the real shard mixed with
-    the decoded batch, clips the update norm to kappa, and keeps the latent
-    for the next round.  With synth_batch == 0 the behavior short-circuits
+    re-selected each refinement step, yields the real shard mixed with the
+    decoded batch for training, clips the update norm to kappa, and keeps
+    the latent for the next round.  With synth_batch == 0 the behavior short-circuits
     to a plain benign update, so intensity 0 is a benign client exactly.
     """
     if synth_batch == 0:
-        update, z, _ = benign(ctx, z)
+        update, z, _ = yield from benign(ctx, z)
         return update, z, {"effective_alpha": 0.0, "clipped": False}
 
-    spec, w_t, shard, hp, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.hp, ctx.rng
+    spec, w_t, shard, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.rng
     num_classes = len(shard.class_counts)
     if z is None:
         z = rng.standard_normal((synth_batch, dec.latent_dim))
@@ -351,11 +345,7 @@ def behavior_latent_opt(
     if labels is None:
         labels = select_targets(shard, num_classes, synth_batch, rng)
 
-    synthetic = decode(dec, z, labels)
-    combined = concat_batches(shard.data, synthetic)
-    seed = int(rng.integers(0, 2**63))
-    trained = sgd_train(spec, w_t, combined, hp.epochs, hp.batch_size, hp.eta_w, seed)
-    update = trained - w_t
+    update = yield concat_batches(shard.data, decode(dec, z, labels))
 
     clipped = False
     norm = float(np.linalg.norm(update))

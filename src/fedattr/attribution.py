@@ -317,19 +317,19 @@ def loo_round(
     return evaluate_log(log, spec, test, ["loo_round"])["loo_round"]
 
 
-def loo_retrain_report(cfg: FLConfig, log: TrainingLog) -> AttributionReport:
-    """Utility drop from rerunning the whole training without each client;
-    `log` is `run_training(cfg)`, which the full-coalition utility is read
-    from instead of training it again.  The reruns train in lockstep, in
-    groups of about `_RERUN_MODELS` client models, and only each rerun's
-    final utility outlives its group."""
+def loo_retrain_report(cfg: FLConfig) -> tuple[TrainingLog, AttributionReport]:
+    """`run_training(cfg)` and the utility drop from rerunning the whole
+    training without each client.  The reruns train in lockstep, in groups
+    of about `_RERUN_MODELS` client models, the first group alongside cfg's
+    own run, and only each rerun's final utility outlives its group."""
     reruns = [cfg.without_client(s.client_id) for s in cfg.shards]
     per_group = max(1, _RERUN_MODELS // max(1, len(cfg.shards) - 1))
-    raw = []
-    for start in range(0, len(reruns), per_group):
-        retrained = run_training_many(reruns[start : start + per_group])
-        raw += [log.final_utility - run.final_utility for run in retrained]
-    return AttributionReport.from_raw("loo_retrain", np.array(raw))
+    groups = [reruns[k : k + per_group] for k in range(0, len(reruns), per_group)]
+    log, *first = run_training_many([cfg, *groups[0]])
+    raw = [log.final_utility - run.final_utility for run in first]
+    for group in groups[1:]:
+        raw += [log.final_utility - run.final_utility for run in run_training_many(group)]
+    return log, AttributionReport.from_raw("loo_retrain", np.array(raw))
 
 
 def write_report_csv(

@@ -61,6 +61,11 @@ _BOUNDS = {
 # The latent attacker decodes at most this many rows per sample of its shard;
 # the default intensity x synth_batch (32 rows) fits any shard.
 SYNTH_ROWS_PER_SAMPLE = 32
+# Float64 values one run may hold: synthesized inputs (rows x input_dim, for
+# the dataset and the latent attacker's decoder pool; 128 MiB) and one
+# training log's updates (rounds x clients x parameters; 512 MiB).
+MAX_INPUT_VALUES = 1 << 24
+MAX_LOGGED_VALUES = 1 << 26
 
 
 class ConfigError(ValueError):
@@ -157,6 +162,19 @@ class ExperimentConfig:
             demand = int(cycle_demand(self.partition_spec(0), self.num_classes).max())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        pool = self.pool_samples_per_class if self.attack == "latent_opt" else 0
+        rows = max(self.samples_per_class, pool) * self.num_classes
+        if rows * self.input_dim > MAX_INPUT_VALUES:
+            raise ConfigError(
+                f"{rows} synthesized rows x input_dim {self.input_dim} exceed the cap of "
+                f"{MAX_INPUT_VALUES} input values"
+            )
+        params = self.model_spec().param_count
+        if self.rounds * self.num_clients * params > MAX_LOGGED_VALUES:
+            raise ConfigError(
+                f"{self.rounds} rounds x {self.num_clients} clients x {params} parameters "
+                f"exceed the cap of {MAX_LOGGED_VALUES} logged update values"
+            )
         available = train_rows_per_class(self.samples_per_class)
         if demand > available:
             raise ConfigError(

@@ -138,29 +138,29 @@ def _make_attack_behavior(cfg: ExperimentConfig, kappa: float) -> flcore.Behavio
     }[cfg.attack]
 
 
-def _evaluate(
-    cfg: ExperimentConfig, flcfg: flcore.FLConfig, log: flcore.TrainingLog
-) -> dict[str, attribution.AttributionReport]:
-    """Every configured evaluator's report on one phase, in config order."""
+def _train_and_evaluate(
+    cfg: ExperimentConfig, flcfg: flcore.FLConfig
+) -> tuple[flcore.TrainingLog, dict[str, attribution.AttributionReport]]:
+    """One phase's log and every configured evaluator's report on it, in
+    config order.  Under loo_retrain the phase trains with its reruns."""
+    if "loo_retrain" in cfg.evaluator_list:
+        log, retrain = attribution.loo_retrain_report(flcfg)
+    else:
+        log, retrain = flcore.run_training(flcfg), None
     logged = [name for name in cfg.evaluator_list if name in attribution.LOGGED_EVALUATORS]
     reports = attribution.evaluate_log(
         log, flcfg.spec, flcfg.test, logged,
         num_permutations=cfg.mc_permutations, seed=cfg.mc_seed,
     )
-    if "loo_retrain" in cfg.evaluator_list:
-        reports["loo_retrain"] = attribution.loo_retrain_report(flcfg, log)
-    return {name: reports[name] for name in cfg.evaluator_list}
+    reports["loo_retrain"] = retrain  # read only when configured
+    return log, {name: reports[name] for name in cfg.evaluator_list}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> ExperimentReport:
     """Attack-free run, target selection, attacked run, evaluation, verdicts."""
     free_cfg = build_scenario(cfg)
-    free_log = flcore.run_training(free_cfg)
-
-    evaluations = {
-        name: {"attack_free": report}
-        for name, report in _evaluate(cfg, free_cfg, free_log).items()
-    }
+    free_log, free_reports = _train_and_evaluate(cfg, free_cfg)
+    evaluations = {name: {"attack_free": report} for name, report in free_reports.items()}
 
     primary = cfg.evaluator_list[0]
     malicious_id = select_malicious(
@@ -177,9 +177,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
             for shard in free_cfg.shards
         ],
     )
-    attacked_log = flcore.run_training(attacked_cfg)
-
-    for name, report in _evaluate(cfg, attacked_cfg, attacked_log).items():
+    attacked_log, attacked_reports = _train_and_evaluate(cfg, attacked_cfg)
+    for name, report in attacked_reports.items():
         evaluations[name]["attacked"] = report
 
     flags = 0

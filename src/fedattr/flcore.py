@@ -2,12 +2,14 @@
 
 A client behavior is one pure step `(ctx, state) -> (update, state, diag)`:
 it sees only the current and previous broadcasts, its own shard, and its
-own RNG stream, and its state lives for one run, starting from None.  Every
-round is recorded, with each client's diagnostics, so evaluators and
-defenses can replay the run without touching training.
+own RNG stream, and its state lives for one run, starting from None.  A step
+that trains is a generator whose `update = yield batch` has the runner train
+`batch` from `ctx.w_t` with `ctx.hp` and a seed drawn from `ctx.rng` at the
+yield.  Every round is recorded, with each client's diagnostics, so
+evaluators and defenses can replay the run without touching training.
 
-`run_training_many` advances several runs round by round, so the `benign`
-clients of all of them train in shared lockstep calls; each run's log is
+`run_training_many` advances several runs round by round, so the training
+sets of all their clients train in shared lockstep calls; each run's log is
 bit for bit the one `run_training` gives it alone.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import base64
 import json
+from collections.abc import Generator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -26,6 +30,7 @@ from .defense import TrimDecision, trim_round
 from .models import (
     LabeledBatch,
     ModelSpec,
+    _check_batch,
     accuracy,
     init_params,
     params_from_bytes,
@@ -59,10 +64,11 @@ class RoundContext:
     rng: np.random.Generator
 
 
-# (ctx, state) -> (update, state, diag); state is None at the start of a run.
+# (ctx, state) -> (update, state, diag), or a generator that yields training
+# sets and returns that triple; state is None at the start of a run.
 # RoundContext is named by string: typing caches subscripted aliases, and a
 # cached class would keep each re-imported copy of this module alive.
-Behavior = Callable[["RoundContext", Any], tuple[np.ndarray, Any, dict | None]]
+Behavior = Callable[["RoundContext", Any], Any]
 
 
 @dataclass(frozen=True)
@@ -151,34 +157,40 @@ def weighted_aggregate(
     return agg
 
 
-def benign_local_update(
-    spec: ModelSpec,
-    w_t: np.ndarray,
-    shard: ClientShard,
-    hp: LocalHP,
-    seed: int,
-) -> np.ndarray:
-    """Local SGD on the client's own shard; returns trained params minus w_t."""
-    trained = sgd_train(
-        spec, w_t, shard.data, hp.epochs, hp.batch_size, hp.eta_w, seed
-    )
-    return trained - w_t
-
-
-def benign(ctx: RoundContext, state: Any) -> tuple[np.ndarray, Any, None]:
-    """Standard client: trains on its shard, reports the weight delta.
-
-    `run_training_many` trains all of a round's `benign` clients in lockstep
-    instead of calling them one by one; the updates are the same.
-    """
-    seed = int(ctx.rng.integers(0, 2**63))
-    update = benign_local_update(ctx.spec, ctx.w_t, ctx.shard, ctx.hp, seed)
+def benign(ctx: RoundContext, state: Any):
+    """Standard client: trains on its shard, reports the weight delta."""
+    update = yield ctx.shard.data
     return update, state, None
 
 
 def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
     """Global utility metric: held-out test accuracy."""
     return accuracy(spec, params, test)
+
+
+def run_step(behavior: Behavior, ctx: RoundContext, state: Any = None):
+    """One client step on its own: each training set it yields is trained by
+    `sgd_train` with the seed the runner would draw, so the result is the
+    step's (update, state, diag) inside a run, bit for bit."""
+    step, update = behavior(ctx, state), None
+    while isinstance(step, Generator):
+        try:
+            batch = step.send(update)
+        except StopIteration as done:
+            return done.value
+        hp, seed = ctx.hp, int(ctx.rng.integers(0, 2**63))
+        trained = sgd_train(ctx.spec, ctx.w_t, batch, hp.epochs, hp.batch_size, hp.eta_w, seed)
+        update = trained - ctx.w_t
+    return step
+
+
+@contextmanager
+def _blame(ctx: RoundContext):
+    """Re-raise a failure as an FLRunError naming ctx's round and client."""
+    try:
+        yield
+    except Exception as exc:
+        raise FLRunError(ctx.t, ctx.shard.client_id, exc) from exc
 
 
 class _Run:
@@ -191,31 +203,22 @@ class _Run:
         self.w_prev: np.ndarray | None = None
         self.n = tuple(s.n_i for s in cfg.shards)
         self.states: list[Any] = [None] * len(cfg.shards)
+        # this round's (update, diag) per client; every step finishes each round
+        self.steps: list[tuple | None] = [None] * len(cfg.shards)
         self.records: list[RoundRecord] = []
 
-    def play_round(self, t: int, lockstep: dict[int, np.ndarray]) -> None:
-        """Round t: the other clients' steps, trimming, aggregation, utility."""
-        cfg, w, n = self.cfg, self.w, self.n
-        updates: list[np.ndarray] = []
-        diags: list[dict | None] = []
-        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
-            if i in lockstep:
-                u, diag = lockstep[i], None
-            else:
-                rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-                ctx = RoundContext(cfg.spec, t, w, self.w_prev, shard, cfg.hp, rng)
-                try:
-                    u, self.states[i], diag = behavior(ctx, self.states[i])
-                    u = np.asarray(u, dtype=np.float64)
-                except Exception as exc:
-                    raise FLRunError(t, shard.client_id, exc) from exc
-            if u.shape != w.shape or not np.all(np.isfinite(u)):
-                raise FLRunError(
-                    t, shard.client_id, ValueError("bad update shape or non-finite")
-                )
-            updates.append(u)
-            diags.append(diag)
+    def finish_step(self, i: int, result) -> None:
+        """Client i's returned (update, state, diag), checked."""
+        u, self.states[i], diag = result
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != self.w.shape or not np.all(np.isfinite(u)):
+            raise ValueError("bad update shape or non-finite")
+        self.steps[i] = (u, diag)
 
+    def close_round(self, t: int) -> None:
+        """Round t after its client steps: trimming, aggregation, utility."""
+        cfg, w, n = self.cfg, self.w, self.n
+        updates, diags = zip(*self.steps)
         trim = None
         kept_idx = list(range(len(updates)))
         if cfg.defense_mode != "off":
@@ -229,65 +232,66 @@ class _Run:
         w_next = w + agg
         w_next.setflags(write=False)
         util = utility(cfg.spec, w_next, cfg.test)
-        self.records.append(
-            RoundRecord(t, w, tuple(updates), tuple(diags), n, w_next, util, trim)
-        )
+        self.records.append(RoundRecord(t, w, updates, diags, n, w_next, util, trim))
         self.w_prev, self.w = w, w_next
 
 
-def _lockstep_updates(runs: Sequence[_Run], t: int) -> list[dict[int, np.ndarray]]:
-    """Round-t updates of the `benign` clients of each run, by run and then
-    by position.
-
-    Clients of every run that share a model, hyperparameters and shard size
-    train in one `sgd_train_many` call, each row from its own run's w_t and
-    with the seed `benign` would draw from its own stream, so the updates
-    equal the per-client ones bit for bit.  That seed depends only on
-    (master seed, client id, t), so it is drawn once for all runs.  A group
-    that fails validation is left to the per-client path, which names the
-    failing client.
-    """
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for r, run in enumerate(runs):
+def _play_round(runs: Sequence[_Run], t: int) -> None:
+    """Round t of every run.  Steps start in run and client order; the
+    training sets they yield are checked, grouped across runs by model,
+    hyperparameters and size, trained in one `sgd_train_many` call per group
+    (each row from its own run's w_t, with the seed its own stream gives at
+    the yield) and sent back, until every step has returned.  Rows equal
+    training alone bit for bit, so each log is its run's alone."""
+    pending = []  # (run, client index, ctx, step) of each unfinished step
+    for run in runs:
         cfg = run.cfg
         for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
-            if behavior is benign:
-                groups.setdefault((cfg.spec, cfg.hp, shard.n_i), []).append((r, i))
-    seeds: dict[tuple[int, int], int] = {}
-    updates: list[dict[int, np.ndarray]] = [{} for _ in runs]
-    for (spec, hp, _), members in groups.items():
-        shards = [runs[r].cfg.shards[i] for r, i in members]
-        keys = [(runs[r].cfg.master_seed, s.client_id) for (r, _), s in zip(members, shards)]
-        for key in keys:
-            if key not in seeds:
-                rng = streams.stream(key[0], "client", key[1], t)
-                seeds[key] = int(rng.integers(0, 2**63))
-        starts = np.stack([runs[r].w for r, _ in members])
-        try:
-            trained = sgd_train_many(
-                spec, starts, [s.data for s in shards],
-                hp.epochs, hp.batch_size, hp.eta_w, [seeds[k] for k in keys],
-            )
-        except ValueError:
-            continue
-        for (r, i), update in zip(members, trained - starts):
-            updates[r][i] = update
-    return updates
+            rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
+            ctx = RoundContext(cfg.spec, t, run.w, run.w_prev, shard, cfg.hp, rng)
+            with _blame(ctx):
+                step = behavior(ctx, run.states[i])
+                if not isinstance(step, Generator):
+                    run.finish_step(i, step)
+                    continue
+            pending.append((run, i, ctx, step))
+    sent = [None] * len(pending)
+    while pending:
+        groups: dict[tuple, list[tuple]] = {}
+        waiting = []
+        for (run, i, ctx, step), update in zip(pending, sent):
+            with _blame(ctx):
+                try:
+                    batch = step.send(update)
+                except StopIteration as done:
+                    run.finish_step(i, done.value)
+                    continue
+                _check_batch(ctx.spec, batch)
+                seed = int(ctx.rng.integers(0, 2**63))
+            key = (ctx.spec, ctx.hp, len(batch))
+            groups.setdefault(key, []).append((len(waiting), ctx, batch, seed))
+            waiting.append((run, i, ctx, step))
+        sent = [None] * len(waiting)
+        for (spec, hp, _), members in groups.items():
+            rows, ctxs, batches, seeds = zip(*members)
+            starts = np.stack([ctx.w_t for ctx in ctxs])
+            with _blame(ctxs[0]):
+                trained = sgd_train_many(
+                    spec, starts, batches, hp.epochs, hp.batch_size, hp.eta_w, seeds
+                )
+            for k, ctx, params in zip(rows, ctxs, trained):
+                sent[k] = params - ctx.w_t
+        pending = waiting
+    for run in runs:
+        run.close_round(t)
 
 
 def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
-    """Run several configs round by round; each log equals its run alone.
-
-    At round t the `benign` clients of every run that still trains go
-    through `_lockstep_updates` together; every other step, and trimming,
-    aggregation and utility, stay per run, in config order.
-    """
+    """Run several configs round by round, each log equal to its run alone;
+    `_play_round` trains the clients of all of them in shared lockstep calls."""
     runs = [_Run(cfg) for cfg in cfgs]
     for t in range(1, max((cfg.rounds for cfg in cfgs), default=0) + 1):
-        active = [run for run in runs if t <= run.cfg.rounds]
-        lockstep = _lockstep_updates(active, t)
-        for run, updates in zip(active, lockstep):
-            run.play_round(t, updates)
+        _play_round([run for run in runs if t <= run.cfg.rounds], t)
     return [TrainingLog(tuple(run.records), run.cfg.fingerprint) for run in runs]
 
 

@@ -162,6 +162,8 @@ def loss_and_grad(
 def _check_batch(spec: ModelSpec, batch: LabeledBatch) -> None:
     if len(batch) == 0:
         raise ValueError("batch is empty")
+    if batch.inputs.shape[1] != spec.input_dim:
+        raise ValueError(f"inputs have {batch.inputs.shape[1]} columns, expected {spec.input_dim}")
     if batch.labels.max() >= spec.num_classes:
         raise ValueError("label out of range for num_classes")
 

@@ -8,6 +8,7 @@ adding or removing clients never perturbs the streams of the remaining ones.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,9 +21,13 @@ def stream(master_seed: int, role: str, *indices: int) -> np.random.Generator:
         raise ValueError("master_seed must be non-negative")
     if any(i < 0 for i in indices):
         raise ValueError("stream indices must be non-negative")
-    tag = zlib.crc32(role.encode("utf-8"))
-    seq = np.random.SeedSequence([master_seed, tag, *indices])
-    return np.random.default_rng(seq)
+    return np.random.default_rng(_sequence(master_seed, role, *indices))
+
+
+@lru_cache(maxsize=128)
+def _sequence(master_seed: int, role: str, *indices: int) -> np.random.SeedSequence:
+    """Cached: a lockstep round's runs reopen its <= 100 client streams.  Never spawn from it."""
+    return np.random.SeedSequence([master_seed, zlib.crc32(role.encode("utf-8")), *indices])
 
 
 def child_seed(master_seed: int, role: str, *indices: int) -> int:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from fedattr import attacks, models, oracles
+from fedattr import attacks, flcore, models, oracles, streams
 from fedattr.attacks import (
     behavior_direct_ref,
     behavior_free_rider,
@@ -23,7 +25,7 @@ from fedattr.attacks import (
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.expcli.config import ExperimentConfig
 from fedattr.expcli.experiment import run_experiment
-from fedattr.flcore import LocalHP, RoundContext, benign_local_update
+from fedattr.flcore import LocalHP, RoundContext, run_step
 from fedattr.models import LabeledBatch, ModelSpec
 
 
@@ -55,6 +57,11 @@ def ctx_for(scenario, w, rng, w_prev=None, hp=LocalHP()):
     return RoundContext(spec, t, w, w_prev, shards[0], hp, rng)
 
 
+def benign_update(scenario, w, rng, w_prev=None, hp=LocalHP()):
+    """Client 0's `benign` update for the same context, trained alone."""
+    return run_step(flcore.benign, ctx_for(scenario, w, rng, w_prev, hp))[0]
+
+
 # --- baselines ---------------------------------------------------------------
 
 
@@ -75,23 +82,19 @@ def test_label_flip_update_differs_from_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    flip, state, diag = behavior_label_flip(ctx_for(scenario, w, rng_for(3)), None)
+    flip, state, diag = run_step(behavior_label_flip, ctx_for(scenario, w, rng_for(3), hp=hp))
     assert state is None and diag is None
-    benign = benign_local_update(spec, w, shards[0], hp, seed=int(rng_for(3).integers(0, 2**63)))
-    assert not np.allclose(flip, benign)
+    assert not np.allclose(flip, benign_update(scenario, w, rng_for(3), hp=hp))
 
 
 def test_random_noise_zero_sigma_is_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    noisy, _, _ = behavior_random_noise(
-        ctx_for(scenario, w, rng_for(3), hp=hp), None, sigma_rel=0.0
+    noisy, _, _ = run_step(
+        partial(behavior_random_noise, sigma_rel=0.0), ctx_for(scenario, w, rng_for(3), hp=hp)
     )
-    benign = benign_local_update(
-        spec, w, shards[0], hp, seed=int(rng_for(3).integers(0, 2**63))
-    )
-    assert np.array_equal(noisy, benign)
+    assert np.array_equal(noisy, benign_update(scenario, w, rng_for(3), hp=hp))
 
 
 def test_random_noise_norm_calibration(scenario):
@@ -101,14 +104,10 @@ def test_random_noise_norm_calibration(scenario):
     hp = LocalHP()
     sigma_rel = 1.5
     ratios = []
+    noise = partial(behavior_random_noise, sigma_rel=sigma_rel)
     for trial in range(1000):
-        replay = rng_for(trial)
-        benign = benign_local_update(
-            spec, w, shards[0], hp, seed=int(replay.integers(0, 2**63))
-        )
-        noisy, _, _ = behavior_random_noise(
-            ctx_for(scenario, w, rng_for(trial), hp=hp), None, sigma_rel=sigma_rel
-        )
+        benign = benign_update(scenario, w, rng_for(trial), hp=hp)
+        noisy, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(trial), hp=hp))
         noise_sq = float(np.linalg.norm(noisy - benign) ** 2)
         ratios.append(noise_sq / float(np.linalg.norm(benign) ** 2))
     assert np.mean(ratios) == pytest.approx(sigma_rel**2, rel=0.1)
@@ -117,8 +116,9 @@ def test_random_noise_norm_calibration(scenario):
 def test_random_noise_deterministic_per_seed(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
-    a, _, _ = behavior_random_noise(ctx_for(scenario, w, rng_for(5)), None, 0.5)
-    b, _, _ = behavior_random_noise(ctx_for(scenario, w, rng_for(5)), None, 0.5)
+    noise = partial(behavior_random_noise, sigma_rel=0.5)
+    a, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(5)))
+    b, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(5)))
     assert np.array_equal(a, b)
 
 
@@ -126,7 +126,7 @@ def test_free_rider_edge_cases():
     def free_ride(w, w_prev):
         t = 1 if w_prev is None else 2
         ctx = RoundContext(None, t, w, w_prev, None, LocalHP(), None)
-        return behavior_free_rider(ctx, None)[0]
+        return run_step(behavior_free_rider, ctx)[0]
 
     w1 = np.array([1.0, 2.0])
     assert np.array_equal(free_ride(w1, None), np.zeros(2))
@@ -140,20 +140,84 @@ def test_direct_ref_properties(scenario):
     spec, shards, _, _ = scenario
     w_prev = models.init_params(spec, 1)
     w = w_prev + 0.1 * rng_for(2).normal(size=spec.param_count)
-    hp = LocalHP()
-    u = benign_local_update(
-        spec, w, shards[0], hp, seed=int(rng_for(4).integers(0, 2**63))
-    )
-    out, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), w_prev), None)
+    u = benign_update(scenario, w, rng_for(4))
+    out, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4), w_prev))
     ref = w - w_prev
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(u), abs=1e-12)
     cos = out @ ref / (np.linalg.norm(out) * np.linalg.norm(ref))
     assert cos == pytest.approx(1.0, abs=1e-12)
     # first round or zero reference: fall back to the benign update
-    first, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4)), None)
+    first, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4)))
     assert np.array_equal(first, u)
-    stuck, _, _ = behavior_direct_ref(ctx_for(scenario, w, rng_for(4), w), None)
+    stuck, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4), w))
     assert np.array_equal(stuck, u)
+
+
+# --- training steps: oracle and lockstep ----------------------------------------
+
+TRAINING_STEPS = ("label_flip", "random_noise", "direct_ref", "latent_opt")
+
+
+def training_step(name, dec):
+    return {
+        "label_flip": behavior_label_flip,
+        "random_noise": partial(behavior_random_noise, sigma_rel=1.5),
+        "direct_ref": behavior_direct_ref,
+        "latent_opt": partial(behavior_latent_opt, dec=dec, kappa=math.inf, **LATENT),
+    }[name]
+
+
+@pytest.mark.parametrize("name", TRAINING_STEPS)
+@pytest.mark.parametrize("first_round", [True, False])
+def test_training_step_update_matches_the_sgd_oracle(scenario, name, first_round):
+    # the step's update, with its yielded training set trained by the
+    # per-sample oracle instead of the runner, agrees to 1e-12 relative
+    spec, shards, _, dec = scenario
+    w_prev = models.init_params(spec, 1)
+    w = w_prev + 0.1 * rng_for(2).normal(size=spec.param_count)
+    w_prev = None if first_round else w_prev
+    step = training_step(name, dec)
+    ctx = ctx_for(scenario, w, rng_for(7), w_prev)
+    running = step(ctx, None)
+    batch = next(running)
+    data = shards[0].data
+    if name == "label_flip":
+        assert np.array_equal(batch.labels, flip_labels(shards[0]).labels)
+    elif name == "latent_opt":
+        assert len(batch) == len(data) + LATENT["synth_batch"]
+        assert np.array_equal(batch.inputs[: len(data)], data.inputs)
+    else:
+        assert batch is data
+    hp, seed = ctx.hp, int(ctx.rng.integers(0, 2**63))  # the runner's draw
+    trained = oracles.sgd_train(spec, w, batch, hp.epochs, hp.batch_size, hp.eta_w, seed)
+    with pytest.raises(StopIteration) as done:
+        running.send(trained - w)
+    expected = done.value.value[0]
+    update = run_step(step, ctx_for(scenario, w, rng_for(7), w_prev))[0]
+    assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", TRAINING_STEPS)
+def test_training_step_is_bit_identical_alone_and_in_lockstep(scenario, name):
+    # inside run_training_many the step's training set shares lockstep calls
+    # with other clients and runs; driven alone through `run_step` (one
+    # `sgd_train` per round) it gives the same update, diag and state chain
+    spec, shards, test, dec = scenario
+    step = training_step(name, dec)
+    cfg = flcore.FLConfig(
+        spec=spec, shards=shards, behaviors=[step, flcore.benign, flcore.benign],
+        hp=LocalHP(), rounds=3, test=test, master_seed=4,
+    )
+    other = dataclasses.replace(cfg, behaviors=[step] * 3, master_seed=5)
+    log = flcore.run_training_many([other, cfg, cfg.without_client(1)])[1]
+    state, w_prev = None, None
+    for rec in log.rounds:
+        rng = streams.stream(cfg.master_seed, "client", shards[0].client_id, rec.t)
+        ctx = RoundContext(spec, rec.t, rec.w_t, w_prev, shards[0], cfg.hp, rng)
+        update, state, diag = run_step(step, ctx, state)
+        assert update.tobytes() == rec.updates[0].tobytes()
+        assert diag == rec.diags[0]
+        w_prev = rec.w_t
 
 
 # --- decoder -----------------------------------------------------------------
@@ -422,17 +486,15 @@ def test_attack_state_validation(scenario):
 def latent_call(scenario, z, t, w, w_prev, rng, kappa=math.inf, **hyper):
     spec, shards, _, dec = scenario
     ctx = RoundContext(spec, t, w, w_prev, shards[0], LocalHP(), rng)
-    return behavior_latent_opt(ctx, z, dec=dec, kappa=kappa, **{**LATENT, **hyper})
+    step = partial(behavior_latent_opt, dec=dec, kappa=kappa, **{**LATENT, **hyper})
+    return run_step(step, ctx, z)
 
 
 def test_latent_zero_intensity_equals_benign(scenario):
     spec, shards, _, dec = scenario
     w = models.init_params(spec, 0)
     update, state, diag = latent_call(scenario, None, 1, w, None, rng_for(42), synth_batch=0)
-    benign = benign_local_update(
-        spec, w, shards[0], LocalHP(), seed=int(rng_for(42).integers(0, 2**63))
-    )
-    assert np.array_equal(update, benign)
+    assert np.array_equal(update, benign_update(scenario, w, rng_for(42)))
     assert state is None
     assert diag["effective_alpha"] == 0.0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -536,7 +535,7 @@ def test_loo_retrain_duplicate_and_symmetry():
         spec=spec, shards=shards, behaviors=[benign] * 2,
         hp=cfg.hp, rounds=2, test=test, master_seed=2,
     )
-    v0, v1 = loo_retrain_report(pair_cfg, run_training(pair_cfg)).raw
+    v0, v1 = loo_retrain_report(pair_cfg)[1].raw
     # removing either of two duplicate-data clients costs about the same
     assert abs(v0 - v1) <= 0.02
 
@@ -557,29 +556,28 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     # logit wins where every trained logit is negative), so only the class
     # this fixture shows to be unrecoverable carries a positive value:
     # dropping client 1 (sole holder of class 0) costs a third of accuracy.
-    log = run_training(cfg)
-    report = loo_retrain_report(cfg, log)
+    log, report = loo_retrain_report(cfg)
     assert report.raw[1] == pytest.approx(1 / 3, abs=0.05)
     assert np.all(report.raw >= 0)
     assert report.evaluator == "loo_retrain"
-    # the report reuses the trained log; each value is still exactly the
-    # full-retrain difference
+    # cfg's own run trains alongside the reruns, and its log is the one
+    # run_training gives; each value is exactly the full-retrain difference
+    alone = run_training(cfg)
+    assert [rec.w_next.tobytes() for rec in log.rounds] == [
+        rec.w_next.tobytes() for rec in alone.rounds
+    ]
     retrained = [
-        run_training(cfg).final_utility
-        - run_training(cfg.without_client(s.client_id)).final_utility
+        alone.final_utility - run_training(cfg.without_client(s.client_id)).final_utility
         for s in shards
     ]
     assert retrained == report.raw.tolist()
-    # and the full-coalition utility comes from the given log, not a rerun
-    last = dataclasses.replace(log.rounds[-1], test_utility_after=2.0)
-    shifted = loo_retrain_report(cfg, dataclasses.replace(log, rounds=(*log.rounds[:-1], last)))
-    assert shifted.raw == pytest.approx(report.raw + 2.0 - log.final_utility, abs=1e-12)
 
 
 @pytest.mark.parametrize("num_clients", [6, 40])
 def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
-    # about 32 client models per lockstep call: all six N=6 reruns share one
-    # call per round, and at N=40 each rerun trains alone
+    # about 32 client models per lockstep call, plus the own run in the first
+    # group: all six N=6 reruns share one call per round with it, and at N=40
+    # the own run trains with the first rerun and each other rerun alone
     dataset = DatasetSpec("gaussian_blobs", 4, 2, 150, 5.0, 1.0, seed=3)
     train, test = synthesize(dataset)
     shards = partition_noniid(train, PartitionSpec(num_clients, 2, 12, seed=4), 4)
@@ -590,7 +588,6 @@ def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
         hp=LocalHP(epochs=1, batch_size=8, eta_w=0.2),
         rounds=rounds, test=test, master_seed=5,
     )
-    log = run_training(cfg)
     sizes = []
 
     def spy(spec, params, *args):
@@ -598,13 +595,14 @@ def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
         return models.sgd_train_many(spec, params, *args)
 
     monkeypatch.setattr(flcore, "sgd_train_many", spy)
-    report = loo_retrain_report(cfg, log)
+    log, report = loo_retrain_report(cfg)
     monkeypatch.undo()
+    assert log.final_utility == run_training(cfg).final_utility
     if num_clients == 6:
-        assert sizes == [6 * 5] * rounds
+        assert sizes == [6 + 6 * 5] * rounds
     else:
-        assert max(sizes) <= num_clients - 1
-        assert len(sizes) == num_clients * rounds
+        first = num_clients + num_clients - 1
+        assert sizes == [first] * rounds + [num_clients - 1] * (num_clients - 1) * rounds
     expected = [
         log.final_utility - run_training(cfg.without_client(s.client_id)).final_utility
         for s in shards

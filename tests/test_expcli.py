@@ -1,14 +1,15 @@
 import csv
+import itertools
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fedattr import data
+from fedattr import data, flcore, models
 from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import (
@@ -23,6 +24,8 @@ from fedattr.expcli.config import (
     parse_config,
 )
 from fedattr.expcli.experiment import (
+    _make_attack_behavior,
+    build_scenario,
     report_payload,
     run_experiment,
     select_malicious,
@@ -439,6 +442,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             {"model_kind": "mlp1", "hidden_dim": 1025},
             "hidden_dim must be at least 0 and at most 1024, got 1025",
         ),
+        (
+            {"samples_per_class": 100_000, "num_classes": 100, "input_dim": 1024},
+            "10000000 synthesized rows x input_dim 1024 exceed the cap of 16777216",
+        ),
+        (
+            {"attack": "latent_opt", "pool_samples_per_class": 100_000, "input_dim": 42},
+            "400000 synthesized rows x input_dim 42 exceed the cap of 16777216",
+        ),
+        (
+            {
+                "model_kind": "mlp1", "hidden_dim": 1024, "input_dim": 1024,
+                "num_classes": 100, "num_clients": 100, "rounds": 1000,
+                "evaluators": "loo_round", "samples_per_client": 10,
+            },
+            "1000 rounds x 100 clients x 1152100 parameters exceed the cap of 67108864",
+        ),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
@@ -454,7 +473,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "samples_per_class_cap", "num_clients_cap", "latent_dim_cap", "mc_permutations_cap",
         "mc_permutations_without_fedsv_mc", "duplicate_evaluator", "rounds_cap",
         "local_epochs_cap", "latent_steps_cap", "input_dim_cap", "num_classes_cap",
-        "hidden_dim_cap",
+        "hidden_dim_cap", "input_values_cap", "pool_input_values_cap", "logged_values_cap",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
@@ -473,27 +492,79 @@ def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, b
     assert not (tmp_path / "o").exists()
 
 
+COMBINATIONS = tuple(
+    itertools.product(ATTACKS, EVALUATORS, models.KINDS, flcore.DEFENSE_MODES, data.GENERATORS)
+)
+
+
+def log_contents(log):
+    """Every logged value of a training log, vectors as raw bytes."""
+    return [
+        (
+            rec.t, rec.n, rec.test_utility_after, rec.diags, rec.w_t.tobytes(),
+            rec.w_next.tobytes(), [u.tobytes() for u in rec.updates],
+            rec.trim and (rec.trim.trimmed, rec.trim.distances.tobytes()),
+        )
+        for rec in log.rounds
+    ]
+
+
+def test_every_combination_is_rejected_up_front_or_runs():
+    # attack x evaluator x model x defense x generator at rounds = 2: all 288
+    # combinations take about 3 s, so the whole matrix runs, not a sample
+    phases = []
+    for attack, evaluator, kind, defense, generator in COMBINATIONS:
+        try:
+            cfg = tiny_config(
+                rounds=2, attack=attack, evaluators=evaluator, model_kind=kind,
+                hidden_dim=4 if kind == "mlp1" else 0, defense_mode=defense,
+                generator=generator,
+            )
+        except ConfigError:
+            continue
+        report = run_experiment(cfg)
+        free_cfg = build_scenario(cfg)
+        attacker = _make_attack_behavior(cfg, report.kappa)
+        attacked_cfg = replace(
+            free_cfg,
+            behaviors=[
+                attacker if i == report.malicious_id else flcore.benign
+                for i in range(cfg.num_clients)
+            ],
+        )
+        phases += [(free_cfg, report.attack_free_log), (attacked_cfg, report.attacked_log)]
+    assert len(phases) == 2 * len(COMBINATIONS)  # the tiny scenario rejects none
+    # every phase of every combination trained in one lockstep call, and each
+    # alone, gives the log its paired run recorded
+    together = flcore.run_training_many([flcfg for flcfg, _ in phases])
+    for (flcfg, log), many in zip(phases, together):
+        expected = log_contents(log)
+        assert log_contents(many) == expected
+        assert log_contents(flcore.run_training(flcfg)) == expected
+
+
 def test_loo_retrain_scores_latent_opt(monkeypatch):
     # each retrain run starts the attack from a fresh state, so no run sees
     # another's latents and no rerun adds diagnostics to the report
-    from fedattr import flcore
+    from fedattr import attribution, flcore
 
-    real_training = flcore.run_training
+    real_report = attribution.loo_retrain_report
     trained = []
 
     def recording(flcfg):
         trained.append(flcfg)
-        return real_training(flcfg)
+        return real_report(flcfg)
 
-    monkeypatch.setattr(flcore, "run_training", recording)
+    monkeypatch.setattr(attribution, "loo_retrain_report", recording)
     cfg = tiny_config(attack="latent_opt", evaluators="fedsv_exact,loo_retrain")
     report = run_experiment(cfg)
     assert [d["t"] for d in report.diagnostics] == list(range(1, cfg.rounds + 1))
     logs = {"attack_free": report.attack_free_log, "attacked": report.attacked_log}
     assert len(trained) == len(logs)
     for flcfg, (phase, log) in zip(trained, logs.items()):
+        assert log.final_utility == flcore.run_training(flcfg).final_utility
         expected = [
-            log.final_utility - real_training(flcfg.without_client(i)).final_utility
+            log.final_utility - flcore.run_training(flcfg.without_client(i)).final_utility
             for i in range(cfg.num_clients)
         ]
         assert report.evaluations["loo_retrain"][phase].raw.tolist() == expected

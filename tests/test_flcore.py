@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedattr import attacks, flcore, models
+from fedattr import attacks, flcore, models, streams
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.flcore import (
     FLConfig,
     FLRunError,
     LocalHP,
+    RoundContext,
     benign,
-    benign_local_update,
+    run_step,
     run_training,
     run_training_many,
     weighted_aggregate,
@@ -83,19 +84,25 @@ def test_weighted_aggregate_linearity():
     assert np.allclose(scaled, 3.0 * weighted_aggregate(updates, n), atol=1e-12)
 
 
+def benign_update(spec, w, shard, hp, seed):
+    """`benign`'s round-1 update, driven alone with an RNG seeded by `seed`."""
+    ctx = RoundContext(spec, 1, w, None, shard, hp, np.random.default_rng(seed))
+    return run_step(benign, ctx)[0]
+
+
 def test_benign_update_zero_lr_is_zero():
     spec, shards, _ = make_scenario()
     w = models.init_params(spec, 0)
     hp = LocalHP(epochs=1, batch_size=8, eta_w=0.0)
-    assert np.allclose(benign_local_update(spec, w, shards[0], hp, seed=3), 0.0)
+    assert np.allclose(benign_update(spec, w, shards[0], hp, seed=3), 0.0)
 
 
 def test_benign_update_deterministic_and_nonzero():
     spec, shards, _ = make_scenario()
     w = models.init_params(spec, 0)
     hp = LocalHP()
-    a = benign_local_update(spec, w, shards[0], hp, seed=3)
-    b = benign_local_update(spec, w, shards[0], hp, seed=3)
+    a = benign_update(spec, w, shards[0], hp, seed=3)
+    b = benign_update(spec, w, shards[0], hp, seed=3)
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) > 0
 
@@ -108,14 +115,14 @@ def test_single_round_single_client_matches_local_training():
         hp=LocalHP(), rounds=1, test=test, master_seed=5,
     )
     log = run_training(cfg)
-    from fedattr import streams
-
     w0 = models.init_params(spec, streams.child_seed(5, "init"))
     rng = streams.stream(5, "client", shard.client_id, 1)
-    expected = w0 + benign_local_update(
-        spec, w0, shard, LocalHP(), int(rng.integers(0, 2**63))
+    hp = LocalHP()
+    trained = models.sgd_train(
+        spec, w0, shard.data, hp.epochs, hp.batch_size, hp.eta_w,
+        int(rng.integers(0, 2**63)),
     )
-    assert np.array_equal(log.rounds[0].w_next, expected)
+    assert np.array_equal(log.rounds[0].w_next, w0 + (trained - w0))
 
 
 def test_run_training_deterministic():
@@ -160,6 +167,7 @@ def test_client_failure_reports_round_and_client():
     spec, shards, test = make_scenario()
 
     def exploding(ctx, state):
+        yield ctx.shard.data
         raise RuntimeError("boom")
 
     behaviors = [benign, exploding, benign]
@@ -191,7 +199,7 @@ def test_history_is_read_only_and_limited_to_broadcasts():
             if broadcast is not None:
                 with pytest.raises(ValueError):
                     broadcast[0] = 99.0
-        return benign(ctx, state)
+        return (yield from benign(ctx, state))
 
     behaviors = [spy] + [benign] * (len(shards) - 1)
     log = run_training(make_config(spec, shards, test, behaviors=behaviors))
@@ -283,8 +291,8 @@ def test_lockstep_benign_training_matches_per_client_path(kind):
     attacker = partial(attacks.behavior_random_noise, sigma_rel=2.0)
 
     def per_client(ctx, state):
-        # a step other than `benign` itself is called on its own
-        return benign(ctx, state)
+        # trains alone through `run_step`, outside the lockstep calls
+        return run_step(benign, ctx, state)
 
     logs = [
         run_training(
@@ -323,8 +331,8 @@ def test_lockstep_failure_names_the_failing_client():
 
 
 def test_run_training_many_matches_each_run_alone(monkeypatch):
-    # benign clients of different runs share lockstep calls only when model,
-    # hyperparameters and shard size agree; every other step runs per run
+    # training sets of different runs share lockstep calls only when model,
+    # hyperparameters and size agree; the rest of each round runs per run
     spec, shards, test = make_scenario(num_clients=5)
     mlp = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=4)
     cut = shards[4].data
@@ -335,7 +343,10 @@ def test_run_training_many_matches_each_run_alone(monkeypatch):
     slow = LocalHP(epochs=1, batch_size=8, eta_w=0.05)
     enforce = dict(defense_mode="enforce", trim_tau=0.2)
     cfgs = [
-        make_config(spec, shards, test, rounds=4, behaviors=[benign] * 2 + [noise] + [benign] * 2),
+        make_config(
+            spec, shards, test, rounds=4,
+            behaviors=[benign] * 2 + [noise, attacks.behavior_direct_ref, benign],
+        ),
         make_config(
             spec, uneven, test, rounds=3, defense_mode="monitor", trim_tau=0.2,
             behaviors=[benign, attacks.behavior_label_flip, benign, latent, benign],
@@ -371,9 +382,10 @@ def test_run_training_many_failure_names_the_run_round_and_client():
     spec, shards, test = make_scenario()
 
     def exploding_in_round_2(ctx, state):
-        if ctx.t == 2:
+        update = yield ctx.shard.data
+        if ctx.t == 2:  # fails when resumed after its lockstep training
             raise RuntimeError("boom")
-        return benign(ctx, state)
+        return update, state, None
 
     cfgs = [
         make_config(spec, shards, test, rounds=4),
@@ -391,6 +403,54 @@ def test_run_training_many_failure_names_the_run_round_and_client():
     with pytest.raises(FLRunError, match="label out of range") as err:
         run_training_many([cfgs[0], make_config(spec, broken, test)])
     assert (err.value.round_index, err.value.client_id) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "bad_set, message",
+    [
+        (lambda data: models.LabeledBatch(data.inputs[:, :1], data.labels), "columns"),
+        (lambda data: models.LabeledBatch(np.zeros((0, 2)), np.zeros(0)), "batch is empty"),
+        (lambda data: data.inputs, "no attribute"),
+    ],
+)
+def test_a_bad_yielded_training_set_names_its_round_and_client(bad_set, message):
+    # each yielded set is checked before it joins a lockstep group
+    spec, shards, test = make_scenario()
+
+    def yields_bad_set_in_round_2(ctx, state):
+        update = yield (bad_set(ctx.shard.data) if ctx.t == 2 else ctx.shard.data)
+        return update, state, None
+
+    cfgs = [
+        make_config(spec, shards, test),
+        make_config(spec, shards, test, behaviors=[benign, yields_bad_set_in_round_2, benign]),
+    ]
+    with pytest.raises(FLRunError, match=message) as err:
+        run_training_many(cfgs)
+    assert (err.value.round_index, err.value.client_id) == (2, 1)
+
+
+def test_run_step_trains_each_yield_like_the_runner():
+    # a step may yield several training sets; each is trained from w_t with
+    # the next seed of its stream, in the runner and in `run_step` alike
+    spec, shards, test = make_scenario()
+
+    def twice(ctx, state):
+        first = yield ctx.shard.data
+        second = yield ctx.shard.data
+        return first + second, state, {"equal": bool(np.array_equal(first, second))}
+
+    cfg = make_config(spec, shards, test, rounds=2, behaviors=[benign, twice, benign])
+    log = run_training(cfg)
+    for rec in log.rounds:
+        rng = streams.stream(cfg.master_seed, "client", 1, rec.t)
+        ctx = RoundContext(spec, rec.t, rec.w_t, None, shards[1], cfg.hp, rng)
+        update, state, diag = run_step(twice, ctx, "kept")
+        assert rec.updates[1].tobytes() == update.tobytes()
+        assert state == "kept" and rec.diags[1] == diag == {"equal": False}
+    # a step that returns without yielding is passed through
+    free = run_step(attacks.behavior_free_rider, ctx)
+    assert free[0].tobytes() == np.zeros(spec.param_count).tobytes()
 
 
 run_params = dict(num_clients=st.integers(2, 6), master_seed=st.integers(0, 2**31 - 1))
