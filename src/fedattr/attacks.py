@@ -100,7 +100,7 @@ class Decoder:
 
 
 def calibrate_decoder(
-    pool: LabeledBatch, latent_dim: int, seed: int, num_classes: int | None = None
+    pool: LabeledBatch, latent_dim: int, seed: int, num_classes: int
 ) -> Decoder:
     """Fit prototypes from a calibration pool and freeze a random linear map.
 
@@ -109,9 +109,8 @@ def calibrate_decoder(
     """
     if latent_dim < 1:
         raise ValueError("latent_dim must be positive")
-    c = num_classes if num_classes is not None else int(pool.labels.max()) + 1
-    protos = np.empty((c, pool.inputs.shape[1]))
-    for cls in range(c):
+    protos = np.empty((num_classes, pool.inputs.shape[1]))
+    for cls in range(num_classes):
         rows = pool.inputs[pool.labels == cls]
         if len(rows) == 0:
             raise ValueError(f"calibration pool has no samples of class {cls}")
@@ -119,8 +118,8 @@ def calibrate_decoder(
 
     dists = [
         float(np.linalg.norm(protos[a] - protos[b]))
-        for a in range(c)
-        for b in range(a + 1, c)
+        for a in range(num_classes)
+        for b in range(a + 1, num_classes)
     ]
     target = 0.5 * float(np.mean(dists)) if dists else 1.0
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .flcore import FLConfig, TrainingLog, run_training_many
+from .flcore import FLConfig, RoundRecord, TrainingLog, run_training_many, weighted_aggregate
 from .models import LabeledBatch, ModelSpec, _layers
 
 # Evaluators that read only the logged rounds; `evaluate_log` scores them together.
@@ -36,31 +36,18 @@ _CHUNK_LOGITS = 1 << 16
 class CoalitionUtility:
     """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S)."""
 
-    base_w: np.ndarray
-    updates: tuple[np.ndarray, ...]
-    n: tuple[int, ...]
+    record: RoundRecord
     spec: ModelSpec
     test: LabeledBatch
 
-    @classmethod
-    def from_round(cls, record, spec: ModelSpec, test: LabeledBatch) -> "CoalitionUtility":
-        return cls(record.w_t, record.updates, record.n, spec, test)
-
     @property
     def num_clients(self) -> int:
-        return len(self.updates)
+        return len(self.record.updates)
 
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
         matrix (coalitions x clients) marks the members of coalition k."""
-        members = np.asarray(members, dtype=bool)
-        if members.ndim != 2 or members.shape[1] != self.num_clients:
-            raise ValueError(
-                f"members must be a coalitions x {self.num_clients} matrix"
-            )
-        counts = np.asarray(self.n, dtype=np.float64)
-        if np.any(counts < 0):
-            raise ValueError("sample counts must be non-negative")
+        rec, members = self.record, np.asarray(members, dtype=bool)
         if len(self.test) == 0:
             raise ValueError("batch is empty")
         # Test rows grouped by label, so each label's rows are one slice; rows
@@ -75,24 +62,10 @@ class CoalitionUtility:
         out = np.empty(len(members))
         for start in range(0, len(members), chunk):
             block = members[start : start + chunk]
-            columns = self._class_logits(self._params(block, counts), x)
+            params = rec.w_t + weighted_aggregate(rec.updates, rec.n, block)
+            columns = self._class_logits(params, x)
             out[start : start + chunk] = _count_correct(columns, bounds) / len(self.test)
         return out
-
-    def _params(self, block: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """w_t + aggregate for each coalition, with the arithmetic of
-        `flcore.weighted_aggregate`: clients added in index order, each
-        scaled by n_i / (sum of n over the coalition)."""
-        weights = np.where(block, counts, 0.0)
-        totals = weights.sum(axis=1)
-        nonempty = block.any(axis=1)
-        if np.any(totals[nonempty] <= 0):
-            raise ValueError("sample counts sum to zero")
-        weights /= np.where(nonempty, totals, 1.0)[:, None]
-        agg = np.zeros((len(block), len(self.base_w)))
-        for i, update in enumerate(self.updates):
-            agg += weights[:, i : i + 1] * update
-        return self.base_w + agg
 
     def _class_logits(self, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         """Logits of each coalition's model, one coalitions x rows array per class.
@@ -105,17 +78,10 @@ class CoalitionUtility:
         z = hidden @ w.transpose(0, 2, 1)
         return [z[..., j] + bias[:, j : j + 1] for j in range(self.spec.num_classes)]
 
-    def value(self, subset: Iterable[int]) -> float:
-        row = np.zeros((1, self.num_clients), dtype=bool)
-        for i in subset:
-            if not 0 <= i < self.num_clients:
-                raise ValueError(f"client {i} not in this round")
-            row[0, i] = True
-        return float(self.values(row)[0])
-
     def value_mask(self, mask: int) -> float:
         """v(S) for the coalition whose members are the set bits of `mask`."""
-        return self.value(i for i in range(self.num_clients) if mask >> i & 1)
+        row = mask >> np.arange(self.num_clients) & 1
+        return float(self.values(row[None, :])[0])
 
 
 def _count_correct(columns: list[np.ndarray], bounds: np.ndarray) -> np.ndarray:
@@ -279,7 +245,7 @@ def evaluate_log(
         if "loo_round" in totals:
             rows["loo_round"] = loo
         distinct, inverse = _unique_rows(np.concatenate(list(rows.values())))
-        scored = CoalitionUtility.from_round(rec, spec, test).values(distinct)[inverse]
+        scored = CoalitionUtility(rec, spec, test).values(distinct)[inverse]
         ends = np.cumsum([len(part) for part in rows.values()])
         values = dict(zip(rows, np.split(scored, ends[:-1])))
         for name, total in totals.items():

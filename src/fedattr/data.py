@@ -146,7 +146,7 @@ def cycle_demand(spec: PartitionSpec, num_classes: int) -> np.ndarray:
 
 
 def partition_noniid(
-    train: LabeledBatch, spec: PartitionSpec, num_classes: int | None = None
+    train: LabeledBatch, spec: PartitionSpec, num_classes: int
 ) -> list[ClientShard]:
     """Deal k classes per client round-robin, then draw per-class quotas.
 
@@ -156,25 +156,24 @@ def partition_noniid(
     as possible across its classes; no sample lands in two shards.
     """
     labels = train.labels
-    c = num_classes if num_classes is not None else int(labels.max()) + 1
     k = spec.classes_per_client
-    demand = cycle_demand(spec, c)
+    demand = cycle_demand(spec, num_classes)
 
     rng = np.random.default_rng(spec.seed)
-    class_order = rng.permutation(c)
+    class_order = rng.permutation(num_classes)
     assignments = [
-        [int(class_order[(i * k + j) % c]) for j in range(k)]
+        [int(class_order[(i * k + j) % num_classes]) for j in range(k)]
         for i in range(spec.num_clients)
     ]
 
     quotas = _quotas(spec)
     pools = {
         cls: list(rng.permutation(np.flatnonzero(labels == cls)))
-        for cls in range(c)
+        for cls in range(num_classes)
     }
-    needed = np.empty(c, dtype=np.int64)
+    needed = np.empty(num_classes, dtype=np.int64)
     needed[class_order] = demand
-    for cls in range(c):
+    for cls in range(num_classes):
         if needed[cls] > len(pools[cls]):
             raise ValueError(
                 f"class {cls}: need {needed[cls]} samples but only "
@@ -189,7 +188,7 @@ def partition_noniid(
             chosen.extend(int(pool.pop()) for _ in range(q))
         idx = np.array(sorted(chosen), dtype=np.int64)
         batch = LabeledBatch(train.inputs[idx], train.labels[idx])
-        shards.append(ClientShard.build(i, batch, c))
+        shards.append(ClientShard.build(i, batch, num_classes))
     return shards
 
 

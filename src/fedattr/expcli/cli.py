@@ -16,7 +16,7 @@ from pathlib import Path
 from ..flcore import DEFENSE_MODES, FLRunError
 from . import acceptance, plots
 from .config import ConfigError, ExperimentConfig, load_config
-from .experiment import SWEEP_AXES, run_experiment, sweep
+from .experiment import SWEEP_AXES, run_experiment, sweep, write_run_outputs
 
 OUT_ENV = "FEDATTR_OUT"
 
@@ -51,8 +51,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    out = args.out or _default_out()
-    report = run_experiment(cfg, out)
+    report = run_experiment(cfg)
+    write_run_outputs(report, args.out or _default_out())
     primary = cfg.evaluator_list[0]
     print(f"run {report.fingerprint}: attack={cfg.attack} malicious={report.malicious_id}")
     print(
@@ -71,12 +71,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_sweep_value(text: str) -> int | float:
-    """An axis value as int when it reads as one, else as float."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
+def _parse_sweep_value(text: str) -> float:
+    """An axis value; `sweep` rejects a fractional one on an integer axis."""
     try:
         return float(text)
     except ValueError:
@@ -89,9 +85,9 @@ def _cmd_sweep(args) -> int:
     values = [_parse_sweep_value(v) for v in args.values.split(",")]
     reports = sweep(cfg, args.axis, values, out)
     primary = cfg.evaluator_list[0]
-    for value, report in zip(values, reports):
+    for report in reports:
         print(
-            f"{args.axis}={value}: share"
+            f"{args.axis}={getattr(report.config, args.axis)}: share"
             f" {report.target_share(primary, 'attack_free'):.4f}"
             f" -> {report.target_share(primary, 'attacked'):.4f},"
             f" utility {report.u0:.4f} -> {report.u1:.4f}"

@@ -10,6 +10,7 @@ attacker alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -156,7 +157,7 @@ def _train_and_evaluate(
     return log, {name: reports[name] for name in cfg.evaluator_list}
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Attack-free run, target selection, attacked run, evaluation, verdicts."""
     free_cfg = build_scenario(cfg)
     free_log, free_reports = _train_and_evaluate(cfg, free_cfg)
@@ -194,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
         decisions = [rec.trim for rec in attacked_log.rounds if rec.trim is not None]
         detection = detection_metrics(decisions, {malicious_id})
 
-    report = ExperimentReport(
+    return ExperimentReport(
         config=cfg,
         malicious_id=malicious_id,
         evaluations=evaluations,
@@ -205,9 +206,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> Experi
         attack_free_log=free_log,
         attacked_log=attacked_log,
     )
-    if out_dir is not None:
-        write_run_outputs(report, Path(out_dir))
-    return report
 
 
 def report_payload(report: ExperimentReport) -> dict:
@@ -246,7 +244,8 @@ def report_payload(report: ExperimentReport) -> dict:
         ),
         "plausibility_flags": report.plausibility_flags,
         "plausibility_max": report.plausibility_max,
-        "kappa": report.kappa,
+        # JSON has no infinity: an unbounded budget is null
+        "kappa": report.kappa if math.isfinite(report.kappa) else None,
     }
 
 
@@ -293,24 +292,34 @@ def sweep(
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+
+    def whole(v) -> int:
+        if not math.isfinite(v) or v != int(v):
+            raise ConfigError(f"{axis} takes whole numbers, not {v!r}")
+        return int(v)
+
     # every point is validated before the first one trains
     if axis == "num_clients":
-        points = [cfg.override(num_clients=int(v)) for v in values]
+        points = [cfg.override(num_clients=whole(v)) for v in values]
     elif axis == "target_rank":
-        points = [cfg.override(target_rule="rank_k", target_rank=int(v)) for v in values]
+        points = [cfg.override(target_rule="rank_k", target_rank=whole(v)) for v in values]
     else:
         points = [cfg.override(intensity=float(v)) for v in values]
-    reports = [run_experiment(point, out_dir) for point in points]
+    reports = []
+    for point in points:
+        reports.append(run_experiment(point))
+        if out_dir is not None:
+            write_run_outputs(reports[-1], Path(out_dir))
     if out_dir is not None:
-        write_sweep_summary(reports, axis, values, Path(out_dir))
+        write_sweep_summary(reports, axis, Path(out_dir))
     return reports
 
 
-def write_sweep_summary(
-    reports: list[ExperimentReport], axis: str, values: list, out_dir: Path
-) -> Path:
+def write_sweep_summary(reports: list[ExperimentReport], axis: str, out_dir: Path) -> Path:
+    """One CSV row per point and evaluator, keyed by the axis value the point ran with."""
     from . import plots
 
+    values = [getattr(report.config, axis) for report in reports]
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{axis}.csv"
     with open(path, "w") as fh:

@@ -138,22 +138,31 @@ class FLRunError(RuntimeError):
 
 
 def weighted_aggregate(
-    updates: Sequence[np.ndarray], n: Sequence[int]
+    updates: Sequence[np.ndarray], n: Sequence[int], members
 ) -> np.ndarray:
-    """Data-size-weighted average of client updates."""
+    """Data-size-weighted mean update of each coalition: row k of the boolean
+    `members` matrix (coalitions x clients) marks coalition k's clients, whose
+    updates row k of the result adds in index order, each scaled by n_i / (sum
+    of n over the coalition).  An empty coalition aggregates to zero."""
     if len(updates) == 0:
         raise ValueError("no updates to aggregate")
     if len(updates) != len(n):
         raise ValueError("updates and counts differ in length")
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != len(updates):
+        raise ValueError(f"members must be a coalitions x {len(updates)} matrix")
     counts = np.asarray(n, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("sample counts must be non-negative")
-    total = counts.sum()
-    if total <= 0:
+    weights = np.where(members, counts, 0.0)
+    totals = weights.sum(axis=1)
+    nonempty = members.any(axis=1)
+    if np.any(totals[nonempty] <= 0):
         raise ValueError("sample counts sum to zero")
-    agg = np.zeros_like(updates[0])
-    for u, w in zip(updates, counts):
-        agg += (w / total) * u
+    weights /= np.where(nonempty, totals, 1.0)[:, None]
+    agg = np.zeros((len(members), len(updates[0])))
+    for i, update in enumerate(updates):
+        agg += weights[:, i : i + 1] * update
     return agg
 
 
@@ -220,16 +229,14 @@ class _Run:
         cfg, w, n = self.cfg, self.w, self.n
         updates, diags = zip(*self.steps)
         trim = None
-        kept_idx = list(range(len(updates)))
+        kept = np.ones((1, len(updates)), dtype=bool)
         if cfg.defense_mode != "off":
             trim = trim_round(updates, cfg.trim_tau, t=t)
             if cfg.defense_mode == "enforce":
-                kept_idx = sorted(trim.kept)
-
-        agg = weighted_aggregate(
-            [updates[i] for i in kept_idx], [n[i] for i in kept_idx]
-        )
-        w_next = w + agg
+                kept[0, list(trim.trimmed)] = False
+        if not kept.any():
+            raise ValueError(f"round {t}: trimming kept no client")
+        w_next = w + weighted_aggregate(updates, n, kept)[0]
         w_next.setflags(write=False)
         util = utility(cfg.spec, w_next, cfg.test)
         self.records.append(RoundRecord(t, w, updates, diags, n, w_next, util, trim))

@@ -225,7 +225,7 @@ def test_training_step_is_bit_identical_alone_and_in_lockstep(scenario, name):
 
 def test_decoder_prototypes_from_single_sample_pool():
     pool = LabeledBatch(np.array([[1.0, 2.0], [-3.0, 0.0]]), np.array([0, 1]))
-    dec = calibrate_decoder(pool, latent_dim=3, seed=0)
+    dec = calibrate_decoder(pool, latent_dim=3, seed=0, num_classes=2)
     assert np.array_equal(dec.prototypes, pool.inputs)
 
 
@@ -250,8 +250,8 @@ def test_decode_is_affine(scenario):
 
 def test_decoder_deterministic_and_frozen(scenario):
     pool = LabeledBatch(np.array([[1.0, 2.0], [-3.0, 0.0]]), np.array([0, 1]))
-    a = calibrate_decoder(pool, latent_dim=3, seed=4)
-    b = calibrate_decoder(pool, latent_dim=3, seed=4)
+    a = calibrate_decoder(pool, latent_dim=3, seed=4, num_classes=2)
+    b = calibrate_decoder(pool, latent_dim=3, seed=4, num_classes=2)
     assert np.array_equal(a.W, b.W)
     with pytest.raises(ValueError):
         a.W[0, 0] = 1.0

@@ -46,6 +46,11 @@ def mc_of(cu, num_permutations, seed):
     return shapley_mc(cu.values(rows), perms)
 
 
+def value_of(cu, subset):
+    """v(S) of one coalition given by its client indices."""
+    return cu.value_mask(sum(1 << int(i) for i in subset))
+
+
 def full_table(n, fn):
     return {
         frozenset(s): fn(frozenset(s))
@@ -183,16 +188,29 @@ def small_run(
 def test_coalition_value_definitions():
     cfg, log, spec, test = small_run()
     rec = log.rounds[0]
-    cu = CoalitionUtility.from_round(rec, spec, test)
-    assert cu.value([]) == models.accuracy(spec, rec.w_t, test)
-    assert cu.value(range(3)) == models.accuracy(spec, rec.w_next, test)
-    single = cu.value([1])
+    cu = CoalitionUtility(rec, spec, test)
+    assert cu.value_mask(0) == models.accuracy(spec, rec.w_t, test)
+    assert cu.value_mask(0b111) == models.accuracy(spec, rec.w_next, test)
+    single = cu.values([[False, True, False]])[0]
     assert single == models.accuracy(spec, rec.w_t + rec.updates[1], test)
     assert cu.value_mask(0b010) == single
-    with pytest.raises(ValueError):
-        cu.value([7])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coalitions x 3 matrix"):
         cu.values(np.ones((2, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("model", ["logistic", "mlp1"])
+def test_values_reproduce_each_logged_round(model):
+    # training and scoring share flcore.weighted_aggregate, so the coalition
+    # the round aggregated scores exactly the round's logged utility
+    for defense_mode in ("off", "enforce"):
+        cfg, log, spec, test = small_run(num_clients=5, model=model, defense_mode=defense_mode)
+        for rec in log.rounds:
+            everyone, nobody = np.ones(5, dtype=bool), np.zeros(5, dtype=bool)
+            kept = everyone if rec.trim is None else np.isin(np.arange(5), list(rec.trim.kept))
+            assert (defense_mode == "off") == kept.all()
+            got = CoalitionUtility(rec, spec, test).values([kept, nobody])
+            assert got[0] == rec.test_utility_after
+            assert got[1] == models.accuracy(spec, rec.w_t, test)
 
 
 def every_coalition(n):
@@ -201,7 +219,7 @@ def every_coalition(n):
 
 def assert_values_match_oracle(log, spec, test):
     for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
+        cu = CoalitionUtility(rec, spec, test)
         members = every_coalition(cu.num_clients)
         got = cu.values(members)
         for row, value in zip(members, got):
@@ -243,7 +261,7 @@ def test_values_count_labels_outside_the_model_as_wrong():
         np.concatenate([test.inputs, test.inputs[:5]]),
         np.concatenate([test.labels, np.full(5, spec.num_classes)]),
     )
-    got = CoalitionUtility.from_round(rec, spec, extra).values(every_coalition(3))
+    got = CoalitionUtility(rec, spec, extra).values(every_coalition(3))
     for row, value in zip(every_coalition(3), got):
         assert value == oracles.coalition_utility(rec, spec, extra, np.flatnonzero(row))
 
@@ -258,7 +276,7 @@ def test_values_break_logit_ties_toward_the_lowest_class():
         rec.t, np.zeros(spec.param_count), (np.zeros(spec.param_count), bias_only),
         (None, None), (10, 30), rec.w_next, rec.test_utility_after,
     )
-    got = CoalitionUtility.from_round(rec, spec, test).values(every_coalition(2))
+    got = CoalitionUtility(rec, spec, test).values(every_coalition(2))
     expected = [
         oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
         for row in every_coalition(2)
@@ -274,9 +292,9 @@ def shapley_mc_loop(cu, num_permutations, seed):
     totals = np.zeros(cu.num_clients)
     for _ in range(num_permutations):
         perm = rng.permutation(cu.num_clients)
-        before = cu.value([])
+        before = cu.value_mask(0)
         for j, i in enumerate(perm):
-            after = cu.value(perm[: j + 1].tolist())
+            after = value_of(cu, perm[: j + 1])
             totals[i] += after - before
             before = after
     return totals / num_permutations
@@ -287,7 +305,7 @@ def test_shapley_mc_matches_per_permutation_loop(num_clients, num_permutations):
     # N=20 is above the exact guard: only sampling can value this game
     cfg, log, spec, test = small_run(num_clients=num_clients, samples_per_class=400)
     for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
+        cu = CoalitionUtility(rec, spec, test)
         fast = mc_of(cu, num_permutations, seed=rec.t)
         loop = shapley_mc_loop(cu, num_permutations, seed=rec.t)
         assert fast.tobytes() == loop.tobytes()
@@ -312,7 +330,7 @@ def shapley_exact_loop(cu):
 def test_shapley_exact_matches_subset_loop(model):
     cfg, log, spec, test = small_run(num_clients=6, model=model)
     for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
+        cu = CoalitionUtility(rec, spec, test)
         assert exact_of(cu).tobytes() == shapley_exact_loop(cu).tobytes()
 
 
@@ -328,7 +346,7 @@ MC_PERMUTATIONS, MC_SEED = 30, 11
 def loo_round_loop(cu):
     everyone = range(cu.num_clients)
     return np.array(
-        [cu.value(everyone) - cu.value([j for j in everyone if j != i]) for i in everyone]
+        [value_of(cu, everyone) - value_of(cu, [j for j in everyone if j != i]) for i in everyone]
     )
 
 
@@ -363,7 +381,7 @@ def test_evaluate_log_matches_per_round_references(six_client_runs, run, evaluat
     for name in evaluators:
         expected = np.zeros(6)
         for rec in log.rounds:
-            cu = CoalitionUtility.from_round(rec, spec, test)
+            cu = CoalitionUtility(rec, spec, test)
             expected += per_round_reference(name, cu, rec.t)
         assert reports[name].evaluator == name
         assert reports[name].raw.tobytes() == expected.tobytes(), name
@@ -389,14 +407,14 @@ def test_evaluate_log_scores_each_round_once_with_distinct_rows(
     score = CoalitionUtility.values
 
     def spy(self, members):
-        calls.append((self.base_w, np.array(members)))
+        calls.append((self.record, np.array(members)))
         return score(self, members)
 
     monkeypatch.setattr(CoalitionUtility, "values", spy)
     evaluate_log(log, spec, test, evaluators, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
     assert len(calls) == len(log.rounds)
-    for rec, (base_w, rows) in zip(log.rounds, calls):
-        assert base_w is rec.w_t
+    for rec, (record, rows) in zip(log.rounds, calls):
+        assert record is rec
         t = rec.t
         got = {tuple(row) for row in rows.tolist()}
         assert len(got) == len(rows)  # distinct
@@ -417,7 +435,7 @@ def test_evaluate_log_mc_only_above_the_exact_guard(monkeypatch):
     report = evaluate_log(log, spec, test, ["fedsv_mc"], num_permutations=12, seed=5)
     expected = np.zeros(20)
     for rec in log.rounds:
-        expected += shapley_mc_loop(CoalitionUtility.from_round(rec, spec, test), 12, 5 + rec.t)
+        expected += shapley_mc_loop(CoalitionUtility(rec, spec, test), 12, 5 + rec.t)
     assert report["fedsv_mc"].raw.tobytes() == expected.tobytes()
 
     def no_scoring(self, members):
@@ -460,8 +478,8 @@ def test_fedsv_efficiency_over_log():
     cfg, log, spec, test = small_run()
     report = fedsv(log, spec, test, mode="exact")
     expected = sum(
-        CoalitionUtility.from_round(rec, spec, test).value_mask((1 << 3) - 1)
-        - CoalitionUtility.from_round(rec, spec, test).value_mask(0)
+        CoalitionUtility(rec, spec, test).value_mask((1 << 3) - 1)
+        - CoalitionUtility(rec, spec, test).value_mask(0)
         for rec in log.rounds
     )
     assert report.raw.sum() == pytest.approx(expected, abs=1e-9)
@@ -622,8 +640,8 @@ run_params = dict(
 def test_property_exact_efficiency(num_clients, master_seed):
     cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
     for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
-        gain = cu.value(range(num_clients)) - cu.value([])
+        cu = CoalitionUtility(rec, spec, test)
+        gain = cu.value_mask((1 << num_clients) - 1) - cu.value_mask(0)
         assert abs(exact_of(cu).sum() - gain) <= 1e-12
 
 
@@ -648,8 +666,8 @@ def test_property_duplicated_clients_get_equal_values(num_clients, master_seed):
 def test_property_one_permutation_mc_is_efficient(num_clients, master_seed, seed):
     cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
     for rec in log.rounds:
-        cu = CoalitionUtility.from_round(rec, spec, test)
-        gain = cu.value(range(num_clients)) - cu.value([])
+        cu = CoalitionUtility(rec, spec, test)
+        gain = cu.value_mask((1 << num_clients) - 1) - cu.value_mask(0)
         assert abs(mc_of(cu, 1, seed).sum() - gain) <= 1e-12
 
 

@@ -87,6 +87,7 @@ def test_partition_no_duplicates_and_subset_of_train():
     shards = partition_noniid(
         train, PartitionSpec(num_clients=4, classes_per_client=2,
                              samples_per_client=30, seed=5),
+        num_classes=4,
     )
     rows = [tuple(r) for s in shards for r in s.data.inputs]
     assert len(rows) == len(set(rows))
@@ -100,6 +101,7 @@ def test_partition_full_coverage_mode():
     shards = partition_noniid(
         train, PartitionSpec(num_clients=5, classes_per_client=4,
                              samples_per_client=40, seed=1),
+        num_classes=4,
     )
     for shard in shards:
         assert np.all(shard.class_counts > 0)
@@ -111,12 +113,23 @@ def test_partition_infeasible_raises():
         partition_noniid(
             train, PartitionSpec(num_clients=6, classes_per_client=2,
                                  samples_per_client=50, seed=0),
+            num_classes=4,
         )
     with pytest.raises(ValueError):
         partition_noniid(
             train, PartitionSpec(num_clients=2, classes_per_client=9,
                                  samples_per_client=5, seed=0),
+            num_classes=4,
         )
+
+
+def test_partition_deals_a_class_missing_from_the_labels():
+    # no sample is labelled 3, yet num_classes = 4 still deals class 3
+    train, _ = synthesize(blob_spec())
+    keep = train.labels != 3
+    train = LabeledBatch(train.inputs[keep], train.labels[keep])
+    with pytest.raises(ValueError, match="class 3: need 30 samples but only 0"):
+        partition_noniid(train, PartitionSpec(4, 2, 30, seed=5), num_classes=4)
 
 
 def test_default_scenario_attacker_misses_a_class():

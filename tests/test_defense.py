@@ -106,13 +106,13 @@ def test_trim_then_aggregate_reduces_to_fedavg_over_kept():
     n = [2, 3, 4, 5]
     dec = trim_round(updates, tau=0.25)
     kept = sorted(dec.kept)
-    agg = weighted_aggregate([updates[i] for i in kept], [n[i] for i in kept])
+    agg = weighted_aggregate(updates, n, [np.isin(range(4), kept)])
     # identical updates: trimming any subset leaves the aggregate unchanged
     same = [np.ones(6)] * 4
     dec2 = trim_round(same, tau=0.25)
     kept2 = sorted(dec2.kept)
     assert np.allclose(
-        weighted_aggregate([same[i] for i in kept2], [n[i] for i in kept2]),
-        weighted_aggregate(same, n),
+        weighted_aggregate(same, n, [np.isin(range(4), kept2)]),
+        weighted_aggregate(same, n, [[True] * 4]),
     )
-    assert agg.shape == (6,)
+    assert agg.shape == (1, 6)

@@ -731,6 +731,61 @@ def test_sweep_validates_every_point_before_training(tmp_path, monkeypatch):
         sweep(tiny_config(), "num_clients", [4, 1], tmp_path)
 
 
+@pytest.mark.parametrize(
+    "axis, values",
+    [
+        ("num_clients", "2.5,3"),
+        ("num_clients", "inf"),
+        ("num_clients", "nan"),
+        ("target_rank", "1.7"),
+        ("target_rank", "-inf"),
+        ("target_rank", "nan"),
+    ],
+)
+def test_cli_sweep_rejects_fractional_and_non_finite_integer_values(
+    tmp_path, capsys, monkeypatch, axis, values
+):
+    from fedattr import attribution
+
+    def no_training(cfgs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training_many", no_training)
+    monkeypatch.setattr(attribution, "run_training_many", no_training)
+    _, path = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(path), "--out", str(out), "--axis", axis]
+    assert cli.main([*args, f"--values={values}"]) == 2
+    assert f"config error: {axis} takes whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_csv_holds_the_value_each_point_ran_with(tmp_path):
+    cfg = tiny_config(attack="free_rider", rounds=1)
+    reports = sweep(cfg, "target_rank", [2.0, 3], tmp_path)
+    assert [r.config.target_rank for r in reports] == [2, 3]
+    with open(tmp_path / "sweep_target_rank.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["value"] for row in rows} == {"2", "3"}
+    # every point's run directory is written too
+    assert {p.name for p in tmp_path.glob("run_*")} == {
+        f"run_{r.fingerprint}_free_rider" for r in reports
+    }
+
+
+def test_unbounded_kappa_is_written_as_json_null(tmp_path):
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = run_experiment(tiny_config(attack="latent_opt", kappa_mult=0.0, rounds=1))
+    assert report.kappa == np.inf
+    run_dir = write_run_outputs(report, tmp_path)
+    payload = json.loads((run_dir / "report.json").read_text(), parse_constant=no_constants)
+    assert payload["kappa"] is None
+    finite = run_experiment(tiny_config(attack="latent_opt", rounds=1))
+    assert report_payload(finite)["kappa"] == finite.kappa > 0
+
+
 def test_cli_run_failure_exit_code(tmp_path, capsys, monkeypatch):
     from fedattr import flcore
 

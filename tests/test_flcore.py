@@ -58,30 +58,74 @@ def make_config(spec, shards, test, rounds=3, **kw):
     )
 
 
+def aggregate_all(updates, n):
+    """The aggregate of every client, as a round without trimming takes it."""
+    return weighted_aggregate(updates, n, np.ones((1, len(updates)), dtype=bool))[0]
+
+
 def test_weighted_aggregate_examples():
     u = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(weighted_aggregate([u, -u], [5, 5]), 0.0)
-    assert np.array_equal(weighted_aggregate([u], [7]), u)
+    assert np.allclose(aggregate_all([u, -u], [5, 5]), 0.0)
+    assert np.array_equal(aggregate_all([u], [7]), u)
     e1 = np.array([1.0, 0.0])
-    out = weighted_aggregate([4 * e1, np.zeros(2)], [1, 3])
-    assert np.allclose(out, e1)
+    out = weighted_aggregate([4 * e1, np.zeros(2)], [1, 3], [[True, True], [True, False]])
+    assert np.allclose(out, [e1, 4 * e1])
 
 
 def test_weighted_aggregate_errors():
-    with pytest.raises(ValueError):
-        weighted_aggregate([], [])
-    with pytest.raises(ValueError):
-        weighted_aggregate([np.ones(2), np.ones(2)], [0, 0])
-    with pytest.raises(ValueError):
-        weighted_aggregate([np.ones(2)], [1, 2])
+    with pytest.raises(ValueError, match="no updates"):
+        weighted_aggregate([], [], np.zeros((1, 0), dtype=bool))
+    with pytest.raises(ValueError, match="sum to zero"):
+        aggregate_all([np.ones(2), np.ones(2)], [0, 0])
+    with pytest.raises(ValueError, match="differ in length"):
+        aggregate_all([np.ones(2)], [1, 2])
+    with pytest.raises(ValueError, match="non-negative"):
+        aggregate_all([np.ones(2), np.ones(2)], [3, -1])
+    for members in ([True, True], [[True]], [[[True, True]]]):
+        with pytest.raises(ValueError, match="coalitions x 2 matrix"):
+            weighted_aggregate([np.ones(2), np.ones(2)], [1, 2], members)
+    # an empty coalition aggregates to zero even when every count is zero
+    zero = weighted_aggregate([np.ones(2), np.ones(2)], [0, 0], [[False, False]])
+    assert zero.tolist() == [[0.0, 0.0]]
 
 
 def test_weighted_aggregate_linearity():
     rng = np.random.default_rng(2)
     updates = [rng.normal(size=5) for _ in range(4)]
     n = [1, 2, 3, 4]
-    scaled = weighted_aggregate([3.0 * u for u in updates], n)
-    assert np.allclose(scaled, 3.0 * weighted_aggregate(updates, n), atol=1e-12)
+    scaled = aggregate_all([3.0 * u for u in updates], n)
+    assert np.allclose(scaled, 3.0 * aggregate_all(updates, n), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+def test_weighted_aggregate_rows_equal_a_per_member_loop(kind):
+    spec, shards, test = make_scenario(num_clients=4)
+    if kind == "mlp1":
+        spec = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=5)
+    cfg = make_config(spec, shards, test, rounds=2, defense_mode="enforce", trim_tau=0.3)
+    for rec in run_training(cfg).rounds:
+        trimmed = np.isin(np.arange(4), list(rec.trim.trimmed))
+        assert 0 < trimmed.sum() < 4
+        members = np.array([[True] * 4, [False] * 4, ~trimmed, trimmed])
+        got = weighted_aggregate(rec.updates, rec.n, members)
+        assert got.shape == (4, spec.param_count)
+        for row, agg in zip(members, got):
+            expected = np.zeros(spec.param_count)
+            total = sum(n for n, member in zip(rec.n, row) if member)
+            for u, n, member in zip(rec.updates, rec.n, row):
+                if member:
+                    expected += (n / total) * u
+            assert agg.tobytes() == expected.tobytes()
+        # the kept row is the aggregate the round applied
+        assert (rec.w_t + got[2]).tobytes() == rec.w_next.tobytes()
+
+
+def test_enforced_trimming_that_keeps_no_client_fails():
+    spec, shards, test = make_scenario(num_clients=2)
+    # ceil(0.9 * 2) = 2: every client is trimmed
+    cfg = make_config(spec, shards, test, defense_mode="enforce", trim_tau=0.9)
+    with pytest.raises(ValueError, match="round 1: trimming kept no client"):
+        run_training(cfg)
 
 
 def benign_update(spec, w, shard, hp, seed):
@@ -159,7 +203,7 @@ def test_round_record_invariant_no_defense():
     spec, shards, test = make_scenario()
     log = run_training(make_config(spec, shards, test))
     for rec in log.rounds:
-        agg = weighted_aggregate(list(rec.updates), list(rec.n))
+        agg = aggregate_all(list(rec.updates), list(rec.n))
         assert np.allclose(rec.w_next, rec.w_t + agg, atol=1e-12)
 
 
@@ -258,7 +302,7 @@ def test_defense_enforce_changes_aggregate_membership():
     for rec in log.rounds:
         assert rec.trim is not None
         assert rec.trim.trimmed == {2}
-        agg = weighted_aggregate(
+        agg = aggregate_all(
             [rec.updates[i] for i in sorted(rec.trim.kept)],
             [rec.n[i] for i in sorted(rec.trim.kept)],
         )
