@@ -8,7 +8,6 @@ influence training.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -183,15 +182,14 @@ def shapley_mc(values, perms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttributionReport:
-    evaluator: str
     raw: np.ndarray
     shares: np.ndarray
     ranks: np.ndarray
 
     @classmethod
-    def from_raw(cls, evaluator: str, raw: np.ndarray) -> "AttributionReport":
+    def from_raw(cls, raw: np.ndarray) -> "AttributionReport":
         shares = normalize_shares(raw)
-        return cls(evaluator, np.asarray(raw, dtype=np.float64), shares, rank_clients(shares))
+        return cls(np.asarray(raw, dtype=np.float64), shares, rank_clients(shares))
 
 
 def normalize_shares(raw: np.ndarray) -> np.ndarray:
@@ -255,7 +253,7 @@ def evaluate_log(
                 total += shapley_mc(values[name], perms)
             else:
                 total += values[name][0] - values[name][1:]
-    return {name: AttributionReport.from_raw(name, total) for name, total in totals.items()}
+    return {name: AttributionReport.from_raw(total) for name, total in totals.items()}
 
 
 def fedsv(
@@ -295,28 +293,5 @@ def loo_retrain_report(cfg: FLConfig) -> tuple[TrainingLog, AttributionReport]:
     raw = [log.final_utility - run.final_utility for run in first]
     for group in groups[1:]:
         raw += [log.final_utility - run.final_utility for run in run_training_many(group)]
-    return log, AttributionReport.from_raw("loo_retrain", np.array(raw))
+    return log, AttributionReport.from_raw(np.array(raw))
 
-
-def write_report_csv(
-    reports: list[tuple[str, str, AttributionReport]], path
-) -> None:
-    """Tabular dump; rows are (run_id, evaluator, client, raw, share, rank, phase)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["run_id", "evaluator", "client_id", "raw", "share", "rank", "phase"]
-        )
-        for run_id, phase, report in reports:
-            for i in range(len(report.raw)):
-                writer.writerow(
-                    [
-                        run_id,
-                        report.evaluator,
-                        i,
-                        repr(float(report.raw[i])),
-                        repr(float(report.shares[i])),
-                        int(report.ranks[i]),
-                        phase,
-                    ]
-                )

@@ -56,12 +56,6 @@ class _Battery:
         return [self.run(master_seed=s, **overrides) for s in SEEDS]
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - start
-
-
 # --- criterion implementations ---------------------------------------------
 
 
@@ -361,30 +355,33 @@ def check_determinism() -> tuple[bool, str]:
         return True, f"{len(files_a)} files byte-identical across two runs"
 
 
-# wall-clock budgets stated by the acceptance criteria, in seconds
-_RUNTIME_CAPS = {1: 10.0, 2: 30.0, 4: 600.0}
+# number -> (name, check of the battery, wall-clock budget in seconds or None)
+CRITERIA = {
+    1: ("shapley correctness", lambda _: check_shapley_correctness(), 10.0),
+    2: ("gradient integrity", lambda _: check_gradient_integrity(), 30.0),
+    3: ("normalization contract", lambda _: check_normalization_contract(), None),
+    4: ("attack effect", check_attack_effect, 600.0),
+    5: ("utility preservation", check_utility_preservation, None),
+    6: ("intensity monotonicity", check_intensity_monotonicity, None),
+    7: ("target-rank asymmetry", check_target_rank_asymmetry, None),
+    8: ("stealth vs trimming", check_stealth_vs_trimming, None),
+    9: ("evaluator robustness (LOO)", check_loo_robustness, None),
+    10: ("determinism", lambda _: check_determinism(), None),
+}
+
+
+def run_criterion(number: int, battery: _Battery) -> CriterionResult:
+    """Run criterion `number`; one that overruns its budget fails."""
+    name, check, budget = CRITERIA[number]
+    start = time.perf_counter()
+    passed, detail = check(battery)
+    seconds = time.perf_counter() - start
+    if budget is not None and seconds > budget:
+        passed = False
+        detail += f"; exceeded {budget:.0f}s budget"
+    return CriterionResult(number, name, passed, detail, seconds)
 
 
 def run_all(battery: _Battery | None = None) -> list[CriterionResult]:
     battery = battery or _Battery()
-    specs = [
-        (1, "shapley correctness", check_shapley_correctness),
-        (2, "gradient integrity", check_gradient_integrity),
-        (3, "normalization contract", check_normalization_contract),
-        (4, "attack effect", lambda: check_attack_effect(battery)),
-        (5, "utility preservation", lambda: check_utility_preservation(battery)),
-        (6, "intensity monotonicity", lambda: check_intensity_monotonicity(battery)),
-        (7, "target-rank asymmetry", lambda: check_target_rank_asymmetry(battery)),
-        (8, "stealth vs trimming", lambda: check_stealth_vs_trimming(battery)),
-        (9, "evaluator robustness (LOO)", lambda: check_loo_robustness(battery)),
-        (10, "determinism", check_determinism),
-    ]
-    results = []
-    for number, name, fn in specs:
-        passed, detail, seconds = _timed(fn)
-        cap = _RUNTIME_CAPS.get(number)
-        if cap is not None and seconds > cap:
-            passed = False
-            detail += f"; exceeded {cap:.0f}s budget"
-        results.append(CriterionResult(number, name, passed, detail, seconds))
-    return results
+    return [run_criterion(number, battery) for number in CRITERIA]

@@ -21,8 +21,13 @@ from .experiment import SWEEP_AXES, run_experiment, sweep, write_run_outputs
 OUT_ENV = "FEDATTR_OUT"
 
 
-def _default_out() -> Path:
-    return Path(os.environ.get(OUT_ENV, "out"))
+def _out_dir(args) -> Path:
+    """The output directory; a path that cannot be one fails before training."""
+    out = args.out or Path(os.environ.get(OUT_ENV, "out"))
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -50,9 +55,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, out = _resolve_config(args), _out_dir(args)
     report = run_experiment(cfg)
-    write_run_outputs(report, args.out or _default_out())
+    write_run_outputs(report, out)
     primary = cfg.evaluator_list[0]
     print(f"run {report.fingerprint}: attack={cfg.attack} malicious={report.malicious_id}")
     print(
@@ -80,8 +85,7 @@ def _parse_sweep_value(text: str) -> float:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    out = args.out or _default_out()
+    cfg, out = _resolve_config(args), _out_dir(args)
     values = [_parse_sweep_value(v) for v in args.values.split(",")]
     reports = sweep(cfg, args.axis, values, out)
     primary = cfg.evaluator_list[0]

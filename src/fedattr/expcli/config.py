@@ -121,6 +121,8 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def __post_init__(self) -> None:
+        # one spelling per evaluator list, so equal runs share one fingerprint
+        object.__setattr__(self, "evaluators", ",".join(self.evaluator_list))
         if self.attack not in ATTACKS:
             raise ConfigError(f"unknown attack {self.attack!r}")
         if self.target_rule not in TARGET_RULES:

@@ -9,9 +9,10 @@ attacker alone.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -249,8 +250,17 @@ def report_payload(report: ExperimentReport) -> dict:
     }
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """`header`, then one line per row, each ended by a bare newline; rows hold
+    str, int and float values, and a float is written by repr, so it parses back."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
 def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
-    """Write config, logs, CSV, JSON report, diagnostics, and plots for one run."""
+    """Write config, logs, CSV tables, JSON report, diagnostics, and plots for one run."""
     from . import plots
 
     run_dir = out_dir / f"run_{report.fingerprint}_{report.config.attack}"
@@ -259,24 +269,28 @@ def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
     flcore.save_log(report.attack_free_log, run_dir / "attack_free.log.jsonl")
     flcore.save_log(report.attacked_log, run_dir / "attacked.log.jsonl")
 
-    rows = []
-    for name, phases in report.evaluations.items():
-        for phase, rep in phases.items():
-            rows.append((report.fingerprint, phase, rep))
-    attribution.write_report_csv(rows, run_dir / "attribution.csv")
-
     payload = report_payload(report)
+    _write_csv(
+        run_dir / "attribution.csv",
+        "run_id,evaluator,client_id,raw,share,rank,phase",
+        (
+            (report.fingerprint, name, i, raw, share, rank, phase)
+            for name, view in payload["evaluators"].items()
+            for phase in ("attack_free", "attacked")
+            for i, (raw, share, rank) in enumerate(
+                zip(view[phase]["raw"], view[phase]["shares"], view[phase]["ranks"])
+            )
+        ),
+    )
     (run_dir / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n"
     )
     if report.detection is not None:
-        with open(run_dir / "detection.csv", "w") as fh:
-            fh.write("run_id,defense_mode,precision,recall,f1\n")
-            fh.write(
-                f"{report.fingerprint},{report.config.defense_mode},"
-                f"{report.detection.precision!r},{report.detection.recall!r},"
-                f"{report.detection.f1!r}\n"
-            )
+        _write_csv(
+            run_dir / "detection.csv",
+            "run_id,defense_mode,precision,recall,f1",
+            [(report.fingerprint, report.config.defense_mode, *astuple(report.detection))],
+        )
     with open(run_dir / "diagnostics.jsonl", "w") as fh:
         for diag in report.diagnostics:
             fh.write(json.dumps(diag, sort_keys=True) + "\n")
@@ -319,24 +333,20 @@ def write_sweep_summary(reports: list[ExperimentReport], axis: str, out_dir: Pat
     """One CSV row per point and evaluator, keyed by the axis value the point ran with."""
     from . import plots
 
-    values = [getattr(report.config, axis) for report in reports]
+    payloads = [report_payload(report) for report in reports]
+    values = [payload["config"][axis] for payload in payloads]
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{axis}.csv"
-    with open(path, "w") as fh:
-        fh.write(
-            "axis,value,run_id,evaluator,malicious_id,"
-            "share_before,share_after,u0,u1\n"
-        )
-        for value, report in zip(values, reports):
-            for name in report.evaluations:
-                fh.write(
-                    f"{axis},{value},{report.fingerprint},{name},"
-                    f"{report.malicious_id},"
-                    f"{report.target_share(name, 'attack_free')!r},"
-                    f"{report.target_share(name, 'attacked')!r},"
-                    f"{report.u0!r},{report.u1!r}\n"
-                )
-    plots.emit_sweep_plots(
-        [report_payload(r) for r in reports], axis, values, out_dir / "plots"
+    _write_csv(
+        path,
+        "axis,value,run_id,evaluator,malicious_id,share_before,share_after,u0,u1",
+        (
+            (axis, value, payload["fingerprint"], name, payload["malicious_id"],
+             view["target_share_before"], view["target_share_after"], payload["u0"],
+             payload["u1"])
+            for value, payload in zip(values, payloads)
+            for name, view in payload["evaluators"].items()
+        ),
     )
+    plots.emit_sweep_plots(payloads, axis, values, out_dir / "plots")
     return path

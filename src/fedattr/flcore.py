@@ -345,36 +345,44 @@ def save_log(log: TrainingLog, path) -> None:
 
 
 def load_log(path) -> TrainingLog:
+    """The log `save_log` wrote; a malformed file raises ValueError naming its line."""
+    lineno = 1
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "training_log":
-            raise ValueError("not a training log")
-        records = []
-        for line in fh:
-            row = json.loads(line)
-            trim = None
-            if row["trimmed"] is not None:
-                trim = TrimDecision(
-                    row["t"], np.array(row["distances"]), frozenset(row["trimmed"])
-                )
-            records.append(
-                RoundRecord(
-                    t=row["t"],
-                    w_t=_dec(row["w_t"]),
-                    updates=tuple(_dec(u) for u in row["updates"]),
-                    diags=tuple(row["diags"]),
-                    n=tuple(row["n"]),
-                    w_next=_dec(row["w_next"]),
-                    test_utility_after=row["test_utility_after"],
-                    trim=trim,
-                )
+        try:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("kind") != "training_log":
+                raise ValueError("not a training log")
+            fingerprint, rounds, final = (
+                header["fingerprint"], header["rounds"], header["final_utility"]
             )
-    log = TrainingLog(tuple(records), header["fingerprint"])
-    if not records or (header["rounds"], header["final_utility"]) != (
-        len(records), log.final_utility
-    ):
+            records = []
+            for lineno, line in enumerate(fh, start=2):
+                row = json.loads(line)
+                trim = None
+                if row["trimmed"] is not None:
+                    trim = TrimDecision(
+                        row["t"], np.array(row["distances"]), frozenset(row["trimmed"])
+                    )
+                records.append(
+                    RoundRecord(
+                        t=row["t"],
+                        w_t=_dec(row["w_t"]),
+                        updates=tuple(_dec(u) for u in row["updates"]),
+                        diags=tuple(row["diags"]),
+                        n=tuple(row["n"]),
+                        w_next=_dec(row["w_next"]),
+                        test_utility_after=row["test_utility_after"],
+                        trim=trim,
+                    )
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}, line {lineno}: malformed training log: {exc!r}"
+            ) from exc
+    log = TrainingLog(tuple(records), fingerprint)
+    if not records or (rounds, final) != (len(records), log.final_utility):
         raise ValueError(
-            f"log header ({header['rounds']} rounds, final utility "
-            f"{header['final_utility']!r}) disagrees with its {len(records)} records"
+            f"{path}: log header ({rounds} rounds, final utility {final!r}) disagrees "
+            f"with its {len(records)} records"
         )
     return log

@@ -1,10 +1,13 @@
-"""Acceptance suite: one test per criterion, each printing its PASS/FAIL line.
+"""Acceptance suite: one test per criterion of `acceptance.CRITERIA`, each
+running it through `acceptance.run_criterion` and printing its PASS/FAIL line.
 
 Scenario criteria (4-9) share a memoized battery of paired runs over five
 seeds, so the whole module stays inside the stated runtime budgets.  Run with
 `pytest tests/test_acceptance.py -s` to see the per-criterion lines, or via
 the CLI: `fedattr check`.
 """
+
+import re
 
 import pytest
 
@@ -16,62 +19,19 @@ def battery():
     return acceptance._Battery()
 
 
-def _report(result):
-    print(result.line())
-    assert result.passed, result.detail
+def _criterion_test(number):
+    def test(battery):
+        result = acceptance.run_criterion(number, battery)
+        print(result.line())
+        assert result.passed, result.detail
+
+    return test
 
 
-def _run(number, name, fn, cap=None):
-    passed, detail, seconds = acceptance._timed(fn)
-    if cap is not None and seconds > cap:
-        passed = False
-        detail += f"; exceeded {cap:.0f}s budget"
-    _report(acceptance.CriterionResult(number, name, passed, detail, seconds))
-
-
-def test_criterion_01_shapley_correctness():
-    _run(1, "shapley correctness", acceptance.check_shapley_correctness, cap=10.0)
-
-
-def test_criterion_02_gradient_integrity():
-    _run(2, "gradient integrity", acceptance.check_gradient_integrity, cap=30.0)
-
-
-def test_criterion_03_normalization_contract():
-    _run(3, "normalization contract", acceptance.check_normalization_contract)
-
-
-def test_criterion_04_attack_effect(battery):
-    _run(
-        4,
-        "attack effect",
-        lambda: acceptance.check_attack_effect(battery),
-        cap=600.0,
-    )
-
-
-def test_criterion_05_utility_preservation(battery):
-    _run(5, "utility preservation", lambda: acceptance.check_utility_preservation(battery))
-
-
-def test_criterion_06_intensity_monotonicity(battery):
-    _run(6, "intensity monotonicity", lambda: acceptance.check_intensity_monotonicity(battery))
-
-
-def test_criterion_07_target_rank_asymmetry(battery):
-    _run(7, "target-rank asymmetry", lambda: acceptance.check_target_rank_asymmetry(battery))
-
-
-def test_criterion_08_stealth_vs_trimming(battery):
-    _run(8, "stealth vs trimming", lambda: acceptance.check_stealth_vs_trimming(battery))
-
-
-def test_criterion_09_evaluator_robustness_loo(battery):
-    _run(9, "evaluator robustness (LOO)", lambda: acceptance.check_loo_robustness(battery))
-
-
-def test_criterion_10_determinism():
-    _run(10, "determinism", acceptance.check_determinism)
+# one test per row of acceptance.CRITERIA, e.g. test_criterion_09_evaluator_robustness_loo
+for _number, (_name, _, _) in acceptance.CRITERIA.items():
+    _slug = re.sub(r"\W+", "_", _name.lower()).strip("_")
+    globals()[f"test_criterion_{_number:02d}_{_slug}"] = _criterion_test(_number)
 
 
 def test_battery_shares_one_run_between_equal_configs(monkeypatch):
@@ -84,3 +44,14 @@ def test_battery_shares_one_run_between_equal_configs(monkeypatch):
     assert battery.run() == battery.run(master_seed=base.master_seed) == 1
     assert battery.run(master_seed=base.master_seed + 1) == 2
     assert calls == [base, base.override(master_seed=base.master_seed + 1)]
+
+
+def test_run_all_runs_every_criterion_and_fails_one_over_its_budget(monkeypatch):
+    table = {
+        1: ("quick", lambda _: (True, "ok"), None),
+        2: ("slow", lambda _: (True, "ok"), -1.0),  # any run overruns a negative budget
+    }
+    monkeypatch.setattr(acceptance, "CRITERIA", table)
+    quick, slow = acceptance.run_all(acceptance._Battery())
+    assert (quick.number, quick.name, quick.passed, quick.detail) == (1, "quick", True, "ok")
+    assert (slow.number, slow.passed, slow.detail) == (2, False, "ok; exceeded -1s budget")

@@ -86,6 +86,16 @@ def test_fingerprint_changes_with_values():
     assert tiny_config().fingerprint != tiny_config(master_seed=2).fingerprint
 
 
+def test_evaluator_list_has_one_spelling():
+    spellings = [
+        tiny_config(evaluators=e) for e in ("fedsv_exact", "fedsv_exact,", " fedsv_exact ")
+    ]
+    assert spellings[0] == spellings[1] == spellings[2]
+    assert {cfg.fingerprint for cfg in spellings} == {spellings[0].fingerprint}
+    assert spellings[2].evaluators == "fedsv_exact"
+    assert tiny_config(evaluators=" loo_round, fedsv_mc,").evaluators == "loo_round,fedsv_mc"
+
+
 def test_evaluator_list_validation():
     assert tiny_config(evaluators="fedsv_exact, loo_round").evaluator_list == (
         "fedsv_exact",
@@ -99,13 +109,13 @@ def test_evaluator_list_validation():
 
 
 def test_select_malicious_rules():
-    report = AttributionReport.from_raw("fedsv_exact", np.array([0.5, 0.3, 0.2]))
+    report = AttributionReport.from_raw(np.array([0.5, 0.3, 0.2]))
     assert select_malicious(report, "lowest_rank") == 2
     assert select_malicious(report, "rank_k", 1) == 0
     assert select_malicious(report, "rank_k", 2) == 1
     with pytest.raises(ConfigError):
         select_malicious(report, "rank_k", 4)
-    tied = AttributionReport.from_raw("fedsv_exact", np.array([0.4, 0.4, 0.2]))
+    tied = AttributionReport.from_raw(np.array([0.4, 0.4, 0.2]))
     assert select_malicious(tied, "rank_k", 1) == 0  # tie inherited from ranking
 
 
@@ -140,7 +150,9 @@ def test_lowest_rank_target_has_zero_share(free_report):
 
 
 def test_run_report_payload_and_outputs(tmp_path):
-    cfg = tiny_config(attack="latent_opt", defense_mode="monitor")
+    cfg = tiny_config(
+        attack="latent_opt", defense_mode="monitor", evaluators="loo_round,fedsv_exact"
+    )
     report = run_experiment(cfg)
     payload = report_payload(report)
     assert payload["fingerprint"] == cfg.fingerprint
@@ -164,11 +176,21 @@ def test_run_report_payload_and_outputs(tmp_path):
     assert detection_lines[0] == "run_id,defense_mode,precision,recall,f1"
     assert (run_dir / "plots" / "share_composition.svg").exists()
 
-    with open(run_dir / "attribution.csv") as fh:
+    # every table ends its lines with a bare newline, like the other files
+    for table in ("attribution.csv", "detection.csv"):
+        text = (run_dir / table).read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n"), table
+    with open(run_dir / "attribution.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["run_id", "evaluator", "client_id", "raw", "share", "rank", "phase"]
     data_rows = rows[1:]
-    assert len(data_rows) == 2 * cfg.num_clients  # one evaluator, two phases
+    # one row per client, phase within evaluator, evaluators in config order
+    assert [(row[0], row[1], row[6], row[2]) for row in data_rows] == [
+        (cfg.fingerprint, name, phase, str(i))
+        for name in cfg.evaluator_list
+        for phase in ("attack_free", "attacked")
+        for i in range(cfg.num_clients)
+    ]
     # round-trip: stored raw/share values parse back exactly
     stored = json.loads((run_dir / "report.json").read_text())
     for row in data_rows:
@@ -176,6 +198,7 @@ def test_run_report_payload_and_outputs(tmp_path):
         i = int(row[2])
         assert float(row[3]) == stored["evaluators"][row[1]][phase]["raw"][i]
         assert float(row[4]) == stored["evaluators"][row[1]][phase]["shares"][i]
+        assert int(row[5]) == stored["evaluators"][row[1]][phase]["ranks"][i]
 
     diag_lines = (run_dir / "diagnostics.jsonl").read_text().strip().splitlines()
     assert len(diag_lines) == cfg.rounds
@@ -203,8 +226,11 @@ def test_sweep_intensity(tmp_path):
     for report in reports:
         for phases in report.evaluations.values():
             assert phases["attacked"].shares.sum() == pytest.approx(1.0, abs=1e-9)
-    summary = (tmp_path / "sweep_intensity.csv").read_text().splitlines()
-    assert summary[0].startswith("axis,value,run_id")
+    text = (tmp_path / "sweep_intensity.csv").read_bytes()
+    assert b"\r" not in text and text.endswith(b"\n")
+    summary = text.decode().splitlines()
+    header = "axis,value,run_id,evaluator,malicious_id,share_before,share_after,u0,u1"
+    assert summary[0] == header
     assert len(summary) == 3
     assert (tmp_path / "plots" / "intensity_curve.svg").exists()
 
@@ -784,6 +810,27 @@ def test_unbounded_kappa_is_written_as_json_null(tmp_path):
     assert payload["kappa"] is None
     finite = run_experiment(tiny_config(attack="latent_opt", rounds=1))
     assert report_payload(finite)["kappa"] == finite.kappa > 0
+
+
+@pytest.mark.parametrize(
+    "verb", [["run"], ["sweep", "--axis", "intensity", "--values", "0"]], ids=["run", "sweep"]
+)
+def test_cli_rejects_an_out_path_that_is_not_a_directory(tmp_path, capsys, monkeypatch, verb):
+    from fedattr import attribution
+
+    def no_training(cfgs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training_many", no_training)
+    monkeypatch.setattr(attribution, "run_training_many", no_training)
+    _, path = write_tiny_config(tmp_path)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    for out in (existing, existing / "sub"):
+        assert cli.main([*verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory {out}: {existing} is not a directory\n"
+    assert existing.read_text() == "kept\n"
 
 
 def test_cli_run_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -287,6 +287,32 @@ def test_load_log_rejects_a_header_that_disagrees_with_its_records(tmp_path):
             flcore.load_log(path)
 
 
+def test_load_log_rejects_a_malformed_file_with_value_error(tmp_path):
+    spec, shards, test = make_scenario()
+    log = run_training(make_config(spec, shards, test, rounds=2))
+    path = tmp_path / "run.log.jsonl"
+    flcore.save_log(log, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    no_fingerprint = json.loads(header)
+    del no_fingerprint["fingerprint"]
+    no_diags = json.loads(rows[1])
+    del no_diags["diags"]
+    cases = {
+        "line 1: malformed training log: KeyError('fingerprint')": [
+            json.dumps(no_fingerprint) + "\n", *rows
+        ],
+        "line 3: malformed training log: KeyError('diags')": [
+            header, rows[0], json.dumps(no_diags) + "\n"
+        ],
+        "line 1: malformed training log: JSONDecodeError": [],
+    }
+    for message, lines in cases.items():
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            flcore.load_log(path)
+        assert str(err.value).startswith(f"{path}, {message}")
+
+
 def test_defense_enforce_changes_aggregate_membership():
     spec, shards, test = make_scenario()
 
