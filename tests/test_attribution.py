@@ -699,3 +699,27 @@ def test_report_from_raw_structure():
     assert sorted(report.ranks) == [1, 2, 3]
     assert report.shares[report.ranks.argmin()] == report.shares.max()
 
+
+
+def test_write_report_csv(tmp_path):
+    # attribution writes no file: a report's table goes through the one
+    # run-directory CSV writer, rows as write_run_outputs lays them out
+    from fedattr.expcli.experiment import _write_csv
+
+    report = AttributionReport.from_raw(np.array([0.1, 0.5]))
+    path = tmp_path / "attribution.csv"
+    _write_csv(
+        path,
+        "run_id,evaluator,client_id,raw,share,rank,phase",
+        (
+            ("abc123", "fedsv_exact", i, float(raw), float(share), int(rank), "attack_free")
+            for i, (raw, share, rank) in enumerate(zip(report.raw, report.shares, report.ranks))
+        ),
+    )
+    text = path.read_text()
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.splitlines()
+    assert lines[0] == "run_id,evaluator,client_id,raw,share,rank,phase"
+    assert len(lines) == 3
+    assert lines[1].startswith("abc123,fedsv_exact,0,")
+    assert [float(line.split(",")[4]) for line in lines[1:]] == list(report.shares)
