@@ -37,17 +37,29 @@ def trim_round(updates: Sequence[np.ndarray], tau: float, *, t: int = 0) -> Trim
     Distance ties break toward the higher client id.  Aggregation afterwards
     runs over the kept clients only (enforce mode).
     """
-    num = len(updates)
-    if num < 2:
+    return trim_rounds([updates], tau, t=t)[0]
+
+
+def trim_rounds(
+    rounds: Sequence[Sequence[np.ndarray]], tau: float, *, t: int = 0
+) -> list[TrimDecision]:
+    """`trim_round` of R rounds of N updates each, in one stacked median and
+    distance computation; each decision is bit for bit its round's alone."""
+    if any(len(updates) < 2 for updates in rounds):
         raise ValueError("trimming needs at least two clients")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
-    stacked = np.stack(updates)
-    center = np.median(stacked, axis=0)
-    distances = np.linalg.norm(stacked - center, axis=1)
+    stacked = np.stack([np.stack(updates) for updates in rounds])
+    center = np.median(stacked, axis=1, keepdims=True)
+    distances = np.linalg.norm(stacked - center, axis=2)
+    num = stacked.shape[1]
     m = math.ceil(tau * num)
-    order = sorted(range(num), key=lambda i: (-distances[i], -i))
-    return TrimDecision(t=t, distances=distances, trimmed=frozenset(order[:m]))
+    # a stable sort of each row reversed: farthest first, ties to the higher id
+    order = num - 1 - np.argsort(-distances[:, ::-1], axis=1, kind="stable")
+    return [
+        TrimDecision(t=t, distances=row, trimmed=frozenset(ids[:m].tolist()))
+        for row, ids in zip(distances, order)
+    ]
 
 
 @dataclass(frozen=True)

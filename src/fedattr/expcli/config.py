@@ -158,6 +158,18 @@ class ExperimentConfig:
             and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients
         ):
             raise ConfigError(f"trim_tau {self.trim_tau} trims all {self.num_clients} clients")
+        rerun = self.num_clients - 1  # clients in each loo_retrain rerun
+        if "loo_retrain" in self.evaluator_list and self.defense_mode != "off":
+            if rerun < 2:
+                raise ConfigError(
+                    f"loo_retrain reruns train {rerun} client, but trimming needs at "
+                    "least two"
+                )
+            if self.defense_mode == "enforce" and math.ceil(self.trim_tau * rerun) >= rerun:
+                raise ConfigError(
+                    f"trim_tau {self.trim_tau} trims all {rerun} clients of a "
+                    "loo_retrain rerun"
+                )
         try:  # the specs check their own fields; seed 0 stands in for the run's
             self.dataset_spec(0)
             self.model_spec()

@@ -9,8 +9,9 @@ yield.  Every round is recorded, with each client's diagnostics, so
 evaluators and defenses can replay the run without touching training.
 
 `run_training_many` advances several runs round by round, so the training
-sets of all their clients train in shared lockstep calls; each run's log is
-bit for bit the one `run_training` gives it alone.
+sets of all their clients train in shared lockstep calls and their rounds
+close together; each run's log is bit for bit the one `run_training` gives
+it alone.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import numpy as np
 
 from . import streams
 from .data import ClientShard
-from .defense import TrimDecision, trim_round
+from .defense import TrimDecision, trim_rounds
 from .models import (
     LabeledBatch,
     ModelSpec,
     _check_batch,
     accuracy,
+    accuracy_many,
     init_params,
     params_from_bytes,
     params_to_bytes,
@@ -224,23 +226,45 @@ class _Run:
             raise ValueError("bad update shape or non-finite")
         self.steps[i] = (u, diag)
 
-    def close_round(self, t: int) -> None:
-        """Round t after its client steps: trimming, aggregation, utility."""
-        cfg, w, n = self.cfg, self.w, self.n
-        updates, diags = zip(*self.steps)
-        trim = None
+
+def _close_round(runs: Sequence[_Run], t: int) -> None:
+    """Round t of every run after its client steps: trimming, aggregation,
+    utility.  Runs that share client count, parameter count and trim_tau
+    are trimmed in one `trim_rounds` call, each run aggregates its kept
+    clients alone, and runs that share model and test set are scored in one
+    `accuracy_many` call; every value is bit for bit its run's alone."""
+    steps = [tuple(zip(*run.steps)) for run in runs]  # (updates, diags) per run
+    trims: list[TrimDecision | None] = [None] * len(runs)
+    by_shape: dict[tuple, list[int]] = {}
+    for r, run in enumerate(runs):
+        if run.cfg.defense_mode != "off":
+            key = (len(run.steps), run.w.size, run.cfg.trim_tau)
+            by_shape.setdefault(key, []).append(r)
+    for (_, _, tau), members in by_shape.items():
+        decisions = trim_rounds([steps[r][0] for r in members], tau, t=t)
+        for r, trim in zip(members, decisions):
+            trims[r] = trim
+    w_next = []
+    for run, (updates, _), trim in zip(runs, steps, trims):
         kept = np.ones((1, len(updates)), dtype=bool)
-        if cfg.defense_mode != "off":
-            trim = trim_round(updates, cfg.trim_tau, t=t)
-            if cfg.defense_mode == "enforce":
-                kept[0, list(trim.trimmed)] = False
+        if run.cfg.defense_mode == "enforce":
+            kept[0, list(trim.trimmed)] = False
         if not kept.any():
             raise ValueError(f"round {t}: trimming kept no client")
-        w_next = w + weighted_aggregate(updates, n, kept)[0]
-        w_next.setflags(write=False)
-        util = utility(cfg.spec, w_next, cfg.test)
-        self.records.append(RoundRecord(t, w, updates, diags, n, w_next, util, trim))
-        self.w_prev, self.w = w, w_next
+        w_next.append(run.w + weighted_aggregate(updates, run.n, kept)[0])
+        w_next[-1].setflags(write=False)
+    utils = [0.0] * len(runs)
+    by_test: dict[tuple, list[int]] = {}
+    for r, run in enumerate(runs):
+        by_test.setdefault((run.cfg.spec, id(run.cfg.test)), []).append(r)
+    for members in by_test.values():
+        cfg = runs[members[0]].cfg
+        scores = accuracy_many(cfg.spec, np.stack([w_next[r] for r in members]), cfg.test)
+        for r, score in zip(members, scores):
+            utils[r] = float(score)
+    for run, (updates, diags), trim, w, util in zip(runs, steps, trims, w_next, utils):
+        run.records.append(RoundRecord(t, run.w, updates, diags, run.n, w, util, trim))
+        run.w_prev, run.w = run.w, w
 
 
 def _play_round(runs: Sequence[_Run], t: int) -> None:
@@ -248,8 +272,9 @@ def _play_round(runs: Sequence[_Run], t: int) -> None:
     training sets they yield are checked, grouped across runs by model,
     hyperparameters and size, trained in one `sgd_train_many` call per group
     (each row from its own run's w_t, with the seed its own stream gives at
-    the yield) and sent back, until every step has returned.  Rows equal
-    training alone bit for bit, so each log is its run's alone."""
+    the yield) and sent back, until every step has returned; then
+    `_close_round` closes the round of every run.  Rows equal training alone
+    bit for bit, so each log is its run's alone."""
     pending = []  # (run, client index, ctx, step) of each unfinished step
     for run in runs:
         cfg = run.cfg
@@ -289,8 +314,7 @@ def _play_round(runs: Sequence[_Run], t: int) -> None:
             for k, ctx, params in zip(rows, ctxs, trained):
                 sent[k] = params - ctx.w_t
         pending = waiting
-    for run in runs:
-        run.close_round(t)
+    _close_round(runs, t)
 
 
 def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:

@@ -131,12 +131,14 @@ def _layers(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
 
 
 def _logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Logits (K, m, C) of K stacked models, row k of `params` (K, P), on
+    one input matrix (m, d)."""
     if inputs.shape[1] != spec.input_dim:
         raise ValueError(
             f"inputs have {inputs.shape[1]} columns, expected {spec.input_dim}"
         )
-    hidden, w, b = _layers(spec, params[None], inputs)
-    return (hidden @ w.transpose(0, 2, 1) + b[:, None])[0]
+    hidden, w, b = _layers(spec, params, inputs)
+    return hidden @ w.transpose(0, 2, 1) + b[:, None]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -147,7 +149,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
     """Per-row class probabilities (rows sum to one)."""
-    return _softmax(_logits(spec, params, batch.inputs))
+    return _softmax(_logits(spec, params[None], batch.inputs)[0])
 
 
 def loss_and_grad(
@@ -176,30 +178,43 @@ def _ce_grads(
     cross-entropy against labels y[k]."""
     k, m = y.shape
     hidden, w, b = _layers(spec, params, x)
-    z = hidden @ w.transpose(0, 2, 1) + b[:, None]
-    logp = z - _logsumexp_rows(z)
+    logp = hidden @ w.transpose(0, 2, 1) + b[:, None]
+    num_classes = logp.shape[-1]
+    # the row max column by column: exact, and cheaper than a reduce over
+    # the short class axis
+    top = logp[..., 0].copy()
+    for j in range(1, num_classes):
+        np.maximum(top, logp[..., j], out=top)
+    shifted = logp - top[..., None]
+    lse = np.exp(shifted, out=shifted).sum(axis=-1)
+    np.log(lse, out=lse)
+    lse += top
+    logp -= lse[..., None]
     delta = np.exp(logp)
-    delta[np.arange(k)[:, None], np.arange(m), y] -= 1.0
+    delta.reshape(-1)[np.arange(k * m) * num_classes + y.ravel()] -= 1.0
     delta /= m
     grads = [(delta.transpose(0, 2, 1) @ hidden).reshape(k, -1), delta.sum(axis=1)]
     if spec.kind == "mlp1":
-        dhidden = (delta @ w) * (1.0 - hidden * hidden)
+        dhidden = delta @ w
+        hidden *= hidden  # hidden is tanh's output, owned here: 1 - tanh^2 in place
+        np.subtract(1.0, hidden, out=hidden)
+        dhidden *= hidden
         grads[:0] = [(dhidden.transpose(0, 2, 1) @ x).reshape(k, -1), dhidden.sum(axis=1)]
     return logp, np.concatenate(grads, axis=1)
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-
-
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
     """Fraction of argmax-correct rows; argmax ties go to the lowest class."""
+    return float(accuracy_many(spec, params[None], batch)[0])
+
+
+def accuracy_many(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
+    """`accuracy` of K models, row k of `params` (K, P), on one batch; each
+    row's logits are bit for bit that model's alone."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    z = _logits(spec, params, batch.inputs)
-    pred = z.argmax(axis=1)  # np.argmax breaks ties toward the lowest index
-    return float((pred == batch.labels).mean())
+    pred = _logits(spec, params, batch.inputs).argmax(axis=2)  # ties: lowest index
+    return (pred == batch.labels).mean(axis=1)
 
 
 def sgd_train(
@@ -253,9 +268,11 @@ def sgd_train_many(
     x = np.stack([data.inputs for data in datas])
     y = np.stack([data.labels for data in datas])
     rows = np.arange(len(datas))[:, None]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # rows that share a seed share its shuffles: one generator per seed
+    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
     for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        perms = {seed: rng.permutation(n) for seed, rng in rngs.items()}
+        order = np.stack([perms[seed] for seed in seeds])
         xs, ys = x[rows, order], y[rows, order]  # this epoch's shuffled rows
         for start in range(0, n, batch_size):
             step = slice(start, start + batch_size)

@@ -3,8 +3,9 @@
 These deliberately share no arithmetic with the production paths they verify:
 Shapley values are averaged over explicitly enumerated permutations,
 gradients come from plain central differences, a coalition's utility is one
-model aggregated in a plain loop and scored by `models.accuracy`, and local
-SGD sums per-sample gradients of a written-out forward and backward pass.
+model aggregated in a plain loop and scored by `models.accuracy`, local
+SGD sums per-sample gradients of a written-out forward and backward pass,
+and trimming takes medians from sorted lists and distances from summed loops.
 """
 
 from __future__ import annotations
@@ -76,6 +77,38 @@ def coalition_utility(
             mean += (record.n[i] / total) * record.updates[i]
         params = params + mean
     return models.accuracy(spec, params, test)
+
+
+def trim_round(updates, tau: float) -> tuple[list[float], frozenset[int]]:
+    """Distances from the coordinate-wise median and the ceil(tau * N) trimmed
+    clients of one round, in plain Python: each coordinate's median read off
+    its sorted values (the mean of the two middle ones for even N), each
+    distance the square root of a summed loop, and clients trimmed farthest
+    first, an exact distance tie going to the higher client id."""
+    rows = [[float(v) for v in update] for update in updates]
+    num = len(rows)
+    center = []
+    for coord in zip(*rows):
+        ordered = sorted(coord)
+        mid = num // 2
+        center.append(ordered[mid] if num % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+    distances = []
+    for row in rows:
+        total = 0.0
+        for value, c in zip(row, center):
+            total += (value - c) ** 2
+        distances.append(math.sqrt(total))
+    trimmed: list[int] = []
+    for _ in range(math.ceil(tau * num)):
+        best = None
+        for i in range(num):
+            if i in trimmed:
+                continue
+            # farther wins; at an exact tie the higher id, reached later, wins
+            if best is None or distances[i] >= distances[best]:
+                best = i
+        trimmed.append(best)
+    return distances, frozenset(trimmed)
 
 
 def sgd_train(

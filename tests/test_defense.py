@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fedattr import oracles
 from fedattr.defense import (
     TrimDecision,
     detection_metrics,
     plausibility_check,
     trim_round,
+    trim_rounds,
 )
 
 
@@ -38,6 +40,52 @@ def test_trim_validation():
         trim_round([np.ones(2), np.ones(2)], tau=1.0)
     with pytest.raises(ValueError):
         trim_round([np.ones(2), np.ones(2)], tau=0.0)
+    with pytest.raises(ValueError, match="at least two clients"):
+        trim_rounds([[np.ones(2), np.ones(2)], [np.ones(2)]], tau=0.1)
+
+
+def random_stack(rng, case):
+    """A runs x clients x params stack: plain draws, draws with exact
+    distance ties (integer updates mirrored about a center), or runs of
+    identical updates."""
+    runs, clients, params = (int(v) for v in rng.integers([1, 2, 1], [5, 9, 7]))
+    if case == "random":
+        return rng.normal(size=(runs, clients, params)) * rng.choice([1e-3, 1.0, 1e3])
+    if case == "identical":
+        return np.broadcast_to(rng.normal(size=(runs, 1, params)), (runs, clients, params))
+    half = rng.integers(-4, 5, size=(runs, (clients + 1) // 2, params)).astype(float)
+    center = rng.integers(-9, 10, size=(runs, 1, params))
+    return (center + np.concatenate([half, -half], axis=1))[:, :clients]
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "identical"])
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_trimming_matches_the_oracle_and_each_round_alone(case, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_stack(rng, case)
+    tau = float(rng.choice([0.1, 0.25, 0.5, 0.75]))
+    decisions = trim_rounds(list(stack), tau, t=3)
+    assert len(decisions) == len(stack)
+    for updates, dec in zip(stack, decisions):
+        alone = trim_round(list(updates), tau, t=3)
+        assert (dec.t, dec.trimmed) == (alone.t, alone.trimmed)
+        assert dec.distances.tobytes() == alone.distances.tobytes()
+        distances, trimmed = oracles.trim_round(updates, tau)
+        assert dec.trimmed == trimmed
+        assert np.allclose(dec.distances, distances, rtol=1e-12, atol=0.0)
+    if case == "identical":  # every distance 0: the highest ids go
+        top = set(range(stack.shape[1] - len(decisions[0].trimmed), stack.shape[1]))
+        assert all(dec.trimmed == top for dec in decisions)
+
+
+def test_oracle_trim_applies_the_tie_rule():
+    # clients 1 and 3 tie for farthest, then clients 0 and 2
+    updates = [np.array([1.0]), np.array([3.0]), np.array([-1.0]), np.array([-3.0])]
+    distances, trimmed = oracles.trim_round(updates, 0.25)
+    assert distances == [1.0, 3.0, 1.0, 3.0]
+    assert trimmed == {3}
+    assert oracles.trim_round(updates, 0.5)[1] == {1, 3}
+    assert oracles.trim_round(updates, 0.75)[1] == {1, 2, 3}
 
 
 def test_plausibility_examples():

@@ -484,6 +484,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             },
             "1000 rounds x 100 clients x 1152100 parameters exceed the cap of 67108864",
         ),
+        (
+            {"evaluators": "loo_retrain", "num_clients": 2, "defense_mode": "monitor"},
+            "loo_retrain reruns train 1 client, but trimming needs at least two",
+        ),
+        (
+            {
+                "evaluators": "loo_retrain", "num_clients": 3, "defense_mode": "enforce",
+                "trim_tau": 0.6,
+            },
+            "trim_tau 0.6 trims all 2 clients of a loo_retrain rerun",
+        ),
     ],
     ids=[
         "exact_guard", "mc_permutations", "rounds", "trim_tau", "trim_all",
@@ -500,15 +511,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "mc_permutations_without_fedsv_mc", "duplicate_evaluator", "rounds_cap",
         "local_epochs_cap", "latent_steps_cap", "input_dim_cap", "num_classes_cap",
         "hidden_dim_cap", "input_values_cap", "pool_input_values_cap", "logged_values_cap",
+        "loo_retrain_one_client_rerun", "loo_retrain_trims_all_of_a_rerun",
     ],
 )
 def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, bad, message):
-    from fedattr import flcore
+    from fedattr import attribution, flcore
 
     def no_training(cfg):
         raise AssertionError("training started")
 
     monkeypatch.setattr(flcore, "run_training", no_training)
+    monkeypatch.setattr(attribution, "run_training_many", no_training)
     path = tmp_path / "bad.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in {**TINY, **bad}.items()))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedattr import attacks, flcore, models, streams
+from fedattr import attacks, defense, flcore, models, streams
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.flcore import (
     FLConfig,
@@ -402,7 +402,9 @@ def test_lockstep_failure_names_the_failing_client():
 
 def test_run_training_many_matches_each_run_alone(monkeypatch):
     # training sets of different runs share lockstep calls only when model,
-    # hyperparameters and size agree; the rest of each round runs per run
+    # hyperparameters and size agree; a round's close trims runs together
+    # when client count, parameter count and trim_tau agree, and scores them
+    # together when model and test set agree
     spec, shards, test = make_scenario(num_clients=5)
     mlp = ModelSpec("mlp1", input_dim=2, num_classes=3, hidden_dim=4)
     cut = shards[4].data
@@ -412,6 +414,7 @@ def test_run_training_many_matches_each_run_alone(monkeypatch):
     noise = partial(attacks.behavior_random_noise, sigma_rel=2.0)
     slow = LocalHP(epochs=1, batch_size=8, eta_w=0.05)
     enforce = dict(defense_mode="enforce", trim_tau=0.2)
+    half_test = models.LabeledBatch(test.inputs[::2], test.labels[::2])
     cfgs = [
         make_config(
             spec, shards, test, rounds=4,
@@ -431,16 +434,32 @@ def test_run_training_many_matches_each_run_alone(monkeypatch):
         ),
         make_config(mlp, shards[:4], test, rounds=3, hp=slow),
         make_config(spec, shards[1:], test, rounds=1),
+        # the round close batches runs too; these must stay apart from the
+        # runs above: another test set, another trim_tau, another model
+        make_config(spec, shards, half_test, rounds=2),
+        make_config(spec, shards, test, rounds=2, defense_mode="enforce", trim_tau=0.4),
+        make_config(mlp, shards, test, rounds=3, defense_mode="monitor", trim_tau=0.2),
     ]
-    sizes = []
+    sizes, trimmed, scored = [], [], []
 
     def spy(spec, params, *args):
         sizes.append(len(params))
         return models.sgd_train_many(spec, params, *args)
 
+    def trim_spy(rounds, *args, **kw):
+        trimmed.append(len(rounds))
+        return defense.trim_rounds(rounds, *args, **kw)
+
+    def score_spy(spec, params, test):
+        scored.append(len(params))
+        return models.accuracy_many(spec, params, test)
+
     monkeypatch.setattr(flcore, "sgd_train_many", spy)
+    monkeypatch.setattr(flcore, "trim_rounds", trim_spy)
+    monkeypatch.setattr(flcore, "accuracy_many", score_spy)
     logs = run_training_many(cfgs)
     assert max(sizes) > len(shards)  # some call trained clients of several runs
+    assert max(trimmed) > 1 and max(scored) > 1  # and some closed several runs
     monkeypatch.undo()
     assert len(logs) == len(cfgs)
     for cfg, log in zip(cfgs, logs):

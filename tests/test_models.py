@@ -218,18 +218,20 @@ SGD_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("shared_start", [False, True], ids=["own", "shared"])
+@pytest.mark.parametrize("rows", ["own", "shared", "shared_seed"])
 @pytest.mark.parametrize("num_rows", [21, 23])  # last mini-batch: 1 and 3 rows
 @pytest.mark.parametrize("spec", SGD_SPECS, ids=lambda s: s.kind)
-def test_sgd_train_many_rows_match_single_runs_and_oracle(spec, num_rows, shared_start):
+def test_sgd_train_many_rows_match_single_runs_and_oracle(spec, num_rows, rows):
     rng = np.random.default_rng(num_rows)
     k, batch_size = 4, 5
-    if shared_start:  # as in a FedAvg round: every client starts from w_t
+    if rows == "shared":  # as in a FedAvg round: every client starts from w_t
         params = np.broadcast_to(rng.normal(size=spec.param_count), (k, spec.param_count))
     else:
         params = rng.normal(size=(k, spec.param_count))
     datas = [random_batch(rng, spec, num_rows) for _ in range(k)]
     seeds = [int(s) for s in rng.integers(0, 2**63, k)]
+    if rows == "shared_seed":  # one client in several lockstep runs: rows 0-2
+        datas[1:3], seeds[1:3] = [datas[0]] * 2, [seeds[0]] * 2
     many = models.sgd_train_many(spec, params, datas, 3, batch_size, 0.2, seeds)
     assert many.shape == (k, spec.param_count)
     for row, start, data, seed in zip(many, params, datas, seeds):
