@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .flcore import FLConfig, RoundRecord, TrainingLog, run_training_many, weighted_aggregate
-from .models import LabeledBatch, ModelSpec, _layers
+from .models import LabeledBatch, ModelSpec, accuracy_many
 
 # Evaluators that read only the logged rounds; `evaluate_log` scores them together.
 LOGGED_EVALUATORS = ("fedsv_exact", "fedsv_mc", "loo_round")
@@ -26,9 +26,11 @@ EXACT_LIMIT = 16
 # Client models one group of leave-one-out reruns trains per round: enough
 # to fill a lockstep call, while only one group's logs are held at a time.
 _RERUN_MODELS = 32
-# Float64 logits held at once while evaluating a batch of coalitions; bounds
-# the working set independently of how many coalitions are asked for.
-_CHUNK_LOGITS = 1 << 16
+# Float64 logits (or hidden activations, if wider) held at once while
+# scoring a chunk of coalitions; bounds the working set independently of how
+# many coalitions are asked for.  A larger chunk spreads each call's fixed
+# cost over more coalitions; 2^18 and up scored faster but raised peak memory.
+_CHUNK_LOGITS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -45,61 +47,23 @@ class CoalitionUtility:
 
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
-        matrix (coalitions x clients) marks the members of coalition k."""
+        matrix (coalitions x clients) marks the members of coalition k.
+        Each chunk of coalitions is scored by one `models.accuracy_many`
+        call, so every value is the accuracy its model gets alone."""
         rec, members = self.record, np.asarray(members, dtype=bool)
-        if len(self.test) == 0:
-            raise ValueError("batch is empty")
-        # Test rows grouped by label, so each label's rows are one slice; rows
-        # labelled num_classes or above can never be predicted correctly.
-        order = np.argsort(self.test.labels, kind="stable")
-        bounds = np.searchsorted(
-            self.test.labels[order], np.arange(self.spec.num_classes + 1)
-        )
-        x = self.test.inputs[order[: bounds[-1]]]
         width = len(self.test) * max(self.spec.num_classes, self.spec.hidden_dim)
         chunk = max(1, _CHUNK_LOGITS // width)
         out = np.empty(len(members))
         for start in range(0, len(members), chunk):
             block = members[start : start + chunk]
             params = rec.w_t + weighted_aggregate(rec.updates, rec.n, block)
-            columns = self._class_logits(params, x)
-            out[start : start + chunk] = _count_correct(columns, bounds) / len(self.test)
+            out[start : start + chunk] = accuracy_many(self.spec, params, self.test)
         return out
-
-    def _class_logits(self, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-        """Logits of each coalition's model, one coalitions x rows array per class.
-
-        `models._layers` makes the logits equal `models.accuracy`'s bit for
-        bit.  The output bias is added one class at a time, which keeps the
-        inner loops long.
-        """
-        hidden, w, bias = _layers(self.spec, params, x)
-        z = hidden @ w.transpose(0, 2, 1)
-        return [z[..., j] + bias[:, j : j + 1] for j in range(self.spec.num_classes)]
 
     def value_mask(self, mask: int) -> float:
         """v(S) for the coalition whose members are the set bits of `mask`."""
         row = mask >> np.arange(self.num_clients) & 1
         return float(self.values(row[None, :])[0])
-
-
-def _count_correct(columns: list[np.ndarray], bounds: np.ndarray) -> np.ndarray:
-    """Correct predictions per coalition from per-class logits whose rows are
-    grouped by label: rows bounds[y]:bounds[y + 1] have label y.
-
-    argmax's first-max rule: a row of label y is correct when its logit y is
-    above every lower class's logit and at least every higher class's.
-    """
-    num_classes = len(columns)
-    own = np.concatenate(
-        [columns[y][:, bounds[y] : bounds[y + 1]] for y in range(num_classes)], axis=1
-    )
-    hit = np.ones(own.shape, dtype=bool)
-    for j, col in enumerate(columns):
-        higher, lower = bounds[j + 1], bounds[j]  # rows labelled above / below j
-        hit[:, higher:] &= own[:, higher:] > col[:, higher:]
-        hit[:, :lower] &= own[:, :lower] >= col[:, :lower]
-    return hit.sum(axis=1)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,17 +245,25 @@ def loo_round(
     return evaluate_log(log, spec, test, ["loo_round"])["loo_round"]
 
 
-def loo_retrain_report(cfg: FLConfig) -> tuple[TrainingLog, AttributionReport]:
-    """`run_training(cfg)` and the utility drop from rerunning the whole
-    training without each client.  The reruns train in lockstep, in groups
-    of about `_RERUN_MODELS` client models, the first group alongside cfg's
-    own run, and only each rerun's final utility outlives its group."""
-    reruns = [cfg.without_client(s.client_id) for s in cfg.shards]
+def loo_retrain_report(
+    cfg: FLConfig, known: Mapping[int, float] | None = None
+) -> tuple[TrainingLog, AttributionReport, dict[int, float]]:
+    """`run_training(cfg)`, the utility drop from rerunning the whole
+    training without each client, and each rerun's final utility by the id
+    of the client it leaves out.  `known` holds final utilities of reruns
+    trained before, which are not trained again.  The other reruns train in
+    lockstep, in groups of about `_RERUN_MODELS` client models, the first
+    group alongside cfg's own run, and only each rerun's final utility
+    outlives its group."""
+    known = dict(known or {})
+    missing = [s.client_id for s in cfg.shards if s.client_id not in known]
+    reruns = [cfg.without_client(i) for i in missing]
     per_group = max(1, _RERUN_MODELS // max(1, len(cfg.shards) - 1))
-    groups = [reruns[k : k + per_group] for k in range(0, len(reruns), per_group)]
-    log, *first = run_training_many([cfg, *groups[0]])
-    raw = [log.final_utility - run.final_utility for run in first]
-    for group in groups[1:]:
-        raw += [log.final_utility - run.final_utility for run in run_training_many(group)]
-    return log, AttributionReport.from_raw(np.array(raw))
-
+    log, *first = run_training_many([cfg, *reruns[:per_group]])
+    finals = [run.final_utility for run in first]
+    for k in range(per_group, len(reruns), per_group):
+        finals += [run.final_utility for run in run_training_many(reruns[k : k + per_group])]
+    known.update(zip(missing, finals))
+    utilities = {s.client_id: known[s.client_id] for s in cfg.shards}
+    raw = log.final_utility - np.array(list(utilities.values()))
+    return log, AttributionReport.from_raw(raw), utilities

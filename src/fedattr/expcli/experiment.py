@@ -141,27 +141,29 @@ def _make_attack_behavior(cfg: ExperimentConfig, kappa: float) -> flcore.Behavio
 
 
 def _train_and_evaluate(
-    cfg: ExperimentConfig, flcfg: flcore.FLConfig
-) -> tuple[flcore.TrainingLog, dict[str, attribution.AttributionReport]]:
-    """One phase's log and every configured evaluator's report on it, in
-    config order.  Under loo_retrain the phase trains with its reruns."""
+    cfg: ExperimentConfig, flcfg: flcore.FLConfig, known: dict[int, float] | None = None
+) -> tuple[flcore.TrainingLog, dict[str, attribution.AttributionReport], dict[int, float]]:
+    """One phase's log, every configured evaluator's report on it in config
+    order, and the final utility of each leave-one-out rerun by client id.
+    Under loo_retrain the phase trains with its reruns, except those whose
+    final utility `known` holds; otherwise there are no reruns."""
     if "loo_retrain" in cfg.evaluator_list:
-        log, retrain = attribution.loo_retrain_report(flcfg)
+        log, retrain, reruns = attribution.loo_retrain_report(flcfg, known)
     else:
-        log, retrain = flcore.run_training(flcfg), None
+        log, retrain, reruns = flcore.run_training(flcfg), None, {}
     logged = [name for name in cfg.evaluator_list if name in attribution.LOGGED_EVALUATORS]
     reports = attribution.evaluate_log(
         log, flcfg.spec, flcfg.test, logged,
         num_permutations=cfg.mc_permutations, seed=cfg.mc_seed,
     )
     reports["loo_retrain"] = retrain  # read only when configured
-    return log, {name: reports[name] for name in cfg.evaluator_list}
+    return log, {name: reports[name] for name in cfg.evaluator_list}, reruns
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Attack-free run, target selection, attacked run, evaluation, verdicts."""
     free_cfg = build_scenario(cfg)
-    free_log, free_reports = _train_and_evaluate(cfg, free_cfg)
+    free_log, free_reports, free_reruns = _train_and_evaluate(cfg, free_cfg)
     evaluations = {name: {"attack_free": report} for name, report in free_reports.items()}
 
     primary = cfg.evaluator_list[0]
@@ -179,7 +181,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for shard in free_cfg.shards
         ],
     )
-    attacked_log, attacked_reports = _train_and_evaluate(cfg, attacked_cfg)
+    # Every client of the attacked phase's rerun without the attacker is
+    # benign, so it is the attack-free phase's rerun without that client.
+    known = {malicious_id: free_reruns[malicious_id]} if free_reruns else None
+    attacked_log, attacked_reports, _ = _train_and_evaluate(cfg, attacked_cfg, known)
     for name, report in attacked_reports.items():
         evaluations[name]["attacked"] = report
 

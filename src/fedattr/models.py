@@ -204,17 +204,58 @@ def _ce_grads(
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
-    """Fraction of argmax-correct rows; argmax ties go to the lowest class."""
+    """Fraction of correct rows under `accuracy_many`'s first-max rule."""
     return float(accuracy_many(spec, params[None], batch)[0])
 
 
 def accuracy_many(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
-    """`accuracy` of K models, row k of `params` (K, P), on one batch; each
-    row's logits are bit for bit that model's alone."""
+    """Test accuracy of K models, row k of `params` (K, P), on one batch.
+
+    A row is correct when its label's logit is above every lower class's
+    and at least every higher class's: argmax with ties to the lowest class,
+    except that a row with a NaN logit counts as wrong.  Labels of
+    num_classes or above are never correct.  Rows are grouped by label and
+    the logits are class-major, so every comparison reads contiguous memory;
+    row k of the result is bit for bit that model's alone."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    pred = _logits(spec, params, batch.inputs).argmax(axis=2)  # ties: lowest index
-    return (pred == batch.labels).mean(axis=1)
+    if batch.inputs.shape[1] != spec.input_dim:
+        raise ValueError(
+            f"inputs have {batch.inputs.shape[1]} columns, expected {spec.input_dim}"
+        )
+    # rows bounds[y]:bounds[y + 1] of the grouped batch have label y
+    order = np.argsort(batch.labels, kind="stable")
+    bounds = np.searchsorted(batch.labels[order], np.arange(spec.num_classes + 1))
+    xt = np.ascontiguousarray(batch.inputs[order[: bounds[-1]]].T)
+    z = _class_logits(spec, params, xt)
+    # own[k, r]: model k's logit of the label of grouped row r
+    own = np.concatenate(
+        [z[:, y, bounds[y] : bounds[y + 1]] for y in range(spec.num_classes)], axis=1
+    )
+    hit = np.ones(own.shape, dtype=bool)
+    for j in range(spec.num_classes):
+        lower, higher = bounds[j], bounds[j + 1]  # rows labelled below / above j
+        hit[:, :lower] &= own[:, :lower] >= z[:, j, :lower]
+        hit[:, higher:] &= own[:, higher:] > z[:, j, higher:]
+    return np.count_nonzero(hit, axis=1) / len(batch)
+
+
+def _class_logits(spec: ModelSpec, params: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Class-major logits (K, C, m) of K stacked models, row k of `params`
+    (K, P), on m inputs held as the columns of `xt` (d, m).  Each matmul
+    makes one BLAS call per model with a single model's shapes, so row k
+    does not depend on K."""
+    if spec.kind == "logistic":
+        w, b = _views(spec, params)
+        hidden = xt
+    else:
+        w1, b1, w, b = _views(spec, params)
+        hidden = w1 @ xt
+        hidden += b1[..., None]
+        np.tanh(hidden, out=hidden)
+    z = w @ hidden
+    z += b[..., None]
+    return z
 
 
 def sgd_train(

@@ -2,9 +2,10 @@
 
 These deliberately share no arithmetic with the production paths they verify:
 Shapley values are averaged over explicitly enumerated permutations,
-gradients come from plain central differences, a coalition's utility is one
-model aggregated in a plain loop and scored by `models.accuracy`, local
-SGD sums per-sample gradients of a written-out forward and backward pass,
+gradients come from plain central differences, accuracy scans each row's
+logits from a written-out forward pass, a coalition's utility is one model
+aggregated in a plain loop and scored that way, local SGD sums per-sample
+gradients of a written-out forward and backward pass,
 and trimming takes medians from sorted lists and distances from summed loops.
 """
 
@@ -76,7 +77,39 @@ def coalition_utility(
         for i in members:
             mean += (record.n[i] / total) * record.updates[i]
         params = params + mean
-    return models.accuracy(spec, params, test)
+    return accuracy(spec, params, test)
+
+
+def accuracy(spec: models.ModelSpec, params: np.ndarray, test: models.LabeledBatch) -> float:
+    """Fraction of test rows whose predicted class is their label.  Each
+    row's logits come from a forward pass in Python floats; the prediction
+    is the first class holding the largest logit, found by a scan that only
+    moves on to a strictly larger one.  A row with a NaN logit, or with a
+    label of num_classes or above, counts as wrong."""
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    params = [float(v) for v in params]
+    correct = 0
+    for x, label in zip(test.inputs.tolist(), test.labels.tolist()):
+        a, out = x, params  # logistic: the output layer reads the input
+        if spec.kind == "mlp1":
+            a = [
+                math.tanh(sum(params[i * d + k] * x[k] for k in range(d)) + params[h * d + i])
+                for i in range(h)
+            ]
+            out = params[h * d + h :]
+        width = len(a)
+        logits = [
+            sum(out[j * width + k] * a[k] for k in range(width)) + out[c * width + j]
+            for j in range(c)
+        ]
+        if any(math.isnan(z) for z in logits):
+            continue
+        best = 0
+        for j in range(1, c):
+            if logits[j] > logits[best]:
+                best = j
+        correct += best == label
+    return correct / len(test)
 
 
 def trim_round(updates, tau: float) -> tuple[list[float], frozenset[int]]:

@@ -228,10 +228,18 @@ def assert_values_match_oracle(log, spec, test):
             assert value == expected, (rec.t, row)
 
 
-@pytest.mark.parametrize("chunk_logits", [1 << 16, 500])
+@pytest.mark.parametrize(
+    "chunk_logits",
+    [
+        pytest.param(attribution._CHUNK_LOGITS, id="default"),
+        pytest.param(500, id="500"),
+        pytest.param(1, id="one"),
+    ],
+)
 @pytest.mark.parametrize("model", ["logistic", "mlp1"])
 def test_values_match_oracle(model, chunk_logits, monkeypatch):
-    # a small chunk limit splits every round's 32 coalitions over many chunks
+    # a small chunk limit splits every round's 32 coalitions over many
+    # chunks; a limit of one logit scores one coalition per chunk
     monkeypatch.setattr(attribution, "_CHUNK_LOGITS", chunk_logits)
     cfg, log, spec, test = small_run(num_clients=5, rounds=3, model=model)
     assert_values_match_oracle(log, spec, test)
@@ -573,7 +581,7 @@ def test_loo_retrain_only_holder_of_a_class_matters():
     # logit wins where every trained logit is negative), so only the class
     # this fixture shows to be unrecoverable carries a positive value:
     # dropping client 1 (sole holder of class 0) costs a third of accuracy.
-    log, report = loo_retrain_report(cfg)
+    log, report, _ = loo_retrain_report(cfg)
     assert report.raw[1] == pytest.approx(1 / 3, abs=0.05)
     assert np.all(report.raw >= 0)
     # cfg's own run trains alongside the reruns, and its log is the one
@@ -611,7 +619,7 @@ def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
         return models.sgd_train_many(spec, params, *args)
 
     monkeypatch.setattr(flcore, "sgd_train_many", spy)
-    log, report = loo_retrain_report(cfg)
+    log, report, _ = loo_retrain_report(cfg)
     monkeypatch.undo()
     assert log.final_utility == run_training(cfg).final_utility
     if num_clients == 6:
@@ -624,6 +632,24 @@ def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
         for s in shards
     ]
     assert report.raw.tolist() == expected
+
+
+def test_loo_retrain_skips_the_reruns_it_is_given(monkeypatch):
+    cfg, _, _, _ = small_run(num_clients=4)
+    log, full, utilities = loo_retrain_report(cfg)
+    assert list(utilities) == [s.client_id for s in cfg.shards]
+    assert [log.final_utility - u for u in utilities.values()] == full.raw.tolist()
+    trained = []
+
+    def spy(cfgs):
+        trained.extend(len(c.shards) for c in cfgs)
+        return flcore.run_training_many(cfgs)
+
+    monkeypatch.setattr(attribution, "run_training_many", spy)
+    _, reused, again = loo_retrain_report(cfg, {1: utilities[1], 3: utilities[3]})
+    assert trained == [4, 3, 3]  # the own run and the reruns without clients 0 and 2
+    assert again == utilities
+    assert reused.raw.tobytes() == full.raw.tobytes()
 
 
 # --- properties of real round games ------------------------------------------

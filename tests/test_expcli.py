@@ -587,16 +587,27 @@ def test_loo_retrain_scores_latent_opt(monkeypatch):
     # another's latents and no rerun adds diagnostics to the report
     from fedattr import attribution, flcore
 
-    real_report = attribution.loo_retrain_report
-    trained = []
+    real_report, real_many = attribution.loo_retrain_report, attribution.run_training_many
+    trained, runs = [], []
 
-    def recording(flcfg):
+    def recording(flcfg, known=None):
         trained.append(flcfg)
-        return real_report(flcfg)
+        return real_report(flcfg, known)
+
+    def counting(flcfgs):
+        runs.append(len(flcfgs))
+        return real_many(flcfgs)
 
     monkeypatch.setattr(attribution, "loo_retrain_report", recording)
+    monkeypatch.setattr(attribution, "run_training_many", counting)
     cfg = tiny_config(attack="latent_opt", evaluators="fedsv_exact,loo_retrain")
     report = run_experiment(cfg)
+    monkeypatch.undo()
+    # the attacked phase's rerun without the attacker has only benign
+    # clients, so it is the attack-free phase's: the attacked phase trains
+    # only its own run and the other N - 1 reruns, and the values below
+    # still equal a full retrain
+    assert runs == [1 + cfg.num_clients, cfg.num_clients]
     assert [d["t"] for d in report.diagnostics] == list(range(1, cfg.rounds + 1))
     logs = {"attack_free": report.attack_free_log, "attacked": report.attacked_log}
     assert len(trained) == len(logs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedattr import models, oracles
 from fedattr.models import LabeledBatch, ModelSpec
@@ -174,6 +176,74 @@ def test_accuracy_random_params_near_chance():
     batch = LabeledBatch(rng.normal(size=(4000, 2)), rng.integers(0, 4, 4000))
     acc = models.accuracy(spec, rng.normal(size=spec.param_count), batch)
     assert abs(acc - 0.25) <= 0.1
+
+
+def test_accuracy_counts_a_nan_logit_in_the_label_column_as_wrong():
+    # argmax would pick the NaN class 0 and call every row correct
+    spec = ModelSpec("logistic", input_dim=2, num_classes=3)
+    params = np.zeros(spec.param_count)
+    params[-3] = np.nan
+    batch = LabeledBatch(np.ones((4, 2)), np.zeros(4, dtype=int))
+    assert models.accuracy(spec, params, batch) == 0.0
+    assert oracles.accuracy(spec, params, batch) == 0.0
+
+
+@st.composite
+def scoring_cases(draw):
+    """A model kind and size, K stacked parameter rows and a test batch with
+    labels up to num_classes + 1; `ties` zeroes a model, copies one class's
+    output weights and bias onto another's, or puts NaN in a class bias."""
+    kind = draw(st.sampled_from(models.KINDS))
+    hidden = draw(st.integers(1, 4)) if kind == "mlp1" else 0
+    spec = ModelSpec(kind, draw(st.integers(1, 4)), draw(st.integers(2, 5)), hidden)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.normal(size=(draw(st.integers(1, 4)), spec.param_count))
+    rows = draw(st.integers(1, 40))
+    batch = LabeledBatch(
+        rng.normal(size=(rows, spec.input_dim)),
+        rng.integers(0, spec.num_classes + 2, rows),
+    )
+    ties = draw(st.sampled_from(["none", "zero", "duplicate", "nan"]))
+    k = draw(st.integers(0, len(params) - 1))
+    src, dst = draw(
+        st.lists(st.integers(0, spec.num_classes - 1), min_size=2, max_size=2, unique=True)
+    )
+    *_, w, b = models._views(spec, params[k])
+    if ties == "zero":
+        params[k] = 0.0
+    elif ties == "duplicate":
+        w[dst], b[dst] = w[src], b[src]
+    elif ties == "nan":
+        b[dst] = np.nan
+    return spec, params, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases())
+def test_accuracy_many_matches_the_oracle(case):
+    spec, params, batch = case
+    got = models.accuracy_many(spec, params, batch)
+    assert got.shape == (len(params),)
+    for k, row in enumerate(params):
+        expected = oracles.accuracy(spec, row, batch)
+        assert got[k] == expected, k
+        assert models.accuracy(spec, row, batch) == expected
+
+
+@pytest.mark.parametrize("num_models", [2, 7, 33])
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_accuracy_many_rows_equal_each_model_alone(kind, num_models):
+    spec = ModelSpec(kind, 3, 5, 6 if kind == "mlp1" else 0)
+    rng = np.random.default_rng(num_models)
+    params = rng.normal(size=(num_models, spec.param_count))
+    batch = LabeledBatch(rng.normal(size=(301, 3)), rng.integers(0, 5, 301))
+    xt = np.ascontiguousarray(batch.inputs.T)
+    logits = models._class_logits(spec, params, xt)
+    scores = models.accuracy_many(spec, params, batch)
+    for k in range(num_models):
+        alone = models._class_logits(spec, params[k : k + 1], xt)[0]
+        assert logits[k].tobytes() == alone.tobytes(), k
+        assert scores[k] == models.accuracy_many(spec, params[k : k + 1], batch)[0]
 
 
 def test_sgd_rejects_bad_hyperparameters():
