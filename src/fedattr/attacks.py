@@ -24,9 +24,10 @@ from .flcore import RoundContext, benign
 from .models import (
     LabeledBatch,
     ModelSpec,
+    _layers,
+    _softmax,
     _views,
     concat_batches,
-    forward,
     loss_and_grad,
 )
 
@@ -139,16 +140,14 @@ def decode(dec: Decoder, z: np.ndarray, labels: np.ndarray) -> LabeledBatch:
     return LabeledBatch(inputs, labels)
 
 
-def select_targets(
-    shard: ClientShard, num_classes: int, batch: int, rng: np.random.Generator
-) -> np.ndarray:
+def select_targets(shard: ClientShard, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Labels drawn from the shard's missing/underrepresented classes."""
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    missing, under = coverage_stats(shard, num_classes)
+    missing, under = coverage_stats(shard)
     candidates = sorted(missing | under)
     if not candidates:
-        candidates = list(range(num_classes))
+        candidates = list(range(len(shard.class_counts)))
     return rng.choice(np.array(candidates, dtype=np.int64), size=batch, replace=True)
 
 
@@ -252,7 +251,8 @@ def grad_z(
         )
 
     x, n = batch.inputs, len(batch)
-    p = forward(spec, w_t, batch)
+    hidden, w, logits = _layers(spec, w_t[None], x)
+    p = _softmax(logits[0])
     delta = p.copy()
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
@@ -262,13 +262,11 @@ def grad_z(
         return p * (a - np.sum(p * a, axis=1, keepdims=True)) / n
 
     if spec.kind == "logistic":
-        w, _ = _views(spec, w_t)
         vw, vb = _views(spec, v)
-        grad_x = softmax_vjp(x @ vw.T + vb) @ w + delta @ (vw + w)
+        grad_x = softmax_vjp(x @ vw.T + vb) @ w[0] + delta @ (vw + w[0])
     else:
-        w1, b1, w2, _ = _views(spec, w_t)
+        w1, w2, h = _views(spec, w_t)[0], w[0], hidden[0]
         v1, vb1, v2, vb2 = _views(spec, v)
-        h = np.tanh(x @ w1.T + b1)
         s = 1.0 - h * h
         q = delta @ w2  # W2^T delta_i per row
         u = x @ v1.T + vb1
@@ -331,7 +329,6 @@ def behavior_latent_opt(
         return update, z, {"effective_alpha": 0.0, "clipped": False}
 
     spec, w_t, shard, rng = ctx.spec, ctx.w_t, ctx.shard, ctx.rng
-    num_classes = len(shard.class_counts)
     if z is None:
         z = rng.standard_normal((synth_batch, dec.latent_dim))
 
@@ -339,10 +336,10 @@ def behavior_latent_opt(
     labels: np.ndarray | None = None
     if float(np.linalg.norm(g_ref)) > 0.0:
         for _ in range(latent_steps):
-            labels = select_targets(shard, num_classes, synth_batch, rng)
+            labels = select_targets(shard, synth_batch, rng)
             z = refine_latent(z, spec, w_t, dec, labels, g_ref, eta_z)
     if labels is None:
-        labels = select_targets(shard, num_classes, synth_batch, rng)
+        labels = select_targets(shard, synth_batch, rng)
 
     update = yield concat_batches(shard.data, decode(dec, z, labels))
 

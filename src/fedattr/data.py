@@ -192,15 +192,13 @@ def partition_noniid(
     return shards
 
 
-def coverage_stats(shard: ClientShard, num_classes: int) -> tuple[set[int], set[int]]:
+def coverage_stats(shard: ClientShard) -> tuple[set[int], set[int]]:
     """Classes missing from the shard, and nonzero classes below the nonzero median."""
     counts = shard.class_counts
-    if len(counts) != num_classes:
-        raise ValueError("class_counts length does not match num_classes")
-    missing = {c for c in range(num_classes) if counts[c] == 0}
+    missing = {c for c, count in enumerate(counts) if count == 0}
     nonzero = counts[counts > 0]
     if len(nonzero) == 0:
         return missing, set()
     med = float(np.median(nonzero))
-    under = {c for c in range(num_classes) if 0 < counts[c] < med}
+    under = {c for c, count in enumerate(counts) if 0 < count < med}
     return missing, under

@@ -42,12 +42,11 @@ class CriterionResult:
 class _Battery:
     """Lazily computed, memoized experiment runs shared across criteria."""
 
-    def __init__(self, base: ExperimentConfig = DEFAULT):
-        self.base = base
+    def __init__(self):
         self._cache: dict[ExperimentConfig, ExperimentReport] = {}
 
     def run(self, **overrides) -> ExperimentReport:
-        cfg = self.base.override(**overrides)
+        cfg = DEFAULT.override(**overrides)
         if cfg not in self._cache:
             self._cache[cfg] = run_experiment(cfg)
         return self._cache[cfg]
@@ -279,7 +278,7 @@ def check_intensity_monotonicity(battery: _Battery) -> tuple[bool, str]:
         medians.append(
             _median([r.target_share("fedsv_exact", "attacked") for r in reports])
         )
-        if _median([abs(r.u1 - r.u0) for r in reports]) > battery.base.delta:
+        if _median([abs(r.u1 - r.u0) for r in reports]) > DEFAULT.delta:
             util_ok = False
 
     inversions = [

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..flcore import DEFENSE_MODES, FLRunError
 from . import acceptance, plots
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .experiment import SWEEP_AXES, run_experiment, sweep, write_run_outputs
 
 OUT_ENV = "FEDATTR_OUT"
@@ -44,14 +44,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg = cfg.override(master_seed=args.seed)
-    if args.evaluator is not None:
-        cfg = cfg.override(evaluators=args.evaluator)
-    if args.defense is not None:
-        cfg = cfg.override(defense_mode=args.defense)
-    return cfg
+    """The config file's values merged with the command-line overrides, then
+    validated once."""
+    flags = dict(master_seed=args.seed, evaluators=args.evaluator, defense_mode=args.defense)
+    text = args.config.read_text() if args.config else ""
+    return parse_config(text, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_run(args) -> int:

@@ -269,7 +269,9 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """The config a file's text gives, with `overrides` replacing its values
+    before the one validation."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -284,7 +286,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
     try:
-        return ExperimentConfig(**values)
+        return ExperimentConfig(**{**values, **overrides})
     except ConfigError:
         raise
     except ValueError as exc:

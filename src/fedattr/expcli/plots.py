@@ -45,28 +45,26 @@ class SvgCanvas:
             f'fill="{fill}"/>'
         )
 
-    def line(self, x1, y1, x2, y2, stroke="#333333", width=1.0) -> None:
+    def line(self, x1, y1, x2, y2) -> None:
         self.parts.append(
             f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_f(width)}"/>'
+            'stroke="#333333" stroke-width="1.000"/>'
         )
 
-    def polyline(self, points, stroke: str, width=2.0) -> None:
+    def polyline(self, points, stroke: str) -> None:
         coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_f(width)}"/>'
+            'stroke-width="2.000"/>'
         )
 
-    def circle(self, x, y, r, fill: str) -> None:
-        self.parts.append(
-            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{fill}"/>'
-        )
+    def circle(self, x, y, fill: str) -> None:
+        self.parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3.000" fill="{fill}"/>')
 
-    def text(self, x, y, s: str, size=11, anchor="start", fill="#222222") -> None:
+    def text(self, x, y, s: str, size=11, anchor="start") -> None:
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{s}</text>'
+            f'font-size="{size}" text-anchor="{anchor}" fill="#222222">{s}</text>'
         )
 
     def save(self, path: Path) -> None:
@@ -145,9 +143,9 @@ def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> Non
     canvas.polyline([(x, to_y(s)) for x, s in zip(xs, shares)], PALETTE[3])
     canvas.polyline([(x, to_y(a)) for x, a in zip(xs, accs)], PALETTE[0])
     for x, s in zip(xs, shares):
-        canvas.circle(x, to_y(s), 3.0, PALETTE[3])
+        canvas.circle(x, to_y(s), PALETTE[3])
     for x, a in zip(xs, accs):
-        canvas.circle(x, to_y(a), 3.0, PALETTE[0])
+        canvas.circle(x, to_y(a), PALETTE[0])
     canvas.rect(right - 150, top, 10, 10, PALETTE[3])
     canvas.text(right - 136, top + 9, "attacker share", size=10)
     canvas.rect(right - 150, top + 16, 10, 10, PALETTE[0])

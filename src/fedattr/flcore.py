@@ -21,6 +21,7 @@ import json
 from collections.abc import Generator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ from .models import (
     init_params,
     params_from_bytes,
     params_to_bytes,
-    sgd_train,
     sgd_train_many,
 )
 
@@ -180,19 +180,14 @@ def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
 
 
 def run_step(behavior: Behavior, ctx: RoundContext, state: Any = None):
-    """One client step on its own: each training set it yields is trained by
-    `sgd_train` with the seed the runner would draw, so the result is the
-    step's (update, state, diag) inside a run, bit for bit."""
-    step, update = behavior(ctx, state), None
-    while isinstance(step, Generator):
-        try:
-            batch = step.send(update)
-        except StopIteration as done:
-            return done.value
-        hp, seed = ctx.hp, int(ctx.rng.integers(0, 2**63))
-        trained = sgd_train(ctx.spec, ctx.w_t, batch, hp.epochs, hp.batch_size, hp.eta_w, seed)
-        update = trained - ctx.w_t
-    return step
+    """One client step on its own, driven by the runner's `_drive`, so the
+    result is the step's checked (update, state, diag) inside a run, bit for
+    bit, and a failure raises FLRunError naming ctx's round and client."""
+    result = []
+    with _blame(ctx):
+        step = behavior(ctx, state)
+    _drive([(result.append, ctx, step)])
+    return result[0]
 
 
 @contextmanager
@@ -218,12 +213,9 @@ class _Run:
         self.steps: list[tuple | None] = [None] * len(cfg.shards)
         self.records: list[RoundRecord] = []
 
-    def finish_step(self, i: int, result) -> None:
-        """Client i's returned (update, state, diag), checked."""
+    def finish_step(self, i: int, result: tuple) -> None:
+        """Client i's checked (update, state, diag)."""
         u, self.states[i], diag = result
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != self.w.shape or not np.all(np.isfinite(u)):
-            raise ValueError("bad update shape or non-finite")
         self.steps[i] = (u, diag)
 
 
@@ -267,42 +259,48 @@ def _close_round(runs: Sequence[_Run], t: int) -> None:
         run.w_prev, run.w = run.w, w
 
 
-def _play_round(runs: Sequence[_Run], t: int) -> None:
-    """Round t of every run.  Steps start in run and client order; the
-    training sets they yield are checked, grouped across runs by model,
-    hyperparameters and size, trained in one `sgd_train_many` call per group
-    (each row from its own run's w_t, with the seed its own stream gives at
-    the yield) and sent back, until every step has returned; then
-    `_close_round` closes the round of every run.  Rows equal training alone
-    bit for bit, so each log is its run's alone."""
-    pending = []  # (run, client index, ctx, step) of each unfinished step
-    for run in runs:
-        cfg = run.cfg
-        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
-            rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
-            ctx = RoundContext(cfg.spec, t, run.w, run.w_prev, shard, cfg.hp, rng)
+def _checked(ctx: RoundContext, result) -> tuple:
+    """A step's returned (update, state, diag), its update a finite float64
+    vector shaped like ctx.w_t."""
+    u, state, diag = result
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != ctx.w_t.shape or not np.all(np.isfinite(u)):
+        raise ValueError("bad update shape or non-finite")
+    return u, state, diag
+
+
+def _drive(entries: Sequence[tuple]) -> None:
+    """Drive every (finish, ctx, step) entry until its step returns, then
+    pass `finish` the checked result.  A step that is not a generator has
+    already returned.  The training sets that generators yield are checked,
+    grouped by model, hyperparameters and size, trained in one
+    `sgd_train_many` call per group (each row from its own ctx.w_t, with the
+    seed its own ctx.rng gives at the yield) and sent back as updates.  Rows
+    equal training alone bit for bit; a failure raises FLRunError naming the
+    step's round and client."""
+    pending = []  # (finish, ctx, step) of each unfinished generator
+    for finish, ctx, step in entries:
+        if isinstance(step, Generator):
+            pending.append((finish, ctx, step))
+        else:
             with _blame(ctx):
-                step = behavior(ctx, run.states[i])
-                if not isinstance(step, Generator):
-                    run.finish_step(i, step)
-                    continue
-            pending.append((run, i, ctx, step))
+                finish(_checked(ctx, step))
     sent = [None] * len(pending)
     while pending:
         groups: dict[tuple, list[tuple]] = {}
         waiting = []
-        for (run, i, ctx, step), update in zip(pending, sent):
+        for (finish, ctx, step), update in zip(pending, sent):
             with _blame(ctx):
                 try:
                     batch = step.send(update)
                 except StopIteration as done:
-                    run.finish_step(i, done.value)
+                    finish(_checked(ctx, done.value))
                     continue
                 _check_batch(ctx.spec, batch)
                 seed = int(ctx.rng.integers(0, 2**63))
             key = (ctx.spec, ctx.hp, len(batch))
             groups.setdefault(key, []).append((len(waiting), ctx, batch, seed))
-            waiting.append((run, i, ctx, step))
+            waiting.append((finish, ctx, step))
         sent = [None] * len(waiting)
         for (spec, hp, _), members in groups.items():
             rows, ctxs, batches, seeds = zip(*members)
@@ -314,6 +312,22 @@ def _play_round(runs: Sequence[_Run], t: int) -> None:
             for k, ctx, params in zip(rows, ctxs, trained):
                 sent[k] = params - ctx.w_t
         pending = waiting
+
+
+def _play_round(runs: Sequence[_Run], t: int) -> None:
+    """Round t of every run: its client steps start in run and client order,
+    `_drive` trains all of them in shared lockstep calls, and `_close_round`
+    closes the round of every run."""
+    entries = []
+    for run in runs:
+        cfg = run.cfg
+        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
+            rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
+            ctx = RoundContext(cfg.spec, t, run.w, run.w_prev, shard, cfg.hp, rng)
+            with _blame(ctx):
+                step = behavior(ctx, run.states[i])
+            entries.append((partial(run.finish_step, i), ctx, step))
+    _drive(entries)
     _close_round(runs, t)
 
 

@@ -116,40 +116,26 @@ def _views(spec: ModelSpec, params: np.ndarray):
 
 
 def _layers(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Input to the output layer of K stacked models, row k of `params`
-    (K, P) on x[k] (or on a shared x), with the output layer's weights and
-    biases.  Each matmul makes one BLAS call per model with the shapes and
-    strides of a single-model call, so every row is bit for bit what K = 1
-    gives for that model alone."""
+    """The row-major forward pass of K stacked models, row k of `params`
+    (K, P), on x[k] (or on a shared x): the input to the output layer, the
+    output layer's weights, and the logits (K, m, C).  Each matmul makes one
+    BLAS call per model with the shapes and strides of a single-model call,
+    so every row is bit for bit what K = 1 gives for that model alone."""
     if spec.kind == "logistic":
         w, b = _views(spec, params)
-        return x, w, b
-    w1, b1, w, b = _views(spec, params)
-    hidden = x @ w1.transpose(0, 2, 1)
-    hidden += b1[:, None]
-    return np.tanh(hidden, out=hidden), w, b
-
-
-def _logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Logits (K, m, C) of K stacked models, row k of `params` (K, P), on
-    one input matrix (m, d)."""
-    if inputs.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"inputs have {inputs.shape[1]} columns, expected {spec.input_dim}"
-        )
-    hidden, w, b = _layers(spec, params, inputs)
-    return hidden @ w.transpose(0, 2, 1) + b[:, None]
+        hidden = x
+    else:
+        w1, b1, w, b = _views(spec, params)
+        hidden = x @ w1.transpose(0, 2, 1)
+        hidden += b1[:, None]
+        np.tanh(hidden, out=hidden)
+    return hidden, w, hidden @ w.transpose(0, 2, 1) + b[:, None]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def forward(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
-    """Per-row class probabilities (rows sum to one)."""
-    return _softmax(_logits(spec, params[None], batch.inputs)[0])
 
 
 def loss_and_grad(
@@ -177,8 +163,7 @@ def _ce_grads(
     the batch x[k] (m, d), and each model's flat gradient (K, P) of the mean
     cross-entropy against labels y[k]."""
     k, m = y.shape
-    hidden, w, b = _layers(spec, params, x)
-    logp = hidden @ w.transpose(0, 2, 1) + b[:, None]
+    hidden, w, logp = _layers(spec, params, x)
     num_classes = logp.shape[-1]
     # the row max column by column: exact, and cheaper than a reduce over
     # the short class axis

@@ -290,21 +290,21 @@ def test_decoder_scale_matches_expected_offset_norm(scenario):
 def test_select_targets_singleton_candidate(scenario):
     batch = LabeledBatch(np.zeros((10, 2)), np.array([1] * 5 + [2] * 5))
     shard = ClientShard.build(0, batch, 3)
-    labels = select_targets(shard, 3, 8, rng_for(0))
+    labels = select_targets(shard, 8, rng_for(0))
     assert np.all(labels == 0)
 
 
 def test_select_targets_fallback_uniform():
     batch = LabeledBatch(np.zeros((9, 2)), np.array([0, 1, 2] * 3))
     shard = ClientShard.build(0, batch, 3)
-    labels = select_targets(shard, 3, 600, rng_for(1))
+    labels = select_targets(shard, 600, rng_for(1))
     assert set(labels) == {0, 1, 2}
 
 
 def test_select_targets_deterministic(scenario):
     _, shards, _, _ = scenario
-    a = select_targets(shards[0], 4, 16, rng_for(2))
-    b = select_targets(shards[0], 4, 16, rng_for(2))
+    a = select_targets(shards[0], 16, rng_for(2))
+    b = select_targets(shards[0], 16, rng_for(2))
     assert np.array_equal(a, b)
 
 

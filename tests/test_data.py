@@ -140,7 +140,7 @@ def test_default_scenario_attacker_misses_a_class():
         num_classes=10,
     )
     for shard in shards:
-        missing, _ = coverage_stats(shard, 10)
+        missing, _ = coverage_stats(shard)
         assert missing  # k < C leaves every shard short of some class
 
 
@@ -155,9 +155,9 @@ def shard_from_counts(counts):
 
 
 def test_coverage_stats_examples():
-    assert coverage_stats(shard_from_counts([0, 5, 5]), 3) == ({0}, set())
-    assert coverage_stats(shard_from_counts([0, 1, 9]), 3) == ({0}, {1})
-    assert coverage_stats(shard_from_counts([4, 4, 4]), 3) == (set(), set())
+    assert coverage_stats(shard_from_counts([0, 5, 5])) == ({0}, set())
+    assert coverage_stats(shard_from_counts([0, 1, 9])) == ({0}, {1})
+    assert coverage_stats(shard_from_counts([4, 4, 4])) == (set(), set())
 
 
 def test_coverage_sets_disjoint():
@@ -166,7 +166,7 @@ def test_coverage_sets_disjoint():
         counts = rng.integers(0, 8, size=6)
         if counts.sum() == 0:
             continue
-        missing, under = coverage_stats(shard_from_counts(list(counts)), 6)
+        missing, under = coverage_stats(shard_from_counts(list(counts)))
         assert missing.isdisjoint(under)
 
 

@@ -928,6 +928,47 @@ def test_cli_overrides(tmp_path, capsys):
     assert "detection" in printed
 
 
+CLI_VERBS = [["run"], ["sweep", "--axis", "intensity", "--values", "1"]]
+
+
+@pytest.mark.parametrize("verb", CLI_VERBS, ids=["run", "sweep"])
+@pytest.mark.parametrize(
+    "values, flags",
+    [
+        (dict(num_clients=20, samples_per_client=20), ["--evaluator", "fedsv_mc"]),
+        (dict(num_clients=3, trim_tau=0.7, defense_mode="enforce"), ["--defense", "off"]),
+    ],
+    ids=["exact_guard", "trims_all"],
+)
+def test_cli_overrides_apply_before_the_file_is_validated(tmp_path, verb, values, flags):
+    # each file is invalid alone and valid with its override
+    path = tmp_path / "cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {"rounds": 1, **values}.items()))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main([*verb, "--config", str(path), "--out", str(out), *flags]) == 0
+    assert len(list(out.glob("run_*/report.json"))) == 1
+
+
+@pytest.mark.parametrize("verb", CLI_VERBS, ids=["run", "sweep"])
+def test_cli_override_that_invalidates_a_file_fails_before_training(
+    tmp_path, capsys, monkeypatch, verb
+):
+    from fedattr import attribution
+
+    def no_training(cfgs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training_many", no_training)
+    monkeypatch.setattr(attribution, "run_training_many", no_training)
+    _, path = write_tiny_config(tmp_path, num_clients=3, trim_tau=0.7)
+    out = tmp_path / "out"
+    assert cli.main([*verb, "--config", str(path), "--out", str(out), "--defense", "enforce"]) == 2
+    assert "config error: trim_tau 0.7 trims all 3 clients" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decoder_is_calibrated_only_for_the_latent_attack(monkeypatch):
     from fedattr import attacks
 

@@ -517,6 +517,40 @@ def test_a_bad_yielded_training_set_names_its_round_and_client(bad_set, message)
     with pytest.raises(FLRunError, match=message) as err:
         run_training_many(cfgs)
     assert (err.value.round_index, err.value.client_id) == (2, 1)
+    # `run_step` checks the set the same way, before drawing its seed
+    rng = np.random.default_rng(3)
+    ctx = RoundContext(spec, 2, models.init_params(spec, 0), None, shards[1], LocalHP(), rng)
+    with pytest.raises(FLRunError, match=message) as err:
+        run_step(yields_bad_set_in_round_2, ctx)
+    assert (err.value.round_index, err.value.client_id) == (2, 1)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def trains_then_returns_nan(ctx, state):
+    update = yield ctx.shard.data
+    return update * np.nan, state, None
+
+
+@pytest.mark.parametrize(
+    "behavior",
+    [
+        trains_then_returns_nan,
+        lambda ctx, state: (np.full_like(ctx.w_t, np.inf), state, None),
+        lambda ctx, state: (ctx.w_t[1:], state, None),
+    ],
+    ids=["trained-nan", "returned-inf", "short"],
+)
+def test_a_bad_update_names_its_round_and_client(behavior):
+    spec, shards, test = make_scenario()
+    cfg = make_config(spec, shards, test, behaviors=[benign, benign, behavior])
+    with pytest.raises(FLRunError, match="bad update shape or non-finite") as err:
+        run_training(cfg)
+    assert (err.value.round_index, err.value.client_id) == (1, 2)
+    ctx = RoundContext(spec, 4, models.init_params(spec, 0), None, shards[0], cfg.hp,
+                       np.random.default_rng(0))
+    with pytest.raises(FLRunError, match="bad update shape or non-finite") as err:
+        run_step(behavior, ctx)
+    assert (err.value.round_index, err.value.client_id) == (4, 0)
 
 
 def test_run_step_trains_each_yield_like_the_runner():

@@ -46,10 +46,15 @@ def test_init_deterministic_and_biases_zero():
     assert np.all(p[-2:] == 0.0)  # output biases
 
 
+def probabilities(spec, params, batch):
+    """Per-row class probabilities: `_softmax` of `_layers`' logits."""
+    return models._softmax(models._layers(spec, params[None], batch.inputs)[2][0])
+
+
 def test_forward_uniform_at_zero_params():
     spec = ModelSpec("logistic", input_dim=3, num_classes=4)
     batch = random_batch(np.random.default_rng(0), spec, n=5)
-    probs = models.forward(spec, np.zeros(spec.param_count), batch)
+    probs = probabilities(spec, np.zeros(spec.param_count), batch)
     assert np.allclose(probs, 0.25)
 
 
@@ -60,7 +65,7 @@ def test_forward_rows_sum_to_one():
         ModelSpec("mlp1", input_dim=4, num_classes=3, hidden_dim=6),
     ):
         params = rng.normal(size=spec.param_count)
-        probs = models.forward(spec, params, random_batch(rng, spec, 20))
+        probs = probabilities(spec, params, random_batch(rng, spec, 20))
         assert np.all(probs >= 0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -70,7 +75,7 @@ def test_forward_hand_constructed_logistic():
     spec = ModelSpec("logistic", input_dim=2, num_classes=2)
     params = np.array([-1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     batch = LabeledBatch(np.array([[3.0, 0.5]]), np.array([1]))
-    probs = models.forward(spec, params, batch)
+    probs = probabilities(spec, params, batch)
     # logits are (-3, 3); direct computation of the softmax
     expect = np.exp(3.0) / (np.exp(3.0) + np.exp(-3.0))
     assert probs[0, 1] == pytest.approx(expect, abs=1e-12)
@@ -78,10 +83,15 @@ def test_forward_hand_constructed_logistic():
 
 
 def test_forward_dimension_mismatch():
+    # every public entry to the forward pass rejects inputs of the wrong width
     spec = ModelSpec("logistic", input_dim=3, num_classes=2)
-    batch = LabeledBatch(np.zeros((2, 2)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError):
-        models.forward(spec, np.zeros(spec.param_count), batch)
+    params, batch = np.zeros(spec.param_count), LabeledBatch(np.zeros((2, 2)), np.zeros(2, int))
+    with pytest.raises(ValueError, match="2 columns, expected 3"):
+        models.loss_and_grad(spec, params, batch)
+    with pytest.raises(ValueError, match="2 columns, expected 3"):
+        models.accuracy_many(spec, params[None], batch)
+    with pytest.raises(ValueError, match="2 columns, expected 3"):
+        models.sgd_train_many(spec, params[None], [batch], 1, 2, 0.1, [0])
 
 
 def test_loss_at_zero_params_is_log_c():
