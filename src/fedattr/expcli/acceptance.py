@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class _Battery:
         self._cache: dict[ExperimentConfig, ExperimentReport] = {}
 
     def run(self, **overrides) -> ExperimentReport:
-        cfg = DEFAULT.override(**overrides)
+        cfg = replace(DEFAULT, **overrides)
         if cfg not in self._cache:
             self._cache[cfg] = run_experiment(cfg)
         return self._cache[cfg]
@@ -337,7 +337,7 @@ def check_loo_robustness(battery: _Battery) -> tuple[bool, str]:
 
 
 def check_determinism() -> tuple[bool, str]:
-    cfg = DEFAULT.override(rounds=6, master_seed=SEEDS[0])
+    cfg = replace(DEFAULT, rounds=6, master_seed=SEEDS[0])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         dirs = []

@@ -47,7 +47,10 @@ def _resolve_config(args) -> ExperimentConfig:
     """The config file's values merged with the command-line overrides, then
     validated once."""
     flags = dict(master_seed=args.seed, evaluators=args.evaluator, defense_mode=args.defense)
-    text = args.config.read_text() if args.config else ""
+    try:
+        text = args.config.read_text(encoding="utf-8") if args.config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     return parse_config(text, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -56,7 +59,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(cfg)
     write_run_outputs(report, out)
     primary = cfg.evaluator_list[0]
-    print(f"run {report.fingerprint}: attack={cfg.attack} malicious={report.malicious_id}")
+    print(f"run {cfg.fingerprint}: attack={cfg.attack} malicious={report.malicious_id}")
     print(
         f"  {primary} share {report.target_share(primary, 'attack_free'):.4f}"
         f" -> {report.target_share(primary, 'attacked'):.4f}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
 from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
@@ -249,9 +249,6 @@ class ExperimentConfig:
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:12]
-
-    def override(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -38,10 +38,6 @@ class ExperimentReport:
     attacked_log: flcore.TrainingLog
 
     @property
-    def fingerprint(self) -> str:
-        return self.config.fingerprint
-
-    @property
     def u0(self) -> float:
         return self.attack_free_log.final_utility
 
@@ -231,7 +227,7 @@ def report_payload(report: ExperimentReport) -> dict:
         evals[name]["target_rank_before"] = report.target_rank(name, "attack_free")
         evals[name]["target_rank_after"] = report.target_rank(name, "attacked")
     return {
-        "fingerprint": report.fingerprint,
+        "fingerprint": report.config.fingerprint,
         "config": dict(sorted(asdict(report.config).items())),
         "malicious_id": report.malicious_id,
         "u0": report.u0,
@@ -268,7 +264,8 @@ def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
     """Write config, logs, CSV tables, JSON report, diagnostics, and plots for one run."""
     from . import plots
 
-    run_dir = out_dir / f"run_{report.fingerprint}_{report.config.attack}"
+    fingerprint = report.config.fingerprint
+    run_dir = out_dir / f"run_{fingerprint}_{report.config.attack}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(report.config.canonical())
     flcore.save_log(report.attack_free_log, run_dir / "attack_free.log.jsonl")
@@ -279,7 +276,7 @@ def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
         run_dir / "attribution.csv",
         "run_id,evaluator,client_id,raw,share,rank,phase",
         (
-            (report.fingerprint, name, i, raw, share, rank, phase)
+            (fingerprint, name, i, raw, share, rank, phase)
             for name, view in payload["evaluators"].items()
             for phase in ("attack_free", "attacked")
             for i, (raw, share, rank) in enumerate(
@@ -294,7 +291,7 @@ def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
         _write_csv(
             run_dir / "detection.csv",
             "run_id,defense_mode,precision,recall,f1",
-            [(report.fingerprint, report.config.defense_mode, *astuple(report.detection))],
+            [(fingerprint, report.config.defense_mode, *astuple(report.detection))],
         )
     with open(run_dir / "diagnostics.jsonl", "w") as fh:
         for diag in report.diagnostics:
@@ -319,11 +316,11 @@ def sweep(
 
     # every point is validated before the first one trains
     if axis == "num_clients":
-        points = [cfg.override(num_clients=whole(v)) for v in values]
+        points = [replace(cfg, num_clients=whole(v)) for v in values]
     elif axis == "target_rank":
-        points = [cfg.override(target_rule="rank_k", target_rank=whole(v)) for v in values]
+        points = [replace(cfg, target_rule="rank_k", target_rank=whole(v)) for v in values]
     else:
-        points = [cfg.override(intensity=float(v)) for v in values]
+        points = [replace(cfg, intensity=float(v)) for v in values]
     reports = []
     for point in points:
         reports.append(run_experiment(point))

@@ -89,6 +89,7 @@ class RoundRecord:
 class TrainingLog:
     rounds: tuple[RoundRecord, ...]
     fingerprint: str
+    defense_mode: str
 
     @property
     def final_utility(self) -> float:
@@ -219,6 +220,15 @@ class _Run:
         self.steps[i] = (u, diag)
 
 
+def _kept(mode: str, clients: int, trim: TrimDecision | None) -> np.ndarray:
+    """The one-row membership matrix of the clients a round aggregates: all
+    of them, less the trimmed ones under `enforce`."""
+    kept = np.ones((1, clients), dtype=bool)
+    if mode == "enforce":
+        kept[0, list(trim.trimmed)] = False
+    return kept
+
+
 def _close_round(runs: Sequence[_Run], t: int) -> None:
     """Round t of every run after its client steps: trimming, aggregation,
     utility.  Runs that share client count, parameter count and trim_tau
@@ -238,9 +248,7 @@ def _close_round(runs: Sequence[_Run], t: int) -> None:
             trims[r] = trim
     w_next = []
     for run, (updates, _), trim in zip(runs, steps, trims):
-        kept = np.ones((1, len(updates)), dtype=bool)
-        if run.cfg.defense_mode == "enforce":
-            kept[0, list(trim.trimmed)] = False
+        kept = _kept(run.cfg.defense_mode, len(updates), trim)
         if not kept.any():
             raise ValueError(f"round {t}: trimming kept no client")
         w_next.append(run.w + weighted_aggregate(updates, run.n, kept)[0])
@@ -337,7 +345,10 @@ def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
     runs = [_Run(cfg) for cfg in cfgs]
     for t in range(1, max((cfg.rounds for cfg in cfgs), default=0) + 1):
         _play_round([run for run in runs if t <= run.cfg.rounds], t)
-    return [TrainingLog(tuple(run.records), run.cfg.fingerprint) for run in runs]
+    return [
+        TrainingLog(tuple(run.records), run.cfg.fingerprint, run.cfg.defense_mode)
+        for run in runs
+    ]
 
 
 def run_training(cfg: FLConfig) -> TrainingLog:
@@ -356,68 +367,85 @@ def _dec(blob: str) -> np.ndarray:
 
 
 def save_log(log: TrainingLog, path) -> None:
-    """One JSON line per round, preceded by a header line."""
+    """A header holding the run's constants, `w_1` and `n`, then one line per round."""
     with open(path, "w") as fh:
         header = {
             "kind": "training_log",
             "fingerprint": log.fingerprint,
+            "defense_mode": log.defense_mode,
             "rounds": len(log.rounds),
             "final_utility": log.final_utility,
+            "w_1": _enc(log.rounds[0].w_t),
+            "n": list(log.rounds[0].n),
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in log.rounds:
             row = {
                 "t": rec.t,
-                "w_t": _enc(rec.w_t),
                 "updates": [_enc(u) for u in rec.updates],
-                "n": list(rec.n),
                 "w_next": _enc(rec.w_next),
                 "test_utility_after": rec.test_utility_after,
                 "trimmed": sorted(rec.trim.trimmed) if rec.trim else None,
-                "distances": (
-                    [float(d) for d in rec.trim.distances] if rec.trim else None
-                ),
+                "distances": rec.trim.distances.tolist() if rec.trim else None,
                 "diags": list(rec.diags),
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> RoundRecord:
+    """Round t of a stored log from its row, broadcast w_t and counts n,
+    checked against itself: one update and one diag per client, a trim
+    decision exactly when the defense is on (client ids only, one distance
+    per client), and a w_next the runner's aggregation gives bit for bit."""
+    if row["t"] != t:
+        raise ValueError(f"round {row['t']!r} where round {t} belongs")
+    updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
+    if not len(updates) == len(diags) == clients:
+        raise ValueError(f"{len(updates)} updates, {len(diags)} diags, {clients} clients")
+    if (row["trimmed"] is None) != (mode == "off"):
+        raise ValueError(f"trim decision {row['trimmed']!r} under defense {mode!r}")
+    trim = None
+    if mode != "off":
+        distances = np.array(row["distances"], dtype=np.float64)
+        trim = TrimDecision(t, distances, frozenset(row["trimmed"]))
+        if not all(isinstance(i, int) and 0 <= i < clients for i in trim.trimmed):
+            raise ValueError(f"trimmed {row['trimmed']!r} names no client of {clients}")
+        if distances.shape != (clients,):
+            raise ValueError(f"{distances.size} distances for {clients} clients")
+    w_next = _dec(row["w_next"])
+    kept = _kept(mode, clients, trim)
+    if (w_t + weighted_aggregate(updates, n, kept)[0]).tobytes() != w_next.tobytes():
+        raise ValueError(f"round {t}: w_next is not w_t plus its aggregated updates")
+    return RoundRecord(t, w_t, updates, diags, n, w_next, row["test_utility_after"], trim)
+
+
 def load_log(path) -> TrainingLog:
-    """The log `save_log` wrote; a malformed file raises ValueError naming its line."""
+    """The log `save_log` wrote: round t + 1's broadcast is round t's w_next
+    and every round gets the header's counts.  A malformed file, or one whose
+    rounds do not run 1..T or contradict themselves (`_load_round`), raises
+    ValueError naming its line."""
     lineno = 1
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
             if not isinstance(header, dict) or header.get("kind") != "training_log":
                 raise ValueError("not a training log")
-            fingerprint, rounds, final = (
-                header["fingerprint"], header["rounds"], header["final_utility"]
+            fingerprint, mode, rounds, final = (
+                header["fingerprint"], header["defense_mode"], header["rounds"],
+                header["final_utility"],
             )
+            if mode not in DEFENSE_MODES:
+                raise ValueError(f"unknown defense mode {mode!r}")
+            w_t, n = _dec(header["w_1"]), tuple(header["n"])
             records = []
             for lineno, line in enumerate(fh, start=2):
-                row = json.loads(line)
-                trim = None
-                if row["trimmed"] is not None:
-                    trim = TrimDecision(
-                        row["t"], np.array(row["distances"]), frozenset(row["trimmed"])
-                    )
-                records.append(
-                    RoundRecord(
-                        t=row["t"],
-                        w_t=_dec(row["w_t"]),
-                        updates=tuple(_dec(u) for u in row["updates"]),
-                        diags=tuple(row["diags"]),
-                        n=tuple(row["n"]),
-                        w_next=_dec(row["w_next"]),
-                        test_utility_after=row["test_utility_after"],
-                        trim=trim,
-                    )
-                )
+                records.append(_load_round(json.loads(line), lineno - 1, w_t, n, mode))
+                w_t = records[-1].w_next
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}, line {lineno}: malformed training log: {exc!r}"
             ) from exc
-    log = TrainingLog(tuple(records), fingerprint)
+    log = TrainingLog(tuple(records), fingerprint, mode)
     if not records or (rounds, final) != (len(records), log.final_utility):
         raise ValueError(
             f"{path}: log header ({rounds} rounds, final utility {final!r}) disagrees "

@@ -8,6 +8,7 @@ the CLI: `fedattr check`.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_battery_shares_one_run_between_equal_configs(monkeypatch):
     base = acceptance.DEFAULT
     assert battery.run() == battery.run(master_seed=base.master_seed) == 1
     assert battery.run(master_seed=base.master_seed + 1) == 2
-    assert calls == [base, base.override(master_seed=base.master_seed + 1)]
+    assert calls == [base, replace(base, master_seed=base.master_seed + 1)]
 
 
 def test_run_all_runs_every_criterion_and_fails_one_over_its_budget(monkeypatch):

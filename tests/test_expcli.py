@@ -266,7 +266,7 @@ def test_latent_diagnostics_alpha(tmp_path):
 def test_intensity_plot_has_one_tick_per_value(tmp_path):
     cfg = tiny_config(attack="latent_opt")
     values = [0, 0.5, 1, 2, 3, 4]
-    payloads = [report_payload(run_experiment(cfg.override(intensity=v))) for v in values]
+    payloads = [report_payload(run_experiment(replace(cfg, intensity=v))) for v in values]
     from fedattr.expcli.plots import intensity_curve_chart
 
     path = tmp_path / "curve.svg"
@@ -819,7 +819,7 @@ def test_sweep_csv_holds_the_value_each_point_ran_with(tmp_path):
     assert {row["value"] for row in rows} == {"2", "3"}
     # every point's run directory is written too
     assert {p.name for p in tmp_path.glob("run_*")} == {
-        f"run_{r.fingerprint}_free_rider" for r in reports
+        f"run_{r.config.fingerprint}_free_rider" for r in reports
     }
 
 
@@ -966,6 +966,29 @@ def test_cli_override_that_invalidates_a_file_fails_before_training(
     out = tmp_path / "out"
     assert cli.main([*verb, "--config", str(path), "--out", str(out), "--defense", "enforce"]) == 2
     assert "config error: trim_tau 0.7 trims all 3 clients" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", CLI_VERBS, ids=["run", "sweep"])
+@pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_file_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, verb, unreadable
+):
+    from fedattr import attribution
+
+    def no_training(cfgs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(flcore, "run_training_many", no_training)
+    monkeypatch.setattr(attribution, "run_training_many", no_training)
+    path = tmp_path / "exp.cfg"
+    if unreadable == "directory":
+        path.mkdir()
+    elif unreadable == "not_utf8":
+        path.write_bytes(b"rounds = 2\xff\n")
+    out = tmp_path / "out"
+    assert cli.main([*verb, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: cannot read config file {path}: " in capsys.readouterr().err
     assert not out.exists()
 
 

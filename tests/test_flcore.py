@@ -313,6 +313,71 @@ def test_load_log_rejects_a_malformed_file_with_value_error(tmp_path):
         assert str(err.value).startswith(f"{path}, {message}")
 
 
+def saved_log(tmp_path, defense_mode):
+    """A trained 4-client log saved under `defense_mode`, with its header and
+    rows parsed."""
+    spec, shards, test = make_scenario(num_clients=4)
+    behaviors = [benign] * 3 + [partial(attacks.behavior_random_noise, sigma_rel=3.0)]
+    log = run_training(
+        make_config(
+            spec, shards, test, behaviors=behaviors, defense_mode=defense_mode,
+            trim_tau=0.3,
+        )
+    )
+    path = tmp_path / "run.log.jsonl"
+    flcore.save_log(log, path)
+    header, *rows = map(json.loads, path.read_text().splitlines())
+    return log, path, header, rows
+
+
+def test_saved_log_stores_the_broadcast_and_counts_once(tmp_path):
+    log, _, header, rows = saved_log(tmp_path, "enforce")
+    assert header["defense_mode"] == log.defense_mode == "enforce"
+    assert header["n"] == list(log.rounds[0].n)
+    assert flcore._dec(header["w_1"]).tobytes() == log.rounds[0].w_t.tobytes()
+    for row in rows:
+        assert set(row) == {
+            "t", "updates", "w_next", "test_utility_after", "trimmed", "distances", "diags"
+        }
+
+
+def shifted(blob, by):
+    return flcore._enc(flcore._dec(blob) + by)
+
+
+# name -> (defense mode, line of the first contradiction, edit of header and rows)
+TAMPERING = {
+    "w_next": ("off", 3, lambda h, r: r[1].update(w_next=shifted(r[1]["w_next"], 1.0))),
+    "update": ("monitor", 2, lambda h, r: r[0].update(
+        updates=[shifted(r[0]["updates"][0], 0.5), *r[0]["updates"][1:]]
+    )),
+    "t_out_of_order": ("off", 2, lambda h, r: r.insert(0, r.pop(1))),
+    "t_beyond_rounds": ("off", 3, lambda h, r: r[1].update(t=99)),
+    "short_diags": ("off", 2, lambda h, r: r[0].update(diags=r[0]["diags"][:2])),
+    "short_n": ("off", 2, lambda h, r: h.update(n=h["n"][:3])),
+    "trimmed_id_past_clients": ("enforce", 3, lambda h, r: r[1].update(trimmed=[4])),
+    "short_distances": ("monitor", 2, lambda h, r: r[0].update(
+        distances=r[0]["distances"][:-1]
+    )),
+    "trim_under_off": ("off", 2, lambda h, r: r[0].update(trimmed=[3], distances=[0.0] * 4)),
+    "no_trim_under_enforce": ("enforce", 2, lambda h, r: r[0].update(
+        trimmed=None, distances=None
+    )),
+    "unknown_defense_mode": ("off", 1, lambda h, r: h.update(defense_mode="strict")),
+}
+
+
+@pytest.mark.parametrize("kind", TAMPERING)
+def test_load_log_rejects_a_log_that_contradicts_itself(tmp_path, kind):
+    mode, line, edit = TAMPERING[kind]
+    _, path, header, rows = saved_log(tmp_path, mode)
+    edit(header, rows)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *rows)))
+    with pytest.raises(ValueError) as err:
+        flcore.load_log(path)
+    assert str(err.value).startswith(f"{path}, line {line}: ")
+
+
 def test_defense_enforce_changes_aggregate_membership():
     spec, shards, test = make_scenario()
 
@@ -336,8 +401,8 @@ def test_defense_enforce_changes_aggregate_membership():
 
 
 def assert_logs_identical(a, b):
-    assert (a.fingerprint, a.final_utility, len(a.rounds)) == (
-        b.fingerprint, b.final_utility, len(b.rounds)
+    assert (a.fingerprint, a.defense_mode, a.final_utility, len(a.rounds)) == (
+        b.fingerprint, b.defense_mode, b.final_utility, len(b.rounds)
     )
     for ra, rb in zip(a.rounds, b.rounds):
         assert (ra.t, ra.n, ra.test_utility_after) == (rb.t, rb.n, rb.test_utility_after)
