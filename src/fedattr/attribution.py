@@ -3,19 +3,29 @@
 Per-round coalition utilities feed an exact (or permutation-sampled) Shapley
 evaluator and leave-one-out variants; raw values are then shift-min
 normalized into shares and ranked.  Evaluators only read the log, never
-influence training.
+influence training.  For a logistic model, coalition scoring is certified:
+test rows that every one-client model of a round gets right (or wrong) by a
+margin above a rounding bound are settled once per round (`_certify`), and
+only the others are scored per coalition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .flcore import FLConfig, RoundRecord, TrainingLog, run_training_many, weighted_aggregate
-from .models import LabeledBatch, ModelSpec, accuracy_many
+from .models import (
+    LabeledBatch,
+    LabelGroups,
+    ModelSpec,
+    count_correct,
+    group_by_label,
+    grouped_logits,
+)
 
 # Evaluators that read only the logged rounds; `evaluate_log` scores them together.
 LOGGED_EVALUATORS = ("fedsv_exact", "fedsv_mc", "loo_round")
@@ -31,15 +41,25 @@ _RERUN_MODELS = 32
 # many coalitions are asked for.  A larger chunk spreads each call's fixed
 # cost over more coalitions; 2^18 and up scored faster but raised peak memory.
 _CHUNK_LOGITS = 1 << 17
+# Non-empty coalitions a round must score before `_certify` pays for its
+# one-client pass: on 2 vCPUs with 480 test rows and N = 8-12 it broke even
+# at about 200, and cost up to twice the scoring itself below 64.
+_CERTIFY_MIN = 200
 
 
 @dataclass(frozen=True)
 class CoalitionUtility:
-    """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S)."""
+    """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S).
+    `groups` is `test` grouped by label, given to share it across rounds."""
 
     record: RoundRecord
     spec: ModelSpec
     test: LabeledBatch
+    groups: LabelGroups | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.groups is None:
+            object.__setattr__(self, "groups", group_by_label(self.spec, self.test))
 
     @property
     def num_clients(self) -> int:
@@ -48,22 +68,79 @@ class CoalitionUtility:
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
         matrix (coalitions x clients) marks the members of coalition k.
-        Each chunk of coalitions is scored by one `models.accuracy_many`
-        call, so every value is the accuracy its model gets alone."""
-        rec, members = self.record, np.asarray(members, dtype=bool)
-        width = len(self.test) * max(self.spec.num_classes, self.spec.hidden_dim)
-        chunk = max(1, _CHUNK_LOGITS // width)
+        The empty coalition scores w_t on every test row; the others score
+        the rows and classes `_certify` leaves open (all of them when fewer
+        than `_CERTIFY_MIN`), in chunks of one `models.count_correct` call,
+        plus the rows it settles right.  Each value is bit for bit the
+        accuracy its model gets alone."""
+        rec, spec, members = self.record, self.spec, np.asarray(members, dtype=bool)
         out = np.empty(len(members))
-        for start in range(0, len(members), chunk):
-            block = members[start : start + chunk]
-            params = rec.w_t + weighted_aggregate(rec.updates, rec.n, block)
-            out[start : start + chunk] = accuracy_many(self.spec, params, self.test)
+        empty = ~members.any(axis=1)
+        if empty.any():
+            out[empty] = count_correct(spec, rec.w_t[None], self.groups)[0] / len(self.test)
+        rows = np.flatnonzero(~empty)
+        groups, always = self.groups, 0
+        if len(rows) >= _CERTIFY_MIN:
+            groups, always = _certify(spec, rec, self.groups)
+        width = len(groups.inputs) * max(spec.num_classes, spec.hidden_dim)
+        chunk = max(1, _CHUNK_LOGITS // max(1, width))
+        for start in range(0, len(rows), chunk):
+            block = rows[start : start + chunk]
+            params = rec.w_t + weighted_aggregate(rec.updates, rec.n, members[block])
+            out[block] = (always + count_correct(spec, params, groups)) / len(self.test)
         return out
 
     def value_mask(self, mask: int) -> float:
         """v(S) for the coalition whose members are the set bits of `mask`."""
         row = mask >> np.arange(self.num_clients) & 1
         return float(self.values(row[None, :])[0])
+
+
+def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[LabelGroups, int]:
+    """The grouped rows and classes that can tell round `rec`'s non-empty
+    coalitions apart, and the number of rows every one of them gets right.
+
+    A non-empty coalition's parameters w_t + sum_S (n_i / n_S) u_i are a
+    convex combination of the one-client models w_t + u_i, and a logistic
+    model's logits are affine in its parameters, so each margin
+    logit_y - logit_j at grouped row r (label y) is a convex combination of
+    the one-client margins.  Row r is right for every coalition if every
+    one-client margin of every class j != y is above tau_r, and wrong for
+    every coalition if, for some j, every one is below -tau_r, where
+
+        tau_r = 2^-30 (1 + |x_r|_1) (|w_t|_inf + max_i |u_i|_inf).
+
+    Rounding moves a computed logit of a coalition by at most
+    (N + d + 3) 2^-53 of that scale from the logit of the exact convex
+    combination, and a computed one-client margin by at most (2d + 6) 2^-53
+    of it, so a decision holds while 2N + 4d + 12 < 2^23.  tau_r is never
+    below 2^-1000, far above the error of products that underflow, and a
+    row with a non-finite one-client logit is left open.  Rows labelled y
+    are compared only with the classes some one-client model does not beat
+    there by tau_r.  mlp1 is not affine in its parameters: it settles
+    nothing and keeps every row and class."""
+    if spec.kind != "logistic":
+        return groups, 0
+    updates = np.stack(rec.updates)
+    one = grouped_logits(spec, rec.w_t + updates, groups.inputs)
+    one = np.ascontiguousarray(one.transpose(2, 0, 1))  # (N, C, m): reduce over N fast
+    label = np.repeat(np.arange(spec.num_classes), np.diff(groups.bounds))
+    rows = np.arange(len(label))
+    margin = np.subtract(one[:, label, rows][:, None, :], one, out=one)
+    low, high = margin.min(axis=0), margin.max(axis=0)  # (C, m); NaN if any is NaN
+    finite = np.isfinite(low).all(axis=0) & np.isfinite(high).all(axis=0)
+    scale = np.abs(rec.w_t).max() + np.abs(updates).max()
+    tau = np.maximum(2.0**-30 * np.abs(groups.inputs).sum(axis=1) * scale, 2.0**-1000)
+    beaten = (low > tau) & finite  # (C, m): by every one-client model
+    beaten[label, rows] = True
+    right = beaten.all(axis=0)
+    wrong = (high < -tau).any(axis=0) & finite
+    open_rows = ~right & ~wrong
+    # keep[y, j]: some open row labelled y is not beaten at class j
+    unbeaten = np.zeros((spec.num_classes, len(rows) + 1), dtype=np.int64)
+    np.cumsum(~beaten & open_rows, axis=1, out=unbeaten[:, 1:])
+    keep = (unbeaten[:, groups.bounds[1:]] > unbeaten[:, groups.bounds[:-1]]).T
+    return groups.restrict(open_rows, keep), int(np.count_nonzero(right))
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +173,10 @@ def _permutation_prefixes(
     row 0 is empty, row 1 + p * N + j holds permutation p's first j + 1."""
     if num_permutations < 1:
         raise ValueError("num_permutations must be at least 1")
-    rng = np.random.default_rng(seed)
-    perms = np.array([rng.permutation(num) for _ in range(num_permutations)])
+    # one call, the same draws as a `rng.permutation(num)` per row
+    perms = np.random.default_rng(seed).permuted(
+        np.tile(np.arange(num), (num_permutations, 1)), axis=1
+    )
     prefixes = np.argsort(perms, axis=1)[:, None, :] <= np.arange(num)[:, None]
     return perms, np.concatenate([np.zeros((1, num), dtype=bool), prefixes.reshape(-1, num)])
 
@@ -185,10 +264,10 @@ def evaluate_log(
     num_permutations: int = 200,
     seed: int = 0,
 ) -> dict[str, AttributionReport]:
-    """Logged-round evaluators over one log.  Each round concatenates the
-    coalitions every evaluator asks for, scores the distinct ones in one
-    `CoalitionUtility.values` call, and hands each evaluator its own rows'
-    utilities."""
+    """Logged-round evaluators over one log.  The test set is grouped by
+    label once; each round concatenates the coalitions every evaluator asks
+    for, scores the distinct ones in one `CoalitionUtility.values` call, and
+    hands each evaluator its own rows' utilities."""
     totals = {name: np.zeros(log.num_clients) for name in evaluators}
     if not set(totals) <= set(LOGGED_EVALUATORS):
         raise ValueError(f"logged-round evaluators are {LOGGED_EVALUATORS}")
@@ -198,6 +277,7 @@ def evaluate_log(
     loo = np.ones((num + 1, num), dtype=bool)  # all, then all minus client i
     loo[1:] = ~np.eye(num, dtype=bool)
     exact = _all_coalitions(num) if "fedsv_exact" in totals else None
+    groups = group_by_label(spec, test)
     for rec in log.rounds:
         rows = {}
         if exact is not None:
@@ -207,7 +287,7 @@ def evaluate_log(
         if "loo_round" in totals:
             rows["loo_round"] = loo
         distinct, inverse = _unique_rows(np.concatenate(list(rows.values())))
-        scored = CoalitionUtility(rec, spec, test).values(distinct)[inverse]
+        scored = CoalitionUtility(rec, spec, test, groups).values(distinct)[inverse]
         ends = np.cumsum([len(part) for part in rows.values()])
         values = dict(zip(rows, np.split(scored, ends[:-1])))
         for name, total in totals.items():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..flcore import DEFENSE_MODES, FLRunError
 from . import acceptance, plots
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .experiment import SWEEP_AXES, run_experiment, sweep, write_run_outputs
 
 OUT_ENV = "FEDATTR_OUT"
@@ -47,11 +47,10 @@ def _resolve_config(args) -> ExperimentConfig:
     """The config file's values merged with the command-line overrides, then
     validated once."""
     flags = dict(master_seed=args.seed, evaluators=args.evaluator, defense_mode=args.defense)
-    try:
-        text = args.config.read_text(encoding="utf-8") if args.config else ""
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    return parse_config(text, **{k: v for k, v in flags.items() if v is not None})
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    if args.config:
+        return load_config(args.config, **overrides)
+    return parse_config("", **overrides)
 
 
 def _cmd_run(args) -> int:

@@ -12,6 +12,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
 from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
@@ -290,6 +291,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+def load_config(path, **overrides) -> ExperimentConfig:
+    """`parse_config` of the UTF-8 file at `path`; a file that is missing,
+    is a directory or is not UTF-8 raises `ConfigError` naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text, **overrides)

@@ -34,7 +34,8 @@ from .models import (
     ModelSpec,
     _check_batch,
     accuracy,
-    accuracy_many,
+    count_correct,
+    group_by_label,
     init_params,
     params_from_bytes,
     params_to_bytes,
@@ -201,10 +202,12 @@ def _blame(ctx: RoundContext):
 
 
 class _Run:
-    """One run's progress between rounds: broadcasts, client states, records."""
+    """One run's progress between rounds: broadcasts, client states, records,
+    and its test set grouped by label for the round close."""
 
     def __init__(self, cfg: FLConfig):
         self.cfg = cfg
+        self.groups = group_by_label(cfg.spec, cfg.test)
         self.w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
         self.w.setflags(write=False)
         self.w_prev: np.ndarray | None = None
@@ -234,7 +237,7 @@ def _close_round(runs: Sequence[_Run], t: int) -> None:
     utility.  Runs that share client count, parameter count and trim_tau
     are trimmed in one `trim_rounds` call, each run aggregates its kept
     clients alone, and runs that share model and test set are scored in one
-    `accuracy_many` call; every value is bit for bit its run's alone."""
+    `count_correct` call; every value is bit for bit its run's alone."""
     steps = [tuple(zip(*run.steps)) for run in runs]  # (updates, diags) per run
     trims: list[TrimDecision | None] = [None] * len(runs)
     by_shape: dict[tuple, list[int]] = {}
@@ -258,10 +261,11 @@ def _close_round(runs: Sequence[_Run], t: int) -> None:
     for r, run in enumerate(runs):
         by_test.setdefault((run.cfg.spec, id(run.cfg.test)), []).append(r)
     for members in by_test.values():
-        cfg = runs[members[0]].cfg
-        scores = accuracy_many(cfg.spec, np.stack([w_next[r] for r in members]), cfg.test)
-        for r, score in zip(members, scores):
-            utils[r] = float(score)
+        first = runs[members[0]]
+        params = np.stack([w_next[r] for r in members])
+        counts = count_correct(first.cfg.spec, params, first.groups)
+        for r, count in zip(members, counts):
+            utils[r] = float(count / len(first.cfg.test))
     for run, (updates, diags), trim, w, util in zip(runs, steps, trims, w_next, utils):
         run.records.append(RoundRecord(t, run.w, updates, diags, run.n, w, util, trim))
         run.w_prev, run.w = run.w, w

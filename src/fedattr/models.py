@@ -3,7 +3,8 @@
 Two architectures are supported: multinomial logistic regression and a
 one-hidden-layer tanh MLP.  Every operation treats the model as a pure
 function of a flat float64 parameter vector, so updates, gradients, and
-aggregates all live in one vector space.
+aggregates all live in one vector space.  Accuracy has one kernel,
+`count_correct`, over test rows grouped by label (`LabelGroups`).
 """
 
 from __future__ import annotations
@@ -194,53 +195,103 @@ def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
 
 
 def accuracy_many(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
-    """Test accuracy of K models, row k of `params` (K, P), on one batch.
+    """Test accuracy of K models, row k of `params` (K, P), on one batch:
+    `count_correct` over every row and class of `group_by_label(batch)`."""
+    return count_correct(spec, params, group_by_label(spec, batch)) / len(batch)
 
-    A row is correct when its label's logit is above every lower class's
-    and at least every higher class's: argmax with ties to the lowest class,
-    except that a row with a NaN logit counts as wrong.  Labels of
-    num_classes or above are never correct.  Rows are grouped by label and
-    the logits are class-major, so every comparison reads contiguous memory;
-    row k of the result is bit for bit that model's alone."""
+
+@dataclass(frozen=True)
+class LabelGroups:
+    """Test rows grouped by label: row r of `inputs` (m, d + 1) is a row's
+    inputs and a 1 that carries the first layer's bias, and rows
+    bounds[y]:bounds[y + 1] are labelled y.  Span (j, start, stop, strict)
+    compares class j with the label on rows start:stop, all labelled above
+    j (`strict`: a tie goes to j) or all below it."""
+
+    inputs: np.ndarray
+    bounds: np.ndarray
+    spans: tuple[tuple[int, int, int, bool], ...]
+
+    def restrict(self, rows: np.ndarray, keep: np.ndarray) -> "LabelGroups":
+        """The rows marked in `rows`, those labelled y compared with class j
+        only where keep[y, j] (C x C)."""
+        bounds = np.concatenate([[0], np.cumsum(rows)])[self.bounds]
+        return LabelGroups(self.inputs[rows], bounds, _spans(bounds, keep))
+
+
+def _spans(bounds: np.ndarray, keep: np.ndarray) -> tuple:
+    """Per class j, one span over the label groups below j from the first to
+    the last that keep[y, j] marks, and one likewise above j; comparing a
+    group in between changes no count."""
+    bounds, keep, spans = bounds.tolist(), keep.tolist(), []
+    for j in range(len(keep)):
+        for strict, labels in ((False, range(j)), (True, range(j + 1, len(keep)))):
+            marked = [y for y in labels if keep[y][j]]
+            if marked and bounds[marked[0]] < bounds[marked[-1] + 1]:
+                spans.append((j, bounds[marked[0]], bounds[marked[-1] + 1], strict))
+    return tuple(spans)
+
+
+def group_by_label(spec: ModelSpec, batch: LabeledBatch) -> LabelGroups:
+    """Every row of `batch` grouped by label and compared with every other
+    class, but a row labelled num_classes or above: it is never correct."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
     if batch.inputs.shape[1] != spec.input_dim:
         raise ValueError(
             f"inputs have {batch.inputs.shape[1]} columns, expected {spec.input_dim}"
         )
-    # rows bounds[y]:bounds[y + 1] of the grouped batch have label y
     order = np.argsort(batch.labels, kind="stable")
     bounds = np.searchsorted(batch.labels[order], np.arange(spec.num_classes + 1))
-    xt = np.ascontiguousarray(batch.inputs[order[: bounds[-1]]].T)
-    z = _class_logits(spec, params, xt)
-    # own[k, r]: model k's logit of the label of grouped row r
-    own = np.concatenate(
-        [z[:, y, bounds[y] : bounds[y + 1]] for y in range(spec.num_classes)], axis=1
-    )
+    inputs = np.ones((bounds[-1], spec.input_dim + 1))
+    inputs[:, :-1] = batch.inputs[order[: bounds[-1]]]
+    keep = np.ones((spec.num_classes, spec.num_classes), dtype=bool)
+    return LabelGroups(inputs, bounds, _spans(bounds, keep))
+
+
+def count_correct(spec: ModelSpec, params: np.ndarray, groups: LabelGroups) -> np.ndarray:
+    """Correct grouped rows of K models, row k of `params` (K, P).  A row is
+    correct when its label's logit is above every lower class's and at least
+    every higher class's (argmax with ties to the lowest class); a NaN logit
+    makes it wrong.  Each span compares a contiguous block of the (C, m, K)
+    logits into preallocated buffers; entry k is that model's count alone."""
+    z = grouped_logits(spec, params, groups.inputs)
+    bounds = groups.bounds
+    own = np.empty(z.shape[1:])  # each row's logit of its label
+    for y in range(len(bounds) - 1):
+        own[bounds[y] : bounds[y + 1]] = z[y, bounds[y] : bounds[y + 1]]
     hit = np.ones(own.shape, dtype=bool)
-    for j in range(spec.num_classes):
-        lower, higher = bounds[j], bounds[j + 1]  # rows labelled below / above j
-        hit[:, :lower] &= own[:, :lower] >= z[:, j, :lower]
-        hit[:, higher:] &= own[:, higher:] > z[:, j, higher:]
-    return np.count_nonzero(hit, axis=1) / len(batch)
+    beats = np.empty(own.shape, dtype=bool)
+    for j, start, stop, strict in groups.spans:
+        compare = np.greater if strict else np.greater_equal
+        compare(own[start:stop], z[j, start:stop], out=beats[start:stop])
+        hit[start:stop] &= beats[start:stop]
+    return np.count_nonzero(hit, axis=0)
 
 
-def _class_logits(spec: ModelSpec, params: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Class-major logits (K, C, m) of K stacked models, row k of `params`
-    (K, P), on m inputs held as the columns of `xt` (d, m).  Each matmul
-    makes one BLAS call per model with a single model's shapes, so row k
-    does not depend on K."""
+def grouped_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Logits (C, m, K) of K stacked models, row k of `params` (K, P), on
+    the rows of `inputs` (m, d + 1), whose last column is ones.
+
+    Logistic: one BLAS matrix product per class for all K models, a lone
+    model or row doubled so BLAS takes its matrix-matrix path; each logit
+    is then a dot product over d + 1 inputs whatever K and m are (bit for
+    bit with OpenBLAS 0.3 up to d = 30; beyond, its last bit may move, which
+    changes a count only at an exact tie).  mlp1: one BLAS call per model
+    and layer, the output bias added in place, as folding it would copy the
+    hidden activations."""
     if spec.kind == "logistic":
         w, b = _views(spec, params)
-        hidden = xt
-    else:
-        w1, b1, w, b = _views(spec, params)
-        hidden = w1 @ xt
-        hidden += b1[..., None]
-        np.tanh(hidden, out=hidden)
+        w1 = np.concatenate([w, b[..., None]], axis=-1)  # (K, C, d + 1)
+        x, w1 = (np.concatenate([a, a]) if len(a) == 1 else a for a in (inputs, w1))
+        return (x @ w1.transpose(1, 2, 0))[:, : len(inputs), : len(params)]
+    w1, b1, w, b = _views(spec, params)
+    hidden = np.concatenate([w1, b1[..., None]], axis=-1) @ inputs.T
+    np.tanh(hidden, out=hidden)
     z = w @ hidden
+    del hidden  # freed before the transposed copy of z below
     z += b[..., None]
-    return z
+    return np.ascontiguousarray(z.transpose(1, 2, 0))
 
 
 def sgd_train(

@@ -160,6 +160,20 @@ def test_shapley_mc_seed_determinism():
         shapley_mc(values[:-1], perms)
 
 
+@pytest.mark.parametrize("num_clients", range(2, 17))
+def test_permutation_prefixes_draw_what_a_per_permutation_loop_draws(num_clients):
+    for seed in (0, 1, 7, 2**31 + 5):
+        rng = np.random.default_rng(seed)
+        loop = np.array([rng.permutation(num_clients) for _ in range(37)])
+        perms, rows = attribution._permutation_prefixes(num_clients, 37, seed)
+        assert perms.tolist() == loop.tolist()
+        assert not rows[0].any()
+        for p, perm in enumerate(loop):
+            for j in range(num_clients):
+                expected = np.isin(np.arange(num_clients), perm[: j + 1])
+                assert rows[1 + p * num_clients + j].tolist() == expected.tolist()
+
+
 # --- coalition utilities over real rounds -----------------------------------
 
 
@@ -293,6 +307,165 @@ def test_values_break_logit_ties_toward_the_lowest_class():
     assert list(got) == expected
     assert got[0] == np.mean(test.labels == 0)  # all tied: class 0 wins
     assert got[1] == np.mean(test.labels == 1)  # 1 and 2 tied: class 1 wins
+
+
+# --- certified scoring ---------------------------------------------------------
+
+
+def full_kernel_values(rec, spec, test, members):
+    """Each coalition's accuracy from every test row and class: the kernel
+    without certification."""
+    params = rec.w_t + flcore.weighted_aggregate(rec.updates, rec.n, members)
+    return models.count_correct(spec, params, models.group_by_label(spec, test)) / len(test)
+
+
+@st.composite
+def certified_rounds(draw):
+    """A logistic round built to test certification, with its test set.
+
+    In `exact` rounds every parameter and input is a small integer and at
+    most two clients hold equal counts, so every logit is exact whichever
+    way it is summed: test rows sit exactly on one-client boundaries and
+    classes tie.  Other rounds draw normal parameters, scale the updates
+    down until the one-client margins at the origin sit near tau, may zero
+    some updates, and may make one class a copy of another in w_t and every
+    update, a tie in every coalition.  Labels run up to num_classes + 1."""
+    exact = draw(st.booleans())
+    spec = ModelSpec("logistic", draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num = draw(st.integers(1, 2 if exact else 4))
+    rows = draw(st.integers(1, 40))
+    if exact:
+        w_t = rng.integers(-2, 3, spec.param_count).astype(float)
+        updates = rng.integers(-2, 3, (num, spec.param_count)).astype(float)
+        counts = (int(rng.integers(1, 50)),) * num
+        inputs = rng.integers(-2, 3, (rows, spec.input_dim)).astype(float)
+    else:
+        w_t = rng.normal(size=spec.param_count)
+        updates = rng.normal(size=(num, spec.param_count))
+        updates *= 2.0 ** draw(st.sampled_from([0, -20, -28, -30, -31, -33, -40]))
+        updates[draw(st.lists(st.booleans(), min_size=num, max_size=num))] = 0.0
+        counts = tuple(int(c) for c in rng.integers(1, 50, num))
+        inputs = rng.normal(size=(rows, spec.input_dim))
+        inputs[rng.random(rows) < 0.3] = 0.0  # logits are the biases, exactly
+        if draw(st.booleans()):
+            src, dst = rng.choice(spec.num_classes, 2, replace=False)
+            for vec in (w_t, *updates):
+                w, b = models._views(spec, vec)
+                w[dst], b[dst] = w[src], b[src]
+    test = LabeledBatch(inputs, rng.integers(0, spec.num_classes + 2, rows))
+    rec = flcore.RoundRecord(1, w_t, tuple(updates), (None,) * num, counts, w_t, 0.0)
+    return rec, spec, test
+
+
+@pytest.fixture
+def certify_every_round(monkeypatch):
+    """Certify rounds however few coalitions they score."""
+    monkeypatch.setattr(attribution, "_CERTIFY_MIN", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_rounds())
+def test_certified_values_match_the_oracle(case):
+    rec, spec, test = case
+    members = every_coalition(len(rec.updates))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attribution, "_CERTIFY_MIN", 1)
+        got = CoalitionUtility(rec, spec, test).values(members)
+    assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
+    for row, value in zip(members, got):
+        assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row)), row
+
+
+def bias_round(biases, updates, n, inputs, labels):
+    """A two-class, one-input logistic round: w_t has zero weights and the
+    given biases, each update moves only the biases."""
+    spec = ModelSpec("logistic", input_dim=1, num_classes=2)
+    w_t = np.array([0.0, 0.0, *biases])
+    ups = tuple(np.array([0.0, 0.0, *u]) for u in updates)
+    rec = flcore.RoundRecord(1, w_t, ups, (None,) * len(ups), n, w_t, 0.0)
+    return rec, spec, LabeledBatch(np.array(inputs, dtype=float), np.array(labels))
+
+
+def test_certification_leaves_a_margin_within_tau_to_the_kernel(certify_every_round):
+    # each one-client model lifts class 1 one ulp above class 0 at the
+    # origin, but the two-client aggregate rounds below half an ulp, so that
+    # coalition ties the classes and class 0 wins: a rule deciding rows
+    # from margins above 0 rather than above tau would count the row right
+    half_ulp = 2.0**-53 + 2.0**-105
+    rec, spec, test = bias_round((1.0, 1.0), [(0.0, half_ulp)] * 2, (8, 4), [[0.0]], [1])
+    assert all((rec.w_t + u)[3] > (rec.w_t + u)[2] for u in rec.updates)
+    groups = models.group_by_label(spec, test)
+    scored, always = attribution._certify(spec, rec, groups)
+    assert (len(scored.inputs), always) == (1, 0)
+    got = CoalitionUtility(rec, spec, test).values(every_coalition(2))
+    assert got.tolist() == [0.0, 1.0, 1.0, 0.0]  # rows in mask order 0, 2, 1, 3
+
+
+def test_certification_decides_nothing_at_a_non_finite_logit(certify_every_round):
+    # at x = 2 the first client's class-1 logit overflows to +inf; every
+    # one-client margin there is above tau, yet the row stays open
+    rec, spec, test = bias_round((0.0, 0.0), [(0.0, 0.0)] * 2, (1, 1), [[2.0], [1.0]], [1, 1])
+    rec = dataclasses.replace(
+        rec, updates=(np.array([0.0, 1.5e308, 0.0, 0.0]), np.array([0.0, 1e300, 0.0, 0.0]))
+    )
+    groups = models.group_by_label(spec, test)
+    members = every_coalition(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scored, always = attribution._certify(spec, rec, groups)
+        got = CoalitionUtility(rec, spec, test).values(members)
+    assert scored.inputs[:, 0].tolist() == [2.0] and always == 1
+    for row, value in zip(members, got):
+        assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
+
+
+def test_certification_decides_rows_only_for_logistic_models():
+    for model in ("logistic", "mlp1"):
+        cfg, log, spec, test = small_run(num_clients=4, model=model)
+        groups = models.group_by_label(spec, test)
+        scored, always = attribution._certify(spec, log.rounds[-1], groups)
+        if model == "mlp1":
+            assert scored is groups and always == 0
+        else:
+            assert 0 < always and len(scored.inputs) < len(groups.inputs)
+
+
+def test_certification_runs_only_for_rounds_with_many_coalitions(monkeypatch):
+    cfg, log, spec, test = small_run(num_clients=8)
+    rec, calls = log.rounds[0], []
+    certify = attribution._certify
+
+    def spy(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(attribution, "_certify", spy)
+    members = every_coalition(8)  # the empty coalition and 255 others
+    least = attribution._CERTIFY_MIN
+    for count, certified in ((least, True), (least - 1, False)):
+        calls.clear()
+        rows = members[: count + 1]
+        got = CoalitionUtility(rec, spec, test).values(rows)
+        assert bool(calls) == certified
+        assert got.tobytes() == full_kernel_values(rec, spec, test, rows).tobytes()
+
+
+@pytest.mark.parametrize("num_clients", [8, 10, 12])
+def test_certified_values_equal_the_full_kernel_on_real_rounds(num_clients):
+    from fedattr.expcli.config import ExperimentConfig
+    from fedattr.expcli.experiment import build_scenario
+
+    cfg = ExperimentConfig(num_clients=num_clients, samples_per_client=100, rounds=3)
+    fl = build_scenario(cfg)
+    log = run_training(fl)
+    members = attribution._all_coalitions(num_clients)
+    groups = models.group_by_label(fl.spec, fl.test)
+    for rec in log.rounds:
+        scored, always = attribution._certify(fl.spec, rec, groups)
+        assert len(scored.inputs) < len(groups.inputs)  # some rows were decided
+        got = CoalitionUtility(rec, fl.spec, fl.test, groups).values(members)
+        expected = full_kernel_values(rec, fl.spec, fl.test, members)
+        assert got.tobytes() == expected.tobytes(), rec.t
 
 
 def shapley_mc_loop(cu, num_permutations, seed):

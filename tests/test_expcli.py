@@ -992,6 +992,26 @@ def test_cli_unreadable_config_file_exits_2_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
+def test_load_config_rejects_an_unreadable_file(tmp_path, unreadable):
+    path = tmp_path / "exp.cfg"
+    if unreadable == "directory":
+        path.mkdir()
+    elif unreadable == "not_utf8":
+        path.write_bytes(b"rounds = 2\xff\n")
+    with pytest.raises(ConfigError, match=f"cannot read config file {re.escape(str(path))}: "):
+        load_config(path)
+
+
+def test_load_config_reads_utf8_and_applies_overrides(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes("# défaut\nrounds = 2\n".encode("utf-8"))
+    assert load_config(path).rounds == 2
+    assert load_config(path, rounds=3, master_seed=9) == parse_config(
+        "rounds = 3\nmaster_seed = 9\n"
+    )
+
+
 def test_decoder_is_calibrated_only_for_the_latent_attack(monkeypatch):
     from fedattr import attacks
 

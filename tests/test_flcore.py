@@ -515,13 +515,13 @@ def test_run_training_many_matches_each_run_alone(monkeypatch):
         trimmed.append(len(rounds))
         return defense.trim_rounds(rounds, *args, **kw)
 
-    def score_spy(spec, params, test):
+    def score_spy(spec, params, groups):
         scored.append(len(params))
-        return models.accuracy_many(spec, params, test)
+        return models.count_correct(spec, params, groups)
 
     monkeypatch.setattr(flcore, "sgd_train_many", spy)
     monkeypatch.setattr(flcore, "trim_rounds", trim_spy)
-    monkeypatch.setattr(flcore, "accuracy_many", score_spy)
+    monkeypatch.setattr(flcore, "count_correct", score_spy)
     logs = run_training_many(cfgs)
     assert max(sizes) > len(shards)  # some call trained clients of several runs
     assert max(trimmed) > 1 and max(scored) > 1  # and some closed several runs

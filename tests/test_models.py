@@ -247,12 +247,16 @@ def test_accuracy_many_rows_equal_each_model_alone(kind, num_models):
     rng = np.random.default_rng(num_models)
     params = rng.normal(size=(num_models, spec.param_count))
     batch = LabeledBatch(rng.normal(size=(301, 3)), rng.integers(0, 5, 301))
-    xt = np.ascontiguousarray(batch.inputs.T)
-    logits = models._class_logits(spec, params, xt)
+    groups = models.group_by_label(spec, batch)
+    logits = models.grouped_logits(spec, params, groups.inputs)
+    assert logits.shape == (5, len(groups.inputs), num_models)
+    counts = models.count_correct(spec, params, groups)
     scores = models.accuracy_many(spec, params, batch)
+    assert scores.tolist() == (counts / 301).tolist()
     for k in range(num_models):
-        alone = models._class_logits(spec, params[k : k + 1], xt)[0]
-        assert logits[k].tobytes() == alone.tobytes(), k
+        alone = models.grouped_logits(spec, params[k : k + 1], groups.inputs)[..., 0]
+        assert logits[..., k].tobytes() == alone.tobytes(), k
+        assert counts[k] == models.count_correct(spec, params[k : k + 1], groups)[0]
         assert scores[k] == models.accuracy_many(spec, params[k : k + 1], batch)[0]
 
 
