@@ -36,10 +36,11 @@ EXACT_LIMIT = 16
 # Client models one group of leave-one-out reruns trains per round: enough
 # to fill a lockstep call, while only one group's logs are held at a time.
 _RERUN_MODELS = 32
-# Float64 logits (or hidden activations, if wider) held at once while
-# scoring a chunk of coalitions; bounds the working set independently of how
-# many coalitions are asked for.  A larger chunk spreads each call's fixed
-# cost over more coalitions; 2^18 and up scored faster but raised peak memory.
+# Float64 logits (or hidden activations, if wider), and parameters, held at
+# once while scoring a chunk of coalitions; bounds the working set
+# independently of how many coalitions are asked for.  A larger chunk
+# spreads each call's fixed cost over more coalitions; 2^18 and up scored
+# faster but raised peak memory.
 _CHUNK_LOGITS = 1 << 17
 # Non-empty coalitions a round must score before `_certify` pays for its
 # one-client pass: on 2 vCPUs with 480 test rows and N = 8-12 it broke even
@@ -71,8 +72,9 @@ class CoalitionUtility:
         The empty coalition scores w_t on every test row; the others score
         the rows and classes `_certify` leaves open (all of them when fewer
         than `_CERTIFY_MIN`), in chunks of one `models.count_correct` call,
-        plus the rows it settles right.  Each value is bit for bit the
-        accuracy its model gets alone."""
+        plus the rows it settles right.  Each value is the accuracy its
+        model gets alone on the whole test set, bit for bit where BLAS rounds
+        a row's logits the same among fewer rows (`models.grouped_logits`)."""
         rec, spec, members = self.record, self.spec, np.asarray(members, dtype=bool)
         out = np.empty(len(members))
         empty = ~members.any(axis=1)
@@ -82,8 +84,11 @@ class CoalitionUtility:
         groups, always = self.groups, 0
         if len(rows) >= _CERTIFY_MIN:
             groups, always = _certify(spec, rec, self.groups)
+        if len(groups.inputs) == 0:  # every row settled: no coalition differs
+            out[rows] = always / len(self.test)
+            return out
         width = len(groups.inputs) * max(spec.num_classes, spec.hidden_dim)
-        chunk = max(1, _CHUNK_LOGITS // max(1, width))
+        chunk = max(1, _CHUNK_LOGITS // max(width, spec.param_count))
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
             params = rec.w_t + weighted_aggregate(rec.updates, rec.n, members[block])
@@ -122,8 +127,7 @@ def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[La
     if spec.kind != "logistic":
         return groups, 0
     updates = np.stack(rec.updates)
-    one = grouped_logits(spec, rec.w_t + updates, groups.inputs)
-    one = np.ascontiguousarray(one.transpose(2, 0, 1))  # (N, C, m): reduce over N fast
+    one = grouped_logits(spec, rec.w_t + updates, groups.inputs)  # (N, C, m)
     label = np.repeat(np.arange(spec.num_classes), np.diff(groups.bounds))
     rows = np.arange(len(label))
     margin = np.subtract(one[:, label, rows][:, None, :], one, out=one)

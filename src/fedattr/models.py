@@ -190,14 +190,9 @@ def _ce_grads(
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
-    """Fraction of correct rows under `accuracy_many`'s first-max rule."""
-    return float(accuracy_many(spec, params[None], batch)[0])
-
-
-def accuracy_many(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> np.ndarray:
-    """Test accuracy of K models, row k of `params` (K, P), on one batch:
-    `count_correct` over every row and class of `group_by_label(batch)`."""
-    return count_correct(spec, params, group_by_label(spec, batch)) / len(batch)
+    """Fraction of correct rows of `batch`: `count_correct` over every row
+    and class of `group_by_label(batch)`."""
+    return float(count_correct(spec, params[None], group_by_label(spec, batch))[0] / len(batch))
 
 
 @dataclass(frozen=True)
@@ -253,45 +248,46 @@ def count_correct(spec: ModelSpec, params: np.ndarray, groups: LabelGroups) -> n
     """Correct grouped rows of K models, row k of `params` (K, P).  A row is
     correct when its label's logit is above every lower class's and at least
     every higher class's (argmax with ties to the lowest class); a NaN logit
-    makes it wrong.  Each span compares a contiguous block of the (C, m, K)
+    makes it wrong.  Each span compares one block of rows of the (K, C, m)
     logits into preallocated buffers; entry k is that model's count alone."""
     z = grouped_logits(spec, params, groups.inputs)
     bounds = groups.bounds
-    own = np.empty(z.shape[1:])  # each row's logit of its label
+    own = np.empty((z.shape[0], z.shape[2]))  # each row's logit of its label
     for y in range(len(bounds) - 1):
-        own[bounds[y] : bounds[y + 1]] = z[y, bounds[y] : bounds[y + 1]]
+        own[:, bounds[y] : bounds[y + 1]] = z[:, y, bounds[y] : bounds[y + 1]]
     hit = np.ones(own.shape, dtype=bool)
     beats = np.empty(own.shape, dtype=bool)
     for j, start, stop, strict in groups.spans:
         compare = np.greater if strict else np.greater_equal
-        compare(own[start:stop], z[j, start:stop], out=beats[start:stop])
-        hit[start:stop] &= beats[start:stop]
-    return np.count_nonzero(hit, axis=0)
+        compare(own[:, start:stop], z[:, j, start:stop], out=beats[:, start:stop])
+        hit[:, start:stop] &= beats[:, start:stop]
+    return np.count_nonzero(hit, axis=1)
 
 
 def grouped_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Logits (C, m, K) of K stacked models, row k of `params` (K, P), on
-    the rows of `inputs` (m, d + 1), whose last column is ones.
+    """Class-major logits (K, C, m) of K stacked models, row k of `params`
+    (K, P), on the rows of `inputs` (m, d + 1), whose last column is ones
+    and carries the first layer's bias; mlp1 adds its output bias after.
 
-    Logistic: one BLAS matrix product per class for all K models, a lone
-    model or row doubled so BLAS takes its matrix-matrix path; each logit
-    is then a dot product over d + 1 inputs whatever K and m are (bit for
-    bit with OpenBLAS 0.3 up to d = 30; beyond, its last bit may move, which
-    changes a count only at an exact tie).  mlp1: one BLAS call per model
-    and layer, the output bias added in place, as folding it would copy the
-    hidden activations."""
+    Each matmul makes one BLAS call per model with a single model's shapes,
+    so model k's logits do not depend on K.  A lone row is doubled so BLAS
+    takes its matrix-matrix path whatever m is.  A row's logits are then
+    what the same model gives on any other set of rows only if BLAS rounds
+    each output the same wherever it sits in the product: OpenBLAS 0.3 does
+    for d + 1 <= 31 (checked bit for bit); at larger d the last bit of a
+    logit may move with m, which can flip a comparison between two logits
+    only when they are within that rounding of each other."""
+    x = np.concatenate([inputs, inputs]) if len(inputs) == 1 else inputs
     if spec.kind == "logistic":
         w, b = _views(spec, params)
-        w1 = np.concatenate([w, b[..., None]], axis=-1)  # (K, C, d + 1)
-        x, w1 = (np.concatenate([a, a]) if len(a) == 1 else a for a in (inputs, w1))
-        return (x @ w1.transpose(1, 2, 0))[:, : len(inputs), : len(params)]
-    w1, b1, w, b = _views(spec, params)
-    hidden = np.concatenate([w1, b1[..., None]], axis=-1) @ inputs.T
-    np.tanh(hidden, out=hidden)
-    z = w @ hidden
-    del hidden  # freed before the transposed copy of z below
-    z += b[..., None]
-    return np.ascontiguousarray(z.transpose(1, 2, 0))
+        z = np.concatenate([w, b[..., None]], axis=-1) @ x.T
+    else:
+        w1, b1, w, b = _views(spec, params)
+        hidden = np.concatenate([w1, b1[..., None]], axis=-1) @ x.T
+        np.tanh(hidden, out=hidden)
+        z = w @ hidden
+        z += b[..., None]
+    return z[..., : len(inputs)]
 
 
 def sgd_train(

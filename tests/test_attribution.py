@@ -468,6 +468,75 @@ def test_certified_values_equal_the_full_kernel_on_real_rounds(num_clients):
         assert got.tobytes() == expected.tobytes(), rec.t
 
 
+def wide_round(num_clients, tie, scale=1.0):
+    """A logistic round over 1024 inputs and 10 classes, its updates scaled
+    by `scale`; with `tie`, class 4 copies class 3 in w_t and every update,
+    so every row labelled 4 ties in every coalition and stays open."""
+    spec = ModelSpec("logistic", input_dim=1024, num_classes=10)
+    rng = np.random.default_rng(num_clients)
+    w_t = rng.normal(size=spec.param_count) / 32.0
+    updates = rng.normal(size=(num_clients, spec.param_count)) / 32.0 * scale
+    if tie:
+        for vec in (w_t, *updates):
+            w, b = models._views(spec, vec)
+            w[4], b[4] = w[3], b[3]
+    counts = tuple(int(c) for c in rng.integers(1, 50, num_clients))
+    rec = flcore.RoundRecord(1, w_t, tuple(updates), (None,) * num_clients, counts, w_t, 0.0)
+    test = LabeledBatch(rng.normal(size=(60, 1024)), rng.integers(0, 10, 60))
+    return rec, spec, test
+
+
+def aggregate_spy(monkeypatch):
+    """The coalition count of each `weighted_aggregate` call values makes."""
+    sizes = []
+
+    def spy(updates, n, members):
+        sizes.append(len(members))
+        return flcore.weighted_aggregate(updates, n, members)
+
+    monkeypatch.setattr(attribution, "weighted_aggregate", spy)
+    return sizes
+
+
+def test_chunks_hold_few_wide_parameter_vectors(monkeypatch):
+    # few rows stay open, so the logits of a chunk are small, but each
+    # coalition's parameters are 10,250 floats: a chunk holds no more
+    # coalitions than _CHUNK_LOGITS floats of parameters allow
+    rec, spec, test = wide_round(8, tie=True, scale=2.0**-40)
+    scored, always = attribution._certify(spec, rec, models.group_by_label(spec, test))
+    assert 0 < len(scored.inputs) * spec.num_classes < spec.param_count
+    sizes = aggregate_spy(monkeypatch)
+    members = every_coalition(8)
+    got = CoalitionUtility(rec, spec, test).values(members)
+    assert sum(sizes) == 255 and max(sizes) == attribution._CHUNK_LOGITS // spec.param_count
+    monkeypatch.undo()
+    assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
+
+
+def test_a_round_with_every_row_settled_aggregates_nothing(monkeypatch):
+    rec, spec, test = wide_round(8, tie=False, scale=2.0**-40)
+    scored, always = attribution._certify(spec, rec, models.group_by_label(spec, test))
+    assert len(scored.inputs) == 0
+    sizes = aggregate_spy(monkeypatch)
+    members = every_coalition(8)
+    got = CoalitionUtility(rec, spec, test).values(members)
+    assert sizes == []
+    assert set(got[1:].tolist()) == {always / len(test)}
+    monkeypatch.undo()
+    assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
+
+
+def test_certified_values_equal_the_full_kernel_for_wide_models():
+    # 1025 terms per logit; these rows have no near tie, so rounding that
+    # moves with the rows scored together changes no count
+    rec, spec, test = wide_round(8, tie=True, scale=0.5)
+    scored, always = attribution._certify(spec, rec, models.group_by_label(spec, test))
+    assert 0 < always and len(scored.inputs) < len(test)
+    members = every_coalition(8)
+    got = CoalitionUtility(rec, spec, test).values(members)
+    assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
+
+
 def shapley_mc_loop(cu, num_permutations, seed):
     """Per-permutation reference: one utility per prefix, in draw order."""
     rng = np.random.default_rng(seed)

@@ -89,7 +89,7 @@ def test_forward_dimension_mismatch():
     with pytest.raises(ValueError, match="2 columns, expected 3"):
         models.loss_and_grad(spec, params, batch)
     with pytest.raises(ValueError, match="2 columns, expected 3"):
-        models.accuracy_many(spec, params[None], batch)
+        models.accuracy(spec, params, batch)
     with pytest.raises(ValueError, match="2 columns, expected 3"):
         models.sgd_train_many(spec, params[None], [batch], 1, 2, 0.1, [0])
 
@@ -231,13 +231,28 @@ def scoring_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(scoring_cases())
 def test_accuracy_many_matches_the_oracle(case):
+    # many models scored by one kernel call
     spec, params, batch = case
-    got = models.accuracy_many(spec, params, batch)
+    got = models.count_correct(spec, params, models.group_by_label(spec, batch)) / len(batch)
     assert got.shape == (len(params),)
     for k, row in enumerate(params):
         expected = oracles.accuracy(spec, row, batch)
         assert got[k] == expected, k
         assert models.accuracy(spec, row, batch) == expected
+
+
+def assert_rows_equal_each_model_alone(spec, params, batch):
+    """Model k's logits and count are bit for bit the same in a stack of K
+    as alone, and its accuracy is its count over the batch."""
+    groups = models.group_by_label(spec, batch)
+    logits = models.grouped_logits(spec, params, groups.inputs)
+    assert logits.shape == (len(params), spec.num_classes, len(groups.inputs))
+    counts = models.count_correct(spec, params, groups)
+    for k in range(len(params)):
+        alone = models.grouped_logits(spec, params[k : k + 1], groups.inputs)[0]
+        assert logits[k].tobytes() == alone.tobytes(), k
+        assert counts[k] == models.count_correct(spec, params[k : k + 1], groups)[0]
+        assert models.accuracy(spec, params[k], batch) == counts[k] / len(batch)
 
 
 @pytest.mark.parametrize("num_models", [2, 7, 33])
@@ -247,17 +262,35 @@ def test_accuracy_many_rows_equal_each_model_alone(kind, num_models):
     rng = np.random.default_rng(num_models)
     params = rng.normal(size=(num_models, spec.param_count))
     batch = LabeledBatch(rng.normal(size=(301, 3)), rng.integers(0, 5, 301))
-    groups = models.group_by_label(spec, batch)
-    logits = models.grouped_logits(spec, params, groups.inputs)
-    assert logits.shape == (5, len(groups.inputs), num_models)
-    counts = models.count_correct(spec, params, groups)
-    scores = models.accuracy_many(spec, params, batch)
-    assert scores.tolist() == (counts / 301).tolist()
-    for k in range(num_models):
-        alone = models.grouped_logits(spec, params[k : k + 1], groups.inputs)[..., 0]
-        assert logits[..., k].tobytes() == alone.tobytes(), k
-        assert counts[k] == models.count_correct(spec, params[k : k + 1], groups)[0]
-        assert scores[k] == models.accuracy_many(spec, params[k : k + 1], batch)[0]
+    assert_rows_equal_each_model_alone(spec, params, batch)
+
+
+@pytest.mark.parametrize("num_models", [1, 2, 33])
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_wide_models_score_each_model_alone(kind, num_models):
+    # a model's logits come from its own BLAS calls, so K cannot change
+    # them, however many inputs each dot product sums
+    spec = ModelSpec(kind, 1024, 10, 8 if kind == "mlp1" else 0)
+    rng = np.random.default_rng(num_models)
+    params = rng.normal(size=(num_models, spec.param_count)) / 32.0
+    for rows in (1, 2, 3, 17, 120):
+        batch = LabeledBatch(rng.normal(size=(rows, 1024)), rng.integers(0, 10, rows))
+        assert_rows_equal_each_model_alone(spec, params, batch)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_a_lone_row_scores_as_among_others(kind):
+    # BLAS would take a matrix-vector path for one row; doubling it keeps
+    # the matrix-matrix one, so the row's logits are those it gets among two
+    spec = ModelSpec(kind, 3, 4, 5 if kind == "mlp1" else 0)
+    rng = np.random.default_rng(5)
+    params = rng.normal(size=(3, spec.param_count))
+    inputs = np.ones((2, 4))
+    inputs[:, :3] = rng.normal(size=(2, 3))
+    pair = models.grouped_logits(spec, params, inputs)
+    for r in range(2):
+        alone = models.grouped_logits(spec, params, inputs[r : r + 1])
+        assert alone.tobytes() == np.ascontiguousarray(pair[..., r : r + 1]).tobytes()
 
 
 def test_sgd_rejects_bad_hyperparameters():
