@@ -36,14 +36,8 @@ class SvgCanvas:
         )
 
     def rect(self, x, y, w, h, fill: str, title: str = "") -> None:
-        tip = f"<title>{title}</title>" if title else ""
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}">{tip}</rect>'
-            if tip
-            else f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}"/>'
-        )
+        tag = f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"'
+        self.parts.append(f"{tag}><title>{title}</title></rect>" if title else f"{tag}/>")
 
     def line(self, x1, y1, x2, y2) -> None:
         self.parts.append(
@@ -73,8 +67,27 @@ class SvgCanvas:
 
 
 def _primary(payload: dict) -> str:
-    """The run's first configured evaluator, the one that picked the attacker."""
-    return next(e.strip() for e in payload["config"]["evaluators"].split(",") if e.strip())
+    """The run's first configured evaluator, the one that picked the attacker;
+    a payload stores the config's canonical list, without blanks."""
+    return payload["config"]["evaluators"].split(",")[0]
+
+
+_LEFT, _TOP, _BOTTOM = 60, 40, 310  # plot area of the `_axes_chart` charts
+
+
+def _axes_chart(width: int, title: str, fingerprint: str, ticks) -> SvgCanvas:
+    """A 360-high canvas with `title`, an x axis ending 30 short of its right
+    edge, a y axis, and a labelled y tick for each (fraction of the axis,
+    label) in `ticks`."""
+    canvas = SvgCanvas(width, 360, fingerprint)
+    canvas.text(_LEFT, 22, title, size=13)
+    canvas.line(_LEFT, _BOTTOM, width - 30, _BOTTOM)
+    canvas.line(_LEFT, _BOTTOM, _LEFT, _TOP)
+    for frac, label in ticks:
+        y = _BOTTOM - frac * (_BOTTOM - _TOP)
+        canvas.line(_LEFT - 3, y, _LEFT, y)
+        canvas.text(_LEFT - 6, y + 4, label, anchor="end", size=9)
+    return canvas
 
 
 def share_composition_chart(payload: dict, path: Path) -> None:
@@ -113,32 +126,27 @@ def share_composition_chart(payload: dict, path: Path) -> None:
 
 def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> None:
     """Attacker share and global accuracy versus attack intensity."""
-    width, height, left, bottom, top = 560, 360, 60, 310, 40
-    fingerprint = payloads[0]["fingerprint"] if payloads else ""
-    canvas = SvgCanvas(width, height, fingerprint)
-    canvas.text(left, 22, "Attacker share and accuracy vs attack intensity", size=13)
+    width = 560
     right = width - 30
-    canvas.line(left, bottom, right, bottom)
-    canvas.line(left, bottom, left, top)
-    for fy in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = bottom - fy * (bottom - top)
-        canvas.line(left - 3, y, left, y)
-        canvas.text(left - 6, y + 4, f"{fy:.2f}", anchor="end", size=9)
-
+    canvas = _axes_chart(
+        width, "Attacker share and accuracy vs attack intensity",
+        payloads[0]["fingerprint"] if payloads else "",
+        [(fy, f"{fy:.2f}") for fy in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    )
     xs = []
     span = max(len(values) - 1, 1)
     for i, v in enumerate(values):
-        x = left + (right - left) * i / span
+        x = _LEFT + (right - _LEFT) * i / span
         xs.append(x)
-        canvas.line(x, bottom, x, bottom + 3)
-        canvas.text(x, bottom + 16, f"{v}x", anchor="middle", size=10)
+        canvas.line(x, _BOTTOM, x, _BOTTOM + 3)
+        canvas.text(x, _BOTTOM + 16, f"{v}x", anchor="middle", size=10)
 
     primary = _primary(payloads[0])
     shares = [p["evaluators"][primary]["target_share_after"] for p in payloads]
     accs = [p["u1"] for p in payloads]
 
     def to_y(v: float) -> float:
-        return bottom - max(0.0, min(1.0, v)) * (bottom - top)
+        return _BOTTOM - max(0.0, min(1.0, v)) * (_BOTTOM - _TOP)
 
     canvas.polyline([(x, to_y(s)) for x, s in zip(xs, shares)], PALETTE[3])
     canvas.polyline([(x, to_y(a)) for x, a in zip(xs, accs)], PALETTE[0])
@@ -146,10 +154,10 @@ def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> Non
         canvas.circle(x, to_y(s), PALETTE[3])
     for x, a in zip(xs, accs):
         canvas.circle(x, to_y(a), PALETTE[0])
-    canvas.rect(right - 150, top, 10, 10, PALETTE[3])
-    canvas.text(right - 136, top + 9, "attacker share", size=10)
-    canvas.rect(right - 150, top + 16, 10, 10, PALETTE[0])
-    canvas.text(right - 136, top + 25, "test accuracy", size=10)
+    canvas.rect(right - 150, _TOP, 10, 10, PALETTE[3])
+    canvas.text(right - 136, _TOP + 9, "attacker share", size=10)
+    canvas.rect(right - 150, _TOP + 16, 10, 10, PALETTE[0])
+    canvas.text(right - 136, _TOP + 25, "test accuracy", size=10)
     canvas.save(path)
 
 
@@ -158,35 +166,28 @@ def grouped_bar_chart(
     fingerprint: str = "",
 ) -> None:
     """Grouped bars: one cluster per group, one bar per series entry."""
-    width, height, left, bottom, top = 620, 360, 60, 310, 40
-    canvas = SvgCanvas(width, height, fingerprint)
-    canvas.text(left, 22, title, size=13)
+    width = 620
     right = width - 30
-    canvas.line(left, bottom, right, bottom)
-    canvas.line(left, bottom, left, top)
     peak = max(
         (v for vals in series.values() for v in vals), default=1.0
     )
     peak = max(peak, 1e-9)
-    for frac in (0.0, 0.5, 1.0):
-        y = bottom - frac * (bottom - top)
-        canvas.line(left - 3, y, left, y)
-        canvas.text(left - 6, y + 4, f"{frac * peak:.3f}", anchor="end", size=9)
-
-    cluster_w = (right - left) / max(len(groups), 1)
+    ticks = [(frac, f"{frac * peak:.3f}") for frac in (0.0, 0.5, 1.0)]
+    canvas = _axes_chart(width, title, fingerprint, ticks)
+    cluster_w = (right - _LEFT) / max(len(groups), 1)
     names = sorted(series)
     bar_w = cluster_w * 0.8 / max(len(names), 1)
     for gi, group in enumerate(groups):
-        x0 = left + gi * cluster_w + cluster_w * 0.1
+        x0 = _LEFT + gi * cluster_w + cluster_w * 0.1
         for si, name in enumerate(names):
             v = series[name][gi]
-            h = (bottom - top) * max(v, 0.0) / peak
+            h = (_BOTTOM - _TOP) * max(v, 0.0) / peak
             canvas.rect(
-                x0 + si * bar_w, bottom - h, bar_w * 0.92, h,
+                x0 + si * bar_w, _BOTTOM - h, bar_w * 0.92, h,
                 PALETTE[si % len(PALETTE)], title=f"{name}@{group}: {v:.4f}",
             )
-        canvas.text(x0 + cluster_w * 0.4, bottom + 16, str(group), anchor="middle", size=10)
-    y = top
+        canvas.text(x0 + cluster_w * 0.4, _BOTTOM + 16, str(group), anchor="middle", size=10)
+    y = _TOP
     for si, name in enumerate(names):
         canvas.rect(right - 170, y, 10, 10, PALETTE[si % len(PALETTE)])
         canvas.text(right - 156, y + 9, name, size=10)

@@ -21,7 +21,6 @@ import json
 from collections.abc import Generator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -185,11 +184,9 @@ def run_step(behavior: Behavior, ctx: RoundContext, state: Any = None):
     """One client step on its own, driven by the runner's `_drive`, so the
     result is the step's checked (update, state, diag) inside a run, bit for
     bit, and a failure raises FLRunError naming ctx's round and client."""
-    result = []
     with _blame(ctx):
         step = behavior(ctx, state)
-    _drive([(result.append, ctx, step)])
-    return result[0]
+    return _drive([(ctx, step)])[0]
 
 
 @contextmanager
@@ -212,38 +209,35 @@ class _Run:
         self.w.setflags(write=False)
         self.w_prev: np.ndarray | None = None
         self.n = tuple(s.n_i for s in cfg.shards)
-        self.states: list[Any] = [None] * len(cfg.shards)
-        # this round's (update, diag) per client; every step finishes each round
-        self.steps: list[tuple | None] = [None] * len(cfg.shards)
+        self.states: Sequence[Any] = [None] * len(cfg.shards)
         self.records: list[RoundRecord] = []
 
-    def finish_step(self, i: int, result: tuple) -> None:
-        """Client i's checked (update, state, diag)."""
-        u, self.states[i], diag = result
-        self.steps[i] = (u, diag)
 
-
-def _kept(mode: str, clients: int, trim: TrimDecision | None) -> np.ndarray:
-    """The one-row membership matrix of the clients a round aggregates: all
-    of them, less the trimmed ones under `enforce`."""
-    kept = np.ones((1, clients), dtype=bool)
+def _next_broadcast(
+    t: int, w_t: np.ndarray, updates: Sequence[np.ndarray], n: tuple,
+    mode: str, trim: TrimDecision | None,
+) -> np.ndarray:
+    """w_t plus the weighted mean update of round t's kept clients: all of
+    them, less the trimmed ones under `enforce`.  Keeping none raises ValueError."""
+    kept = np.ones((1, len(updates)), dtype=bool)
     if mode == "enforce":
         kept[0, list(trim.trimmed)] = False
-    return kept
+    if not kept.any():
+        raise ValueError(f"round {t}: trimming kept no client")
+    return w_t + weighted_aggregate(updates, n, kept)[0]
 
 
-def _close_round(runs: Sequence[_Run], t: int) -> None:
-    """Round t of every run after its client steps: trimming, aggregation,
-    utility.  Runs that share client count, parameter count and trim_tau
-    are trimmed in one `trim_rounds` call, each run aggregates its kept
-    clients alone, and runs that share model and test set are scored in one
-    `count_correct` call; every value is bit for bit its run's alone."""
-    steps = [tuple(zip(*run.steps)) for run in runs]  # (updates, diags) per run
+def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
+    """Round t of every run from its client steps' (updates, diags): trimming,
+    aggregation, utility.  Runs that share client count, parameter count and
+    trim_tau are trimmed in one `trim_rounds` call, each run aggregates its
+    kept clients alone, and runs that share model and test set are scored in
+    one `count_correct` call; every value is bit for bit its run's alone."""
     trims: list[TrimDecision | None] = [None] * len(runs)
     by_shape: dict[tuple, list[int]] = {}
-    for r, run in enumerate(runs):
+    for r, (run, (updates, _)) in enumerate(zip(runs, steps)):
         if run.cfg.defense_mode != "off":
-            key = (len(run.steps), run.w.size, run.cfg.trim_tau)
+            key = (len(updates), run.w.size, run.cfg.trim_tau)
             by_shape.setdefault(key, []).append(r)
     for (_, _, tau), members in by_shape.items():
         decisions = trim_rounds([steps[r][0] for r in members], tau, t=t)
@@ -251,10 +245,8 @@ def _close_round(runs: Sequence[_Run], t: int) -> None:
             trims[r] = trim
     w_next = []
     for run, (updates, _), trim in zip(runs, steps, trims):
-        kept = _kept(run.cfg.defense_mode, len(updates), trim)
-        if not kept.any():
-            raise ValueError(f"round {t}: trimming kept no client")
-        w_next.append(run.w + weighted_aggregate(updates, run.n, kept)[0])
+        mode = run.cfg.defense_mode
+        w_next.append(_next_broadcast(t, run.w, updates, run.n, mode, trim))
         w_next[-1].setflags(write=False)
     utils = [0.0] * len(runs)
     by_test: dict[tuple, list[int]] = {}
@@ -281,38 +273,39 @@ def _checked(ctx: RoundContext, result) -> tuple:
     return u, state, diag
 
 
-def _drive(entries: Sequence[tuple]) -> None:
-    """Drive every (finish, ctx, step) entry until its step returns, then
-    pass `finish` the checked result.  A step that is not a generator has
-    already returned.  The training sets that generators yield are checked,
-    grouped by model, hyperparameters and size, trained in one
-    `sgd_train_many` call per group (each row from its own ctx.w_t, with the
+def _drive(entries: Sequence[tuple]) -> list[tuple]:
+    """Drive every (ctx, step) entry until its step returns, and give each
+    step's checked (update, state, diag) in entry order.  A step that is not
+    a generator has already returned.  The training sets that generators
+    yield are checked, grouped by model, hyperparameters and size, trained in
+    one `sgd_train_many` call per group (each row from its own ctx.w_t, with the
     seed its own ctx.rng gives at the yield) and sent back as updates.  Rows
     equal training alone bit for bit; a failure raises FLRunError naming the
     step's round and client."""
-    pending = []  # (finish, ctx, step) of each unfinished generator
-    for finish, ctx, step in entries:
+    results: list = [None] * len(entries)
+    pending = []  # (entry index, ctx, step) of each unfinished generator
+    for e, (ctx, step) in enumerate(entries):
         if isinstance(step, Generator):
-            pending.append((finish, ctx, step))
+            pending.append((e, ctx, step))
         else:
             with _blame(ctx):
-                finish(_checked(ctx, step))
+                results[e] = _checked(ctx, step)
     sent = [None] * len(pending)
     while pending:
         groups: dict[tuple, list[tuple]] = {}
         waiting = []
-        for (finish, ctx, step), update in zip(pending, sent):
+        for (e, ctx, step), update in zip(pending, sent):
             with _blame(ctx):
                 try:
                     batch = step.send(update)
                 except StopIteration as done:
-                    finish(_checked(ctx, done.value))
+                    results[e] = _checked(ctx, done.value)
                     continue
                 _check_batch(ctx.spec, batch)
                 seed = int(ctx.rng.integers(0, 2**63))
             key = (ctx.spec, ctx.hp, len(batch))
             groups.setdefault(key, []).append((len(waiting), ctx, batch, seed))
-            waiting.append((finish, ctx, step))
+            waiting.append((e, ctx, step))
         sent = [None] * len(waiting)
         for (spec, hp, _), members in groups.items():
             rows, ctxs, batches, seeds = zip(*members)
@@ -324,23 +317,28 @@ def _drive(entries: Sequence[tuple]) -> None:
             for k, ctx, params in zip(rows, ctxs, trained):
                 sent[k] = params - ctx.w_t
         pending = waiting
+    return results
 
 
 def _play_round(runs: Sequence[_Run], t: int) -> None:
     """Round t of every run: its client steps start in run and client order,
-    `_drive` trains all of them in shared lockstep calls, and `_close_round`
-    closes the round of every run."""
+    `_drive` trains all of them in shared lockstep calls, each run keeps its
+    clients' new states, and `_close_round` closes the round of every run."""
     entries = []
     for run in runs:
         cfg = run.cfg
-        for i, (shard, behavior) in enumerate(zip(cfg.shards, cfg.behaviors)):
+        for shard, behavior, state in zip(cfg.shards, cfg.behaviors, run.states):
             rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
             ctx = RoundContext(cfg.spec, t, run.w, run.w_prev, shard, cfg.hp, rng)
             with _blame(ctx):
-                step = behavior(ctx, run.states[i])
-            entries.append((partial(run.finish_step, i), ctx, step))
-    _drive(entries)
-    _close_round(runs, t)
+                step = behavior(ctx, state)
+            entries.append((ctx, step))
+    results = iter(_drive(entries))
+    steps = []
+    for run in runs:
+        updates, run.states, diags = zip(*[next(results) for _ in run.states])
+        steps.append((updates, diags))
+    _close_round(runs, t, steps)
 
 
 def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
@@ -400,7 +398,8 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> Roun
     """Round t of a stored log from its row, broadcast w_t and counts n,
     checked against itself: one update and one diag per client, a trim
     decision exactly when the defense is on (client ids only, one distance
-    per client), and a w_next the runner's aggregation gives bit for bit."""
+    per client), and a w_next `_next_broadcast` gives bit for bit, so an
+    enforced round keeps a client."""
     if row["t"] != t:
         raise ValueError(f"round {row['t']!r} where round {t} belongs")
     updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
@@ -417,8 +416,7 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> Roun
         if distances.shape != (clients,):
             raise ValueError(f"{distances.size} distances for {clients} clients")
     w_next = _dec(row["w_next"])
-    kept = _kept(mode, clients, trim)
-    if (w_t + weighted_aggregate(updates, n, kept)[0]).tobytes() != w_next.tobytes():
+    if _next_broadcast(t, w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
         raise ValueError(f"round {t}: w_next is not w_t plus its aggregated updates")
     return RoundRecord(t, w_t, updates, diags, n, w_next, row["test_utility_after"], trim)
 

@@ -364,7 +364,14 @@ TAMPERING = {
         trimmed=None, distances=None
     )),
     "unknown_defense_mode": ("off", 1, lambda h, r: h.update(defense_mode="strict")),
+    # the last round keeps no client and stays its own broadcast, so the rows
+    # and the header agree with each other
+    "trims_every_client": ("enforce", 4, lambda h, r: r[2].update(
+        trimmed=[0, 1, 2, 3], w_next=r[1]["w_next"]
+    )),
 }
+# what the error must name where its line alone does not show the check
+NAMED = {"trims_every_client": "round 3: trimming kept no client"}
 
 
 @pytest.mark.parametrize("kind", TAMPERING)
@@ -376,6 +383,7 @@ def test_load_log_rejects_a_log_that_contradicts_itself(tmp_path, kind):
     with pytest.raises(ValueError) as err:
         flcore.load_log(path)
     assert str(err.value).startswith(f"{path}, line {line}: ")
+    assert NAMED.get(kind, "") in str(err.value)
 
 
 def test_defense_enforce_changes_aggregate_membership():
