@@ -12,7 +12,7 @@ only the others are scored per coalition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -50,17 +50,12 @@ _CERTIFY_MIN = 200
 
 @dataclass(frozen=True)
 class CoalitionUtility:
-    """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S).
-    `groups` is `test` grouped by label, given to share it across rounds."""
+    """Round-t coalition game: v(S) = U(w_t + weighted aggregate over S), the
+    accuracy on the grouped test set `groups`, shared across rounds."""
 
     record: RoundRecord
     spec: ModelSpec
-    test: LabeledBatch
-    groups: LabelGroups | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.groups is None:
-            object.__setattr__(self, "groups", group_by_label(self.spec, self.test))
+    groups: LabelGroups
 
     @property
     def num_clients(self) -> int:
@@ -79,20 +74,20 @@ class CoalitionUtility:
         out = np.empty(len(members))
         empty = ~members.any(axis=1)
         if empty.any():
-            out[empty] = count_correct(spec, rec.w_t[None], self.groups)[0] / len(self.test)
+            out[empty] = count_correct(spec, rec.w_t[None], self.groups)[0] / self.groups.size
         rows = np.flatnonzero(~empty)
         groups, always = self.groups, 0
         if len(rows) >= _CERTIFY_MIN:
             groups, always = _certify(spec, rec, self.groups)
         if len(groups.inputs) == 0:  # every row settled: no coalition differs
-            out[rows] = always / len(self.test)
+            out[rows] = always / self.groups.size
             return out
         width = len(groups.inputs) * max(spec.num_classes, spec.hidden_dim)
         chunk = max(1, _CHUNK_LOGITS // max(width, spec.param_count))
         for start in range(0, len(rows), chunk):
             block = rows[start : start + chunk]
             params = rec.w_t + weighted_aggregate(rec.updates, rec.n, members[block])
-            out[block] = (always + count_correct(spec, params, groups)) / len(self.test)
+            out[block] = (always + count_correct(spec, params, groups)) / self.groups.size
         return out
 
     def value_mask(self, mask: int) -> float:
@@ -291,7 +286,7 @@ def evaluate_log(
         if "loo_round" in totals:
             rows["loo_round"] = loo
         distinct, inverse = _unique_rows(np.concatenate(list(rows.values())))
-        scored = CoalitionUtility(rec, spec, test, groups).values(distinct)[inverse]
+        scored = CoalitionUtility(rec, spec, groups).values(distinct)[inverse]
         ends = np.cumsum([len(part) for part in rows.values()])
         values = dict(zip(rows, np.split(scored, ends[:-1])))
         for name, total in totals.items():

@@ -260,7 +260,7 @@ def check_attack_effect(battery: _Battery) -> tuple[bool, str]:
 def check_utility_preservation(battery: _Battery) -> tuple[bool, str]:
     latent = battery.per_seed(attack="latent_opt")
     flip = battery.per_seed(attack="label_flip")
-    latent_ok = sum(abs(r.u1 - r.u0) <= r.config.delta for r in latent)
+    latent_ok = sum(r.utility_within_delta for r in latent)
     flip_deg = sum((r.u0 - r.u1) > r.config.delta for r in flip)
     detail = (
         f"latent within delta in {latent_ok}/5 seeds (need >=4); "

@@ -300,10 +300,9 @@ def write_run_outputs(report: ExperimentReport, out_dir: Path) -> Path:
     return run_dir
 
 
-def sweep(
-    cfg: ExperimentConfig, axis: str, values: list, out_dir: Path | None = None
-) -> list[ExperimentReport]:
-    """One paired run per axis value, sharing the base master seed."""
+def sweep(cfg: ExperimentConfig, axis: str, values: list, out_dir: Path) -> list[ExperimentReport]:
+    """One paired run per axis value, sharing the base master seed, each
+    written under `out_dir` with the sweep's summary."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
@@ -324,10 +323,8 @@ def sweep(
     reports = []
     for point in points:
         reports.append(run_experiment(point))
-        if out_dir is not None:
-            write_run_outputs(reports[-1], Path(out_dir))
-    if out_dir is not None:
-        write_sweep_summary(reports, axis, Path(out_dir))
+        write_run_outputs(reports[-1], out_dir)
+    write_sweep_summary(reports, axis, out_dir)
     return reports
 
 

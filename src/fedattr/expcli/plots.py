@@ -22,18 +22,13 @@ def _f(v: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, width: int, height: int, fingerprint: str = ""):
-        self.width = width
-        self.height = height
+    def __init__(self, width: int, height: int, fingerprint: str):
         self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
+            f"<!-- config:{fingerprint} -->",
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         ]
-        if fingerprint:
-            self.parts.append(f"<!-- config:{fingerprint} -->")
-        self.parts.append(
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>'
-        )
 
     def rect(self, x, y, w, h, fill: str, title: str = "") -> None:
         tag = f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"'
@@ -130,7 +125,7 @@ def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> Non
     right = width - 30
     canvas = _axes_chart(
         width, "Attacker share and accuracy vs attack intensity",
-        payloads[0]["fingerprint"] if payloads else "",
+        payloads[0]["fingerprint"],
         [(fy, f"{fy:.2f}") for fy in (0.0, 0.25, 0.5, 0.75, 1.0)],
     )
     xs = []
@@ -163,7 +158,7 @@ def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> Non
 
 def grouped_bar_chart(
     groups: list[str], series: dict[str, list[float]], title: str, path: Path,
-    fingerprint: str = "",
+    fingerprint: str,
 ) -> None:
     """Grouped bars: one cluster per group, one bar per series entry."""
     width = 620

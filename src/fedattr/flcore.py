@@ -30,6 +30,7 @@ from .data import ClientShard
 from .defense import TrimDecision, trim_rounds
 from .models import (
     LabeledBatch,
+    LabelGroups,
     ModelSpec,
     _check_batch,
     accuracy,
@@ -200,11 +201,11 @@ def _blame(ctx: RoundContext):
 
 class _Run:
     """One run's progress between rounds: broadcasts, client states, records,
-    and its test set grouped by label for the round close."""
+    and the grouping of its test set that its call shares among its runs."""
 
-    def __init__(self, cfg: FLConfig):
+    def __init__(self, cfg: FLConfig, groups: LabelGroups):
         self.cfg = cfg
-        self.groups = group_by_label(cfg.spec, cfg.test)
+        self.groups = groups
         self.w = init_params(cfg.spec, streams.child_seed(cfg.master_seed, "init"))
         self.w.setflags(write=False)
         self.w_prev: np.ndarray | None = None
@@ -231,7 +232,7 @@ def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
     """Round t of every run from its client steps' (updates, diags): trimming,
     aggregation, utility.  Runs that share client count, parameter count and
     trim_tau are trimmed in one `trim_rounds` call, each run aggregates its
-    kept clients alone, and runs that share model and test set are scored in
+    kept clients alone, and runs that share a grouped test set are scored in
     one `count_correct` call; every value is bit for bit its run's alone."""
     trims: list[TrimDecision | None] = [None] * len(runs)
     by_shape: dict[tuple, list[int]] = {}
@@ -249,15 +250,15 @@ def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
         w_next.append(_next_broadcast(t, run.w, updates, run.n, mode, trim))
         w_next[-1].setflags(write=False)
     utils = [0.0] * len(runs)
-    by_test: dict[tuple, list[int]] = {}
+    by_test: dict[int, list[int]] = {}
     for r, run in enumerate(runs):
-        by_test.setdefault((run.cfg.spec, id(run.cfg.test)), []).append(r)
+        by_test.setdefault(id(run.groups), []).append(r)
     for members in by_test.values():
         first = runs[members[0]]
         params = np.stack([w_next[r] for r in members])
         counts = count_correct(first.cfg.spec, params, first.groups)
         for r, count in zip(members, counts):
-            utils[r] = float(count / len(first.cfg.test))
+            utils[r] = float(count / first.groups.size)
     for run, (updates, diags), trim, w, util in zip(runs, steps, trims, w_next, utils):
         run.records.append(RoundRecord(t, run.w, updates, diags, run.n, w, util, trim))
         run.w_prev, run.w = run.w, w
@@ -342,9 +343,12 @@ def _play_round(runs: Sequence[_Run], t: int) -> None:
 
 
 def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
-    """Run several configs round by round, each log equal to its run alone;
-    `_play_round` trains the clients of all of them in shared lockstep calls."""
-    runs = [_Run(cfg) for cfg in cfgs]
+    """Run several configs round by round, each log equal to its run alone,
+    grouping each distinct model and test set by label once; `_play_round`
+    trains the clients of all of them in shared lockstep calls."""
+    tests = {(cfg.spec, id(cfg.test)): cfg.test for cfg in cfgs}
+    groups = {key: group_by_label(key[0], test) for key, test in tests.items()}
+    runs = [_Run(cfg, groups[cfg.spec, id(cfg.test)]) for cfg in cfgs]
     for t in range(1, max((cfg.rounds for cfg in cfgs), default=0) + 1):
         _play_round([run for run in runs if t <= run.cfg.rounds], t)
     return [
@@ -396,15 +400,20 @@ def save_log(log: TrainingLog, path) -> None:
 
 def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> RoundRecord:
     """Round t of a stored log from its row, broadcast w_t and counts n,
-    checked against itself: one update and one diag per client, a trim
-    decision exactly when the defense is on (client ids only, one distance
-    per client), and a w_next `_next_broadcast` gives bit for bit, so an
-    enforced round keeps a client."""
+    checked against itself: one update and one diag (object or null) per
+    client, a utility in [0, 1], a trim decision exactly when the defense is
+    on (client ids only, one distance per client), and a w_next
+    `_next_broadcast` gives bit for bit, so an enforced round keeps a client."""
     if row["t"] != t:
         raise ValueError(f"round {row['t']!r} where round {t} belongs")
     updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
     if not len(updates) == len(diags) == clients:
         raise ValueError(f"{len(updates)} updates, {len(diags)} diags, {clients} clients")
+    if not all(diag is None or isinstance(diag, dict) for diag in diags):
+        raise ValueError(f"diags {row['diags']!r} are not one object or null per client")
+    util = row["test_utility_after"]
+    if type(util) not in (int, float) or not 0 <= util <= 1:  # a bool is no number here
+        raise ValueError(f"test utility {util!r} is not a number in [0, 1]")
     if (row["trimmed"] is None) != (mode == "off"):
         raise ValueError(f"trim decision {row['trimmed']!r} under defense {mode!r}")
     trim = None
@@ -418,7 +427,7 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> Roun
     w_next = _dec(row["w_next"])
     if _next_broadcast(t, w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
         raise ValueError(f"round {t}: w_next is not w_t plus its aggregated updates")
-    return RoundRecord(t, w_t, updates, diags, n, w_next, row["test_utility_after"], trim)
+    return RoundRecord(t, w_t, updates, diags, n, w_next, util, trim)
 
 
 def load_log(path) -> TrainingLog:

@@ -192,7 +192,8 @@ def _ce_grads(
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
     """Fraction of correct rows of `batch`: `count_correct` over every row
     and class of `group_by_label(batch)`."""
-    return float(count_correct(spec, params[None], group_by_label(spec, batch))[0] / len(batch))
+    groups = group_by_label(spec, batch)
+    return float(count_correct(spec, params[None], groups)[0] / groups.size)
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,19 @@ class LabelGroups:
     inputs and a 1 that carries the first layer's bias, and rows
     bounds[y]:bounds[y + 1] are labelled y.  Span (j, start, stop, strict)
     compares class j with the label on rows start:stop, all labelled above
-    j (`strict`: a tie goes to j) or all below it."""
+    j (`strict`: a tie goes to j) or all below it.  `size`, the accuracy
+    denominator, counts every row of the batch, even those labelled C or up."""
 
     inputs: np.ndarray
     bounds: np.ndarray
     spans: tuple[tuple[int, int, int, bool], ...]
+    size: int
 
     def restrict(self, rows: np.ndarray, keep: np.ndarray) -> "LabelGroups":
         """The rows marked in `rows`, those labelled y compared with class j
         only where keep[y, j] (C x C)."""
         bounds = np.concatenate([[0], np.cumsum(rows)])[self.bounds]
-        return LabelGroups(self.inputs[rows], bounds, _spans(bounds, keep))
+        return LabelGroups(self.inputs[rows], bounds, _spans(bounds, keep), self.size)
 
 
 def _spans(bounds: np.ndarray, keep: np.ndarray) -> tuple:
@@ -241,7 +244,7 @@ def group_by_label(spec: ModelSpec, batch: LabeledBatch) -> LabelGroups:
     inputs = np.ones((bounds[-1], spec.input_dim + 1))
     inputs[:, :-1] = batch.inputs[order[: bounds[-1]]]
     keep = np.ones((spec.num_classes, spec.num_classes), dtype=bool)
-    return LabelGroups(inputs, bounds, _spans(bounds, keep))
+    return LabelGroups(inputs, bounds, _spans(bounds, keep), len(batch))
 
 
 def count_correct(spec: ModelSpec, params: np.ndarray, groups: LabelGroups) -> np.ndarray:

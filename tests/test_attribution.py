@@ -52,6 +52,11 @@ def value_of(cu, subset):
     return cu.value_mask(sum(1 << int(i) for i in subset))
 
 
+def game(rec, spec, test):
+    """Round `rec`'s coalition game scored on `test`."""
+    return CoalitionUtility(rec, spec, models.group_by_label(spec, test))
+
+
 def full_table(n, fn):
     return {
         frozenset(s): fn(frozenset(s))
@@ -203,7 +208,7 @@ def small_run(
 def test_coalition_value_definitions():
     cfg, log, spec, test = small_run()
     rec = log.rounds[0]
-    cu = CoalitionUtility(rec, spec, test)
+    cu = game(rec, spec, test)
     assert cu.value_mask(0) == models.accuracy(spec, rec.w_t, test)
     assert cu.value_mask(0b111) == models.accuracy(spec, rec.w_next, test)
     single = cu.values([[False, True, False]])[0]
@@ -223,7 +228,7 @@ def test_values_reproduce_each_logged_round(model):
             everyone, nobody = np.ones(5, dtype=bool), np.zeros(5, dtype=bool)
             kept = everyone if rec.trim is None else np.isin(np.arange(5), list(rec.trim.kept))
             assert (defense_mode == "off") == kept.all()
-            got = CoalitionUtility(rec, spec, test).values([kept, nobody])
+            got = game(rec, spec, test).values([kept, nobody])
             assert got[0] == rec.test_utility_after
             assert got[1] == models.accuracy(spec, rec.w_t, test)
 
@@ -234,7 +239,7 @@ def every_coalition(n):
 
 def assert_values_match_oracle(log, spec, test):
     for rec in log.rounds:
-        cu = CoalitionUtility(rec, spec, test)
+        cu = game(rec, spec, test)
         members = every_coalition(cu.num_clients)
         got = cu.values(members)
         for row, value in zip(members, got):
@@ -284,7 +289,7 @@ def test_values_count_labels_outside_the_model_as_wrong():
         np.concatenate([test.inputs, test.inputs[:5]]),
         np.concatenate([test.labels, np.full(5, spec.num_classes)]),
     )
-    got = CoalitionUtility(rec, spec, extra).values(every_coalition(3))
+    got = game(rec, spec, extra).values(every_coalition(3))
     for row, value in zip(every_coalition(3), got):
         assert value == oracles.coalition_utility(rec, spec, extra, np.flatnonzero(row))
 
@@ -299,7 +304,7 @@ def test_values_break_logit_ties_toward_the_lowest_class():
         rec.t, np.zeros(spec.param_count), (np.zeros(spec.param_count), bias_only),
         (None, None), (10, 30), rec.w_next, rec.test_utility_after,
     )
-    got = CoalitionUtility(rec, spec, test).values(every_coalition(2))
+    got = game(rec, spec, test).values(every_coalition(2))
     expected = [
         oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
         for row in every_coalition(2)
@@ -371,7 +376,7 @@ def test_certified_values_match_the_oracle(case):
     members = every_coalition(len(rec.updates))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(attribution, "_CERTIFY_MIN", 1)
-        got = CoalitionUtility(rec, spec, test).values(members)
+        got = game(rec, spec, test).values(members)
     assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
     for row, value in zip(members, got):
         assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row)), row
@@ -398,7 +403,7 @@ def test_certification_leaves_a_margin_within_tau_to_the_kernel(certify_every_ro
     groups = models.group_by_label(spec, test)
     scored, always = attribution._certify(spec, rec, groups)
     assert (len(scored.inputs), always) == (1, 0)
-    got = CoalitionUtility(rec, spec, test).values(every_coalition(2))
+    got = game(rec, spec, test).values(every_coalition(2))
     assert got.tolist() == [0.0, 1.0, 1.0, 0.0]  # rows in mask order 0, 2, 1, 3
 
 
@@ -413,7 +418,7 @@ def test_certification_decides_nothing_at_a_non_finite_logit(certify_every_round
     members = every_coalition(2)
     with np.errstate(over="ignore", invalid="ignore"):
         scored, always = attribution._certify(spec, rec, groups)
-        got = CoalitionUtility(rec, spec, test).values(members)
+        got = game(rec, spec, test).values(members)
     assert scored.inputs[:, 0].tolist() == [2.0] and always == 1
     for row, value in zip(members, got):
         assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
@@ -445,7 +450,7 @@ def test_certification_runs_only_for_rounds_with_many_coalitions(monkeypatch):
     for count, certified in ((least, True), (least - 1, False)):
         calls.clear()
         rows = members[: count + 1]
-        got = CoalitionUtility(rec, spec, test).values(rows)
+        got = game(rec, spec, test).values(rows)
         assert bool(calls) == certified
         assert got.tobytes() == full_kernel_values(rec, spec, test, rows).tobytes()
 
@@ -463,7 +468,7 @@ def test_certified_values_equal_the_full_kernel_on_real_rounds(num_clients):
     for rec in log.rounds:
         scored, always = attribution._certify(fl.spec, rec, groups)
         assert len(scored.inputs) < len(groups.inputs)  # some rows were decided
-        got = CoalitionUtility(rec, fl.spec, fl.test, groups).values(members)
+        got = CoalitionUtility(rec, fl.spec, groups).values(members)
         expected = full_kernel_values(rec, fl.spec, fl.test, members)
         assert got.tobytes() == expected.tobytes(), rec.t
 
@@ -507,7 +512,7 @@ def test_chunks_hold_few_wide_parameter_vectors(monkeypatch):
     assert 0 < len(scored.inputs) * spec.num_classes < spec.param_count
     sizes = aggregate_spy(monkeypatch)
     members = every_coalition(8)
-    got = CoalitionUtility(rec, spec, test).values(members)
+    got = game(rec, spec, test).values(members)
     assert sum(sizes) == 255 and max(sizes) == attribution._CHUNK_LOGITS // spec.param_count
     monkeypatch.undo()
     assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
@@ -519,7 +524,7 @@ def test_a_round_with_every_row_settled_aggregates_nothing(monkeypatch):
     assert len(scored.inputs) == 0
     sizes = aggregate_spy(monkeypatch)
     members = every_coalition(8)
-    got = CoalitionUtility(rec, spec, test).values(members)
+    got = game(rec, spec, test).values(members)
     assert sizes == []
     assert set(got[1:].tolist()) == {always / len(test)}
     monkeypatch.undo()
@@ -533,7 +538,7 @@ def test_certified_values_equal_the_full_kernel_for_wide_models():
     scored, always = attribution._certify(spec, rec, models.group_by_label(spec, test))
     assert 0 < always and len(scored.inputs) < len(test)
     members = every_coalition(8)
-    got = CoalitionUtility(rec, spec, test).values(members)
+    got = game(rec, spec, test).values(members)
     assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
 
 
@@ -556,7 +561,7 @@ def test_shapley_mc_matches_per_permutation_loop(num_clients, num_permutations):
     # N=20 is above the exact guard: only sampling can value this game
     cfg, log, spec, test = small_run(num_clients=num_clients, samples_per_class=400)
     for rec in log.rounds:
-        cu = CoalitionUtility(rec, spec, test)
+        cu = game(rec, spec, test)
         fast = mc_of(cu, num_permutations, seed=rec.t)
         loop = shapley_mc_loop(cu, num_permutations, seed=rec.t)
         assert fast.tobytes() == loop.tobytes()
@@ -581,7 +586,7 @@ def shapley_exact_loop(cu):
 def test_shapley_exact_matches_subset_loop(model):
     cfg, log, spec, test = small_run(num_clients=6, model=model)
     for rec in log.rounds:
-        cu = CoalitionUtility(rec, spec, test)
+        cu = game(rec, spec, test)
         assert exact_of(cu).tobytes() == shapley_exact_loop(cu).tobytes()
 
 
@@ -632,7 +637,7 @@ def test_evaluate_log_matches_per_round_references(six_client_runs, run, evaluat
     for name in evaluators:
         expected = np.zeros(6)
         for rec in log.rounds:
-            cu = CoalitionUtility(rec, spec, test)
+            cu = game(rec, spec, test)
             expected += per_round_reference(name, cu, rec.t)
         assert reports[name].raw.tobytes() == expected.tobytes(), name
 
@@ -685,7 +690,7 @@ def test_evaluate_log_mc_only_above_the_exact_guard(monkeypatch):
     report = evaluate_log(log, spec, test, ["fedsv_mc"], num_permutations=12, seed=5)
     expected = np.zeros(20)
     for rec in log.rounds:
-        expected += shapley_mc_loop(CoalitionUtility(rec, spec, test), 12, 5 + rec.t)
+        expected += shapley_mc_loop(game(rec, spec, test), 12, 5 + rec.t)
     assert report["fedsv_mc"].raw.tobytes() == expected.tobytes()
 
     def no_scoring(self, members):
@@ -728,8 +733,8 @@ def test_fedsv_efficiency_over_log():
     cfg, log, spec, test = small_run()
     report = fedsv(log, spec, test, mode="exact")
     expected = sum(
-        CoalitionUtility(rec, spec, test).value_mask((1 << 3) - 1)
-        - CoalitionUtility(rec, spec, test).value_mask(0)
+        game(rec, spec, test).value_mask((1 << 3) - 1)
+        - game(rec, spec, test).value_mask(0)
         for rec in log.rounds
     )
     assert report.raw.sum() == pytest.approx(expected, abs=1e-9)
@@ -906,7 +911,7 @@ run_params = dict(
 def test_property_exact_efficiency(num_clients, master_seed):
     cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
     for rec in log.rounds:
-        cu = CoalitionUtility(rec, spec, test)
+        cu = game(rec, spec, test)
         gain = cu.value_mask((1 << num_clients) - 1) - cu.value_mask(0)
         assert abs(exact_of(cu).sum() - gain) <= 1e-12
 
@@ -932,7 +937,7 @@ def test_property_duplicated_clients_get_equal_values(num_clients, master_seed):
 def test_property_one_permutation_mc_is_efficient(num_clients, master_seed, seed):
     cfg, log, spec, test = small_run(num_clients, master_seed=master_seed)
     for rec in log.rounds:
-        cu = CoalitionUtility(rec, spec, test)
+        cu = game(rec, spec, test)
         gain = cu.value_mask((1 << num_clients) - 1) - cu.value_mask(0)
         assert abs(mc_of(cu, 1, seed).sum() - gain) <= 1e-12
 

@@ -369,6 +369,17 @@ TAMPERING = {
     "trims_every_client": ("enforce", 4, lambda h, r: r[2].update(
         trimmed=[0, 1, 2, 3], w_next=r[1]["w_next"]
     )),
+    # one entry per client, but not an object or null
+    "diags_string": ("off", 2, lambda h, r: r[0].update(diags="x" * len(r[0]["diags"]))),
+    "diags_numbers": ("off", 2, lambda h, r: r[0].update(diags=[5] * len(r[0]["diags"]))),
+    "utility_string": ("off", 2, lambda h, r: r[0].update(test_utility_after="high")),
+    "utility_list": ("off", 2, lambda h, r: r[0].update(test_utility_after=[1])),
+    "utility_bool": ("off", 2, lambda h, r: r[0].update(test_utility_after=True)),
+    "utility_above_one": ("off", 2, lambda h, r: r[0].update(test_utility_after=1.5)),
+    # the header agrees with the last row, so only the row check can tell
+    "final_utility_string": ("off", 4, lambda h, r: (
+        r[-1].update(test_utility_after="high"), h.update(final_utility="high")
+    )),
 }
 # what the error must name where its line alone does not show the check
 NAMED = {"trims_every_client": "round 3: trimming kept no client"}
@@ -538,6 +549,31 @@ def test_run_training_many_matches_each_run_alone(monkeypatch):
     for cfg, log in zip(cfgs, logs):
         assert_logs_identical(log, run_training(cfg))
     assert run_training_many([]) == []
+
+
+def test_run_training_many_groups_each_test_set_once(monkeypatch):
+    # seven runs on one test set, as retrain leave-one-out gives at N = 6,
+    # and one run on another
+    spec, shards, test = make_scenario(num_clients=6)
+    half_test = models.LabeledBatch(test.inputs[::2], test.labels[::2])
+    base = make_config(spec, shards, test, rounds=2)
+    cfgs = [
+        base,
+        *(base.without_client(s.client_id) for s in shards),
+        make_config(spec, shards, half_test, rounds=2),
+    ]
+    grouped = []
+
+    def spy(spec, batch):
+        grouped.append(batch)
+        return models.group_by_label(spec, batch)
+
+    monkeypatch.setattr(flcore, "group_by_label", spy)
+    logs = run_training_many(cfgs)
+    assert [id(batch) for batch in grouped] == [id(test), id(half_test)]
+    monkeypatch.undo()
+    for cfg, log in zip(cfgs[-2:], logs[-2:]):
+        assert_logs_identical(log, run_training(cfg))
 
 
 def test_run_training_many_failure_names_the_run_round_and_client():
