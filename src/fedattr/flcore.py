@@ -27,7 +27,7 @@ import numpy as np
 
 from . import streams
 from .data import ClientShard
-from .defense import TrimDecision, trim_rounds
+from .defense import TrimDecision, trim_round, trim_rounds
 from .models import (
     LabeledBatch,
     LabelGroups,
@@ -91,6 +91,7 @@ class TrainingLog:
     rounds: tuple[RoundRecord, ...]
     fingerprint: str
     defense_mode: str
+    trim_tau: float
 
     @property
     def final_utility(self) -> float:
@@ -121,6 +122,10 @@ class FLConfig:
             raise ValueError("rounds must be at least 1")
         if self.defense_mode not in DEFENSE_MODES:
             raise ValueError(f"unknown defense mode {self.defense_mode!r}")
+        if not 0.0 < self.trim_tau < 1.0:
+            raise ValueError("trim_tau must be in (0, 1)")
+        if self.defense_mode != "off" and len(self.shards) < 2:
+            raise ValueError("trimming needs at least two clients")
 
     def without_client(self, client_id: int) -> "FLConfig":
         """Drop one client, keeping everyone else's id-keyed RNG streams intact."""
@@ -352,8 +357,8 @@ def run_training_many(cfgs: Sequence[FLConfig]) -> list[TrainingLog]:
     for t in range(1, max((cfg.rounds for cfg in cfgs), default=0) + 1):
         _play_round([run for run in runs if t <= run.cfg.rounds], t)
     return [
-        TrainingLog(tuple(run.records), run.cfg.fingerprint, run.cfg.defense_mode)
-        for run in runs
+        TrainingLog(tuple(run.records), cfg.fingerprint, cfg.defense_mode, cfg.trim_tau)
+        for run, cfg in zip(runs, cfgs)
     ]
 
 
@@ -379,6 +384,7 @@ def save_log(log: TrainingLog, path) -> None:
             "kind": "training_log",
             "fingerprint": log.fingerprint,
             "defense_mode": log.defense_mode,
+            "trim_tau": log.trim_tau,
             "rounds": len(log.rounds),
             "final_utility": log.final_utility,
             "w_1": _enc(log.rounds[0].w_t),
@@ -391,19 +397,16 @@ def save_log(log: TrainingLog, path) -> None:
                 "updates": [_enc(u) for u in rec.updates],
                 "w_next": _enc(rec.w_next),
                 "test_utility_after": rec.test_utility_after,
-                "trimmed": sorted(rec.trim.trimmed) if rec.trim else None,
-                "distances": rec.trim.distances.tolist() if rec.trim else None,
                 "diags": list(rec.diags),
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> RoundRecord:
-    """Round t of a stored log from its row, broadcast w_t and counts n,
-    checked against itself: one update and one diag (object or null) per
-    client, a utility in [0, 1], a trim decision exactly when the defense is
-    on (client ids only, one distance per client), and a w_next
-    `_next_broadcast` gives bit for bit, so an enforced round keeps a client."""
+def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: float) -> RoundRecord:
+    """Round t of a stored log from its row, broadcast w_t, counts n and
+    trim_tau, checked against itself: one update and one diag (object or
+    null) per client, a utility in [0, 1], and a w_next `_next_broadcast`
+    gives bit for bit under the runner's trim rule (`trim_round`)."""
     if row["t"] != t:
         raise ValueError(f"round {row['t']!r} where round {t} belongs")
     updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
@@ -414,16 +417,7 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> Roun
     util = row["test_utility_after"]
     if type(util) not in (int, float) or not 0 <= util <= 1:  # a bool is no number here
         raise ValueError(f"test utility {util!r} is not a number in [0, 1]")
-    if (row["trimmed"] is None) != (mode == "off"):
-        raise ValueError(f"trim decision {row['trimmed']!r} under defense {mode!r}")
-    trim = None
-    if mode != "off":
-        distances = np.array(row["distances"], dtype=np.float64)
-        trim = TrimDecision(t, distances, frozenset(row["trimmed"]))
-        if not all(isinstance(i, int) and 0 <= i < clients for i in trim.trimmed):
-            raise ValueError(f"trimmed {row['trimmed']!r} names no client of {clients}")
-        if distances.shape != (clients,):
-            raise ValueError(f"{distances.size} distances for {clients} clients")
+    trim = None if mode == "off" else trim_round(updates, tau, t=t)
     w_next = _dec(row["w_next"])
     if _next_broadcast(t, w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
         raise ValueError(f"round {t}: w_next is not w_t plus its aggregated updates")
@@ -432,31 +426,35 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str) -> Roun
 
 def load_log(path) -> TrainingLog:
     """The log `save_log` wrote: round t + 1's broadcast is round t's w_next
-    and every round gets the header's counts.  A malformed file, or one whose
-    rounds do not run 1..T or contradict themselves (`_load_round`), raises
-    ValueError naming its line."""
+    and every round gets the header's counts and trim_tau.  A malformed file
+    or header, or rounds that do not run 1..T or contradict themselves
+    (`_load_round`), raises ValueError naming its line."""
     lineno = 1
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
             if not isinstance(header, dict) or header.get("kind") != "training_log":
                 raise ValueError("not a training log")
-            fingerprint, mode, rounds, final = (
-                header["fingerprint"], header["defense_mode"], header["rounds"],
-                header["final_utility"],
+            fingerprint, mode, tau, rounds, final, n = (
+                header["fingerprint"], header["defense_mode"], header["trim_tau"],
+                header["rounds"], header["final_utility"], header["n"],
             )
             if mode not in DEFENSE_MODES:
                 raise ValueError(f"unknown defense mode {mode!r}")
-            w_t, n = _dec(header["w_1"]), tuple(header["n"])
+            if type(tau) is not float or not 0 < tau < 1:
+                raise ValueError(f"trim_tau {tau!r} is not a number in (0, 1)")
+            if not isinstance(n, list) or not all(type(c) is int and c >= 0 for c in n):
+                raise ValueError(f"sample counts {n!r} are not a list of non-negative ints")
+            w_t, n = _dec(header["w_1"]), tuple(n)
             records = []
             for lineno, line in enumerate(fh, start=2):
-                records.append(_load_round(json.loads(line), lineno - 1, w_t, n, mode))
+                records.append(_load_round(json.loads(line), lineno - 1, w_t, n, mode, tau))
                 w_t = records[-1].w_next
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}, line {lineno}: malformed training log: {exc!r}"
             ) from exc
-    log = TrainingLog(tuple(records), fingerprint, mode)
+    log = TrainingLog(tuple(records), fingerprint, mode, tau)
     if not records or (rounds, final) != (len(records), log.final_utility):
         raise ValueError(
             f"{path}: log header ({rounds} rounds, final utility {final!r}) disagrees "

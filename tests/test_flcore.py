@@ -128,6 +128,26 @@ def test_enforced_trimming_that_keeps_no_client_fails():
         run_training(cfg)
 
 
+def test_bad_trim_setup_fails_before_training(monkeypatch):
+    spec, shards, test = make_scenario(num_clients=3)
+    trained = []
+    monkeypatch.setattr(flcore, "sgd_train_many", lambda *args: trained.append(args))
+    cases = [
+        (shards, dict(defense_mode="enforce", trim_tau=1.5), "trim_tau must be in"),
+        (shards, dict(defense_mode="monitor", trim_tau=math.nan), "trim_tau must be in"),
+        (shards, dict(trim_tau=0.0), "trim_tau must be in"),
+        (shards[:1], dict(defense_mode="monitor"), "at least two clients"),
+        (shards[:1], dict(defense_mode="enforce"), "at least two clients"),
+    ]
+    for clients, kw, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_training(make_config(spec, clients, test, **kw))
+    # dropping a client of a defended two-client run fails the same way
+    with pytest.raises(ValueError, match="at least two clients"):
+        make_config(spec, shards[:2], test, defense_mode="monitor").without_client(0)
+    assert trained == []
+
+
 def benign_update(spec, w, shard, hp, seed):
     """`benign`'s round-1 update, driven alone with an RNG seeded by `seed`."""
     ctx = RoundContext(spec, 1, w, None, shard, hp, np.random.default_rng(seed))
@@ -333,12 +353,12 @@ def saved_log(tmp_path, defense_mode):
 def test_saved_log_stores_the_broadcast_and_counts_once(tmp_path):
     log, _, header, rows = saved_log(tmp_path, "enforce")
     assert header["defense_mode"] == log.defense_mode == "enforce"
+    assert header["trim_tau"] == log.trim_tau == 0.3
     assert header["n"] == list(log.rounds[0].n)
     assert flcore._dec(header["w_1"]).tobytes() == log.rounds[0].w_t.tobytes()
+    # the trim decisions are not stored: `load_log` recomputes them from the updates
     for row in rows:
-        assert set(row) == {
-            "t", "updates", "w_next", "test_utility_after", "trimmed", "distances", "diags"
-        }
+        assert set(row) == {"t", "updates", "w_next", "test_utility_after", "diags"}
 
 
 def shifted(blob, by):
@@ -355,20 +375,14 @@ TAMPERING = {
     "t_beyond_rounds": ("off", 3, lambda h, r: r[1].update(t=99)),
     "short_diags": ("off", 2, lambda h, r: r[0].update(diags=r[0]["diags"][:2])),
     "short_n": ("off", 2, lambda h, r: h.update(n=h["n"][:3])),
-    "trimmed_id_past_clients": ("enforce", 3, lambda h, r: r[1].update(trimmed=[4])),
-    "short_distances": ("monitor", 2, lambda h, r: r[0].update(
-        distances=r[0]["distances"][:-1]
-    )),
-    "trim_under_off": ("off", 2, lambda h, r: r[0].update(trimmed=[3], distances=[0.0] * 4)),
-    "no_trim_under_enforce": ("enforce", 2, lambda h, r: r[0].update(
-        trimmed=None, distances=None
-    )),
+    # the runner writes non-negative int counts and a trim_tau in (0, 1)
+    "n_bools": ("off", 1, lambda h, r: h.update(n=[True] * len(h["n"]))),
+    "n_fractional": ("off", 1, lambda h, r: h.update(n=[0.5] * len(h["n"]))),
+    "trim_tau_out_of_range": ("monitor", 1, lambda h, r: h.update(trim_tau=1.5)),
+    "trim_tau_string": ("off", 1, lambda h, r: h.update(trim_tau="0.3")),
     "unknown_defense_mode": ("off", 1, lambda h, r: h.update(defense_mode="strict")),
-    # the last round keeps no client and stays its own broadcast, so the rows
-    # and the header agree with each other
-    "trims_every_client": ("enforce", 4, lambda h, r: r[2].update(
-        trimmed=[0, 1, 2, 3], w_next=r[1]["w_next"]
-    )),
+    # ceil(0.99 * 4) = 4: the header's trim_tau trims every client of round 1
+    "trims_every_client": ("enforce", 2, lambda h, r: h.update(trim_tau=0.99)),
     # one entry per client, but not an object or null
     "diags_string": ("off", 2, lambda h, r: r[0].update(diags="x" * len(r[0]["diags"]))),
     "diags_numbers": ("off", 2, lambda h, r: r[0].update(diags=[5] * len(r[0]["diags"]))),
@@ -382,7 +396,18 @@ TAMPERING = {
     )),
 }
 # what the error must name where its line alone does not show the check
-NAMED = {"trims_every_client": "round 3: trimming kept no client"}
+NAMED = {"trims_every_client": "round 1: trimming kept no client"}
+
+
+def test_load_log_keeps_a_client_without_samples(tmp_path):
+    # a free rider on an empty shard trains nothing and is logged with n_i = 0
+    spec, shards, test = make_scenario()
+    empty = ClientShard.build(2, models.LabeledBatch(np.zeros((0, 2)), np.zeros(0, int)), 3)
+    behaviors = [benign, benign, attacks.behavior_free_rider]
+    log = run_training(make_config(spec, [*shards[:2], empty], test, behaviors=behaviors))
+    assert log.rounds[0].n == (30, 30, 0)
+    flcore.save_log(log, tmp_path / "run.log.jsonl")
+    assert_logs_identical(log, flcore.load_log(tmp_path / "run.log.jsonl"))
 
 
 @pytest.mark.parametrize("kind", TAMPERING)
@@ -420,8 +445,8 @@ def test_defense_enforce_changes_aggregate_membership():
 
 
 def assert_logs_identical(a, b):
-    assert (a.fingerprint, a.defense_mode, a.final_utility, len(a.rounds)) == (
-        b.fingerprint, b.defense_mode, b.final_utility, len(b.rounds)
+    assert (a.fingerprint, a.defense_mode, a.trim_tau, a.final_utility, len(a.rounds)) == (
+        b.fingerprint, b.defense_mode, b.trim_tau, b.final_utility, len(b.rounds)
     )
     for ra, rb in zip(a.rounds, b.rounds):
         assert (ra.t, ra.n, ra.test_utility_after) == (rb.t, rb.n, rb.test_utility_after)
@@ -689,8 +714,11 @@ run_params = dict(num_clients=st.integers(2, 6), master_seed=st.integers(0, 2**3
 
 
 @settings(max_examples=15, deadline=None)
-@given(**run_params, defense_mode=st.sampled_from(flcore.DEFENSE_MODES))
-def test_property_log_round_trip(num_clients, master_seed, defense_mode):
+@given(
+    **run_params, defense_mode=st.sampled_from(flcore.DEFENSE_MODES),
+    trim_tau=st.floats(0.05, 0.49),
+)
+def test_property_log_round_trip(num_clients, master_seed, defense_mode, trim_tau):
     spec, shards, test = make_scenario(num_clients=num_clients, seed=master_seed % 7)
     # one attacker that emits diagnostics, one that does not
     noise = partial(attacks.behavior_random_noise, sigma_rel=3.0)
@@ -698,14 +726,17 @@ def test_property_log_round_trip(num_clients, master_seed, defense_mode):
     log = run_training(
         make_config(
             spec, shards, test, behaviors=behaviors, master_seed=master_seed,
-            defense_mode=defense_mode, trim_tau=0.3, fingerprint="f00d",
+            defense_mode=defense_mode, trim_tau=trim_tau, fingerprint="f00d",
         )
     )
     assert all(rec.diags[0] is not None for rec in log.rounds)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.log.jsonl"
         flcore.save_log(log, path)
-        assert_logs_identical(log, flcore.load_log(path))
+        loaded = flcore.load_log(path)
+    # the loaded trim decisions are recomputed, each equal to the runner's
+    assert loaded.trim_tau == trim_tau
+    assert_logs_identical(log, loaded)
 
 
 @settings(max_examples=15, deadline=None)
