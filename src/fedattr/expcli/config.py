@@ -9,14 +9,13 @@ the fingerprint recorded in every output file.
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..attribution import EVALUATORS, EXACT_LIMIT
 from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
-from ..flcore import DEFENSE_MODES
+from ..flcore import check_setup
 from ..models import ModelSpec
 
 ATTACKS = (
@@ -128,8 +127,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown attack {self.attack!r}")
         if self.target_rule not in TARGET_RULES:
             raise ConfigError(f"unknown target rule {self.target_rule!r}")
-        if self.defense_mode not in DEFENSE_MODES:
-            raise ConfigError(f"unknown defense mode {self.defense_mode!r}")
         if not self.evaluator_list:
             raise ConfigError("evaluators must name at least one evaluator")
         for k, name in enumerate(self.evaluator_list):
@@ -143,8 +140,6 @@ class ExperimentConfig:
                 least = f"at least {lo:g} and " if lo > -_MAX else ""
                 most = "finite" if hi == _MAX else f"at most {hi:g}"
                 raise ConfigError(f"{name} must be {least}{most}, got {value!r}")
-        if not 0.0 < self.trim_tau < 1.0:
-            raise ConfigError("trim_tau must be in (0, 1)")
         if self.target_rule == "rank_k" and not 1 <= self.target_rank <= self.num_clients:
             raise ConfigError(
                 f"target rank {self.target_rank} out of range 1..{self.num_clients}"
@@ -154,25 +149,14 @@ class ExperimentConfig:
                 f"{self.num_clients} clients exceeds the fedsv_exact enumeration "
                 f"guard ({EXACT_LIMIT}); use fedsv_mc"
             )
-        if (
-            self.defense_mode == "enforce"
-            and math.ceil(self.trim_tau * self.num_clients) >= self.num_clients
-        ):
-            raise ConfigError(f"trim_tau {self.trim_tau} trims all {self.num_clients} clients")
-        rerun = self.num_clients - 1  # clients in each loo_retrain rerun
-        if "loo_retrain" in self.evaluator_list and self.defense_mode != "off":
-            if rerun < 2:
-                raise ConfigError(
-                    f"loo_retrain reruns train {rerun} client, but trimming needs at "
-                    "least two"
-                )
-            if self.defense_mode == "enforce" and math.ceil(self.trim_tau * rerun) >= rerun:
-                raise ConfigError(
-                    f"trim_tau {self.trim_tau} trims all {rerun} clients of a "
-                    "loo_retrain rerun"
-                )
-        try:  # the specs check their own fields; seed 0 stands in for the run's
-            self.dataset_spec(0)
+        try:  # the setup rule and the specs check their own fields
+            check_setup(self.num_clients, self.defense_mode, self.trim_tau)
+            if "loo_retrain" in self.evaluator_list:
+                try:  # each rerun leaves one client out
+                    check_setup(self.num_clients - 1, self.defense_mode, self.trim_tau)
+                except ValueError as exc:
+                    raise ValueError(f"a loo_retrain rerun without one client: {exc}") from None
+            self.dataset_spec(0)  # seed 0 stands in for the run's
             self.model_spec()
             demand = int(cycle_demand(self.partition_spec(0), self.num_classes).max())
         except ValueError as exc:

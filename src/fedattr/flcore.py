@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from collections.abc import Generator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -43,6 +44,22 @@ from .models import (
 )
 
 DEFENSE_MODES = ("off", "monitor", "enforce")
+
+
+def check_setup(num_clients: int, defense_mode: str, trim_tau: float) -> None:
+    """Raise ValueError unless `num_clients` clients can train every round
+    under `defense_mode` and `trim_tau` (NaN fails); `enforce` trims
+    ceil(trim_tau * N) of N clients each round and must keep one."""
+    if num_clients < 1:
+        raise ValueError("a run needs at least one client")
+    if defense_mode not in DEFENSE_MODES:
+        raise ValueError(f"unknown defense mode {defense_mode!r}")
+    if not 0.0 < trim_tau < 1.0:
+        raise ValueError("trim_tau must be in (0, 1)")
+    if defense_mode != "off" and num_clients < 2:
+        raise ValueError("trimming needs at least two clients")
+    if defense_mode == "enforce" and math.ceil(trim_tau * num_clients) >= num_clients:
+        raise ValueError(f"trim_tau {trim_tau} trims all {num_clients} clients")
 
 
 @dataclass(frozen=True)
@@ -120,12 +137,10 @@ class FLConfig:
             raise ValueError("one behavior per shard required")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if self.defense_mode not in DEFENSE_MODES:
-            raise ValueError(f"unknown defense mode {self.defense_mode!r}")
-        if not 0.0 < self.trim_tau < 1.0:
-            raise ValueError("trim_tau must be in (0, 1)")
-        if self.defense_mode != "off" and len(self.shards) < 2:
-            raise ValueError("trimming needs at least two clients")
+        ids = [s.client_id for s in self.shards]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"client ids {ids} repeat")
+        check_setup(len(self.shards), self.defense_mode, self.trim_tau)
 
     def without_client(self, client_id: int) -> "FLConfig":
         """Drop one client, keeping everyone else's id-keyed RNG streams intact."""
@@ -220,16 +235,14 @@ class _Run:
 
 
 def _next_broadcast(
-    t: int, w_t: np.ndarray, updates: Sequence[np.ndarray], n: tuple,
-    mode: str, trim: TrimDecision | None,
+    w_t: np.ndarray, updates: Sequence[np.ndarray], n: tuple, mode: str,
+    trim: TrimDecision | None,
 ) -> np.ndarray:
-    """w_t plus the weighted mean update of round t's kept clients: all of
-    them, less the trimmed ones under `enforce`.  Keeping none raises ValueError."""
+    """w_t plus the weighted mean update of a round's kept clients: all of
+    them, less the trimmed ones under `enforce` (`check_setup` keeps one)."""
     kept = np.ones((1, len(updates)), dtype=bool)
     if mode == "enforce":
         kept[0, list(trim.trimmed)] = False
-    if not kept.any():
-        raise ValueError(f"round {t}: trimming kept no client")
     return w_t + weighted_aggregate(updates, n, kept)[0]
 
 
@@ -252,7 +265,7 @@ def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
     w_next = []
     for run, (updates, _), trim in zip(runs, steps, trims):
         mode = run.cfg.defense_mode
-        w_next.append(_next_broadcast(t, run.w, updates, run.n, mode, trim))
+        w_next.append(_next_broadcast(run.w, updates, run.n, mode, trim))
         w_next[-1].setflags(write=False)
     utils = [0.0] * len(runs)
     by_test: dict[int, list[int]] = {}
@@ -419,7 +432,7 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: fl
         raise ValueError(f"test utility {util!r} is not a number in [0, 1]")
     trim = None if mode == "off" else trim_round(updates, tau, t=t)
     w_next = _dec(row["w_next"])
-    if _next_broadcast(t, w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
+    if _next_broadcast(w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
         raise ValueError(f"round {t}: w_next is not w_t plus its aggregated updates")
     return RoundRecord(t, w_t, updates, diags, n, w_next, util, trim)
 
@@ -427,8 +440,8 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: fl
 def load_log(path) -> TrainingLog:
     """The log `save_log` wrote: round t + 1's broadcast is round t's w_next
     and every round gets the header's counts and trim_tau.  A malformed file
-    or header, or rounds that do not run 1..T or contradict themselves
-    (`_load_round`), raises ValueError naming its line."""
+    or header (`check_setup` included), or rounds that do not run 1..T or
+    contradict themselves (`_load_round`), raises ValueError naming its line."""
     lineno = 1
     with open(path) as fh:
         try:
@@ -439,12 +452,11 @@ def load_log(path) -> TrainingLog:
                 header["fingerprint"], header["defense_mode"], header["trim_tau"],
                 header["rounds"], header["final_utility"], header["n"],
             )
-            if mode not in DEFENSE_MODES:
-                raise ValueError(f"unknown defense mode {mode!r}")
-            if type(tau) is not float or not 0 < tau < 1:
-                raise ValueError(f"trim_tau {tau!r} is not a number in (0, 1)")
+            if type(tau) is not float:
+                raise ValueError(f"trim_tau {tau!r} is not a number")
             if not isinstance(n, list) or not all(type(c) is int and c >= 0 for c in n):
                 raise ValueError(f"sample counts {n!r} are not a list of non-negative ints")
+            check_setup(len(n), mode, tau)
             w_t, n = _dec(header["w_1"]), tuple(n)
             records = []
             for lineno, line in enumerate(fh, start=2):

@@ -740,19 +740,24 @@ def test_fedsv_efficiency_over_log():
     assert report.raw.sum() == pytest.approx(expected, abs=1e-9)
 
 
+def full_batch_step(ctx, state):
+    """One full-batch gradient step on the shard.  It draws no randomness,
+    so clients with equal shards send equal updates whatever their ids."""
+    _, grad = models.loss_and_grad(ctx.spec, ctx.w_t, ctx.shard.data)
+    return -ctx.hp.eta_w * grad, state, None
+
+
 def test_fedsv_symmetry_for_duplicated_clients():
-    # two clients share one data shard and one RNG stream -> equal raw values
+    # two clients share one data shard and send equal updates -> equal raw values
     cfg, log, spec, test = small_run()
     base = cfg.shards[0]
-    twin = [
-        ClientShard(base.client_id, base.data, base.class_counts)
-        for _ in range(2)
-    ]
+    twin = [ClientShard(i, base.data, base.class_counts) for i in range(2)]
     twin_cfg = FLConfig(
-        spec=spec, shards=twin, behaviors=[benign] * 2,
+        spec=spec, shards=twin, behaviors=[full_batch_step] * 2,
         hp=cfg.hp, rounds=2, test=test, master_seed=3,
     )
     twin_log = run_training(twin_cfg)
+    assert all(rec.updates[0].tobytes() == rec.updates[1].tobytes() for rec in twin_log.rounds)
     report = fedsv(twin_log, spec, test, mode="exact")
     assert report.raw[0] == pytest.approx(report.raw[1], abs=1e-12)
     assert list(report.ranks) == [1, 2]  # tie broken by ascending id
@@ -919,12 +924,12 @@ def test_property_exact_efficiency(num_clients, master_seed):
 @settings(max_examples=15, deadline=None)
 @given(**run_params)
 def test_property_duplicated_clients_get_equal_values(num_clients, master_seed):
-    # client 1 is a copy of client 0: same shard, same id-keyed RNG stream
+    # client 1 is a copy of client 0: same shard, same deterministic step
     cfg, _, spec, test = small_run(num_clients)
     shards = list(cfg.shards)
-    shards[1] = shards[0]
+    shards[1] = dataclasses.replace(shards[0], client_id=1)
     twin_cfg = FLConfig(
-        spec=spec, shards=shards, behaviors=cfg.behaviors, hp=cfg.hp,
+        spec=spec, shards=shards, behaviors=[full_batch_step] * num_clients, hp=cfg.hp,
         rounds=2, test=test, master_seed=master_seed,
     )
     log = run_training(twin_cfg)

@@ -486,14 +486,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ),
         (
             {"evaluators": "loo_retrain", "num_clients": 2, "defense_mode": "monitor"},
-            "loo_retrain reruns train 1 client, but trimming needs at least two",
+            "a loo_retrain rerun without one client: trimming needs at least two clients",
         ),
         (
             {
                 "evaluators": "loo_retrain", "num_clients": 3, "defense_mode": "enforce",
                 "trim_tau": 0.6,
             },
-            "trim_tau 0.6 trims all 2 clients of a loo_retrain rerun",
+            "a loo_retrain rerun without one client: trim_tau 0.6 trims all 2 clients",
         ),
     ],
     ids=[
@@ -657,6 +657,30 @@ def test_property_config_accepts_exactly_the_feasible_partitions(
     except ValueError:
         partitioned = False
     assert accepted == partitioned
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_clients=st.integers(2, 6), defense_mode=st.sampled_from(flcore.DEFENSE_MODES),
+    # multiples of 1/N and of 1/(N - 1) sit on the edge of trimming every client
+    trim_tau=st.one_of(
+        st.tuples(st.integers(1, 5), st.integers(1, 6)).map(lambda kn: kn[0] / kn[1]),
+        st.floats(0.01, 0.99),
+    ),
+)
+def test_property_accepted_loo_retrain_config_builds_every_rerun(
+    num_clients, defense_mode, trim_tau
+):
+    try:
+        cfg = tiny_config(
+            num_clients=num_clients, samples_per_client=10, defense_mode=defense_mode,
+            trim_tau=trim_tau, evaluators="loo_round,loo_retrain",
+        )
+    except ConfigError:
+        return
+    flcfg = build_scenario(cfg)
+    for i in range(num_clients):
+        assert len(flcfg.without_client(i).shards) == num_clients - 1
 
 
 def finite_floats(low, high):

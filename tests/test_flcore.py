@@ -1,12 +1,13 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedattr import attacks, defense, flcore, models, streams
@@ -120,12 +121,14 @@ def test_weighted_aggregate_rows_equal_a_per_member_loop(kind):
         assert (rec.w_t + got[2]).tobytes() == rec.w_next.tobytes()
 
 
-def test_enforced_trimming_that_keeps_no_client_fails():
+def test_enforced_trimming_that_keeps_no_client_fails(monkeypatch):
     spec, shards, test = make_scenario(num_clients=2)
-    # ceil(0.9 * 2) = 2: every client is trimmed
-    cfg = make_config(spec, shards, test, defense_mode="enforce", trim_tau=0.9)
-    with pytest.raises(ValueError, match="round 1: trimming kept no client"):
-        run_training(cfg)
+    trained = []
+    monkeypatch.setattr(flcore, "sgd_train_many", lambda *a: trained.append(a))
+    # ceil(0.9 * 2) = 2: every client is trimmed, so the config is refused
+    with pytest.raises(ValueError, match="trim_tau 0.9 trims all 2 clients"):
+        run_training(make_config(spec, shards, test, defense_mode="enforce", trim_tau=0.9))
+    assert trained == []
 
 
 def test_bad_trim_setup_fails_before_training(monkeypatch):
@@ -138,6 +141,9 @@ def test_bad_trim_setup_fails_before_training(monkeypatch):
         (shards, dict(trim_tau=0.0), "trim_tau must be in"),
         (shards[:1], dict(defense_mode="monitor"), "at least two clients"),
         (shards[:1], dict(defense_mode="enforce"), "at least two clients"),
+        ([], {}, "at least one client"),
+        # a relabelled shard would share client 1's RNG streams and rerun
+        ([*shards[:2], replace(shards[2], client_id=1)], {}, r"client ids \[0, 1, 1\] repeat"),
     ]
     for clients, kw, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -146,6 +152,43 @@ def test_bad_trim_setup_fails_before_training(monkeypatch):
     with pytest.raises(ValueError, match="at least two clients"):
         make_config(spec, shards[:2], test, defense_mode="monitor").without_client(0)
     assert trained == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_clients=st.integers(1, 6), defense_mode=st.sampled_from(flcore.DEFENSE_MODES),
+    tau=st.one_of(
+        st.tuples(st.integers(-1, 7), st.integers(1, 6)).map(lambda kn: kn[0] / kn[1]),
+        st.floats(allow_nan=True),
+    ),
+)
+# ceil(0.9 * 4) = 4 and ceil(0.75 * 4) = 3: every client trimmed, and one kept
+@example(num_clients=4, defense_mode="enforce", tau=0.9)
+@example(num_clients=4, defense_mode="enforce", tau=0.75)
+def test_property_a_run_is_rejected_before_training_or_trains(num_clients, defense_mode, tau):
+    spec, shards, test = make_scenario(num_clients=6)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return models.sgd_train_many(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flcore, "sgd_train_many", counting)
+        try:
+            cfg = make_config(
+                spec, shards[:num_clients], test, rounds=2, defense_mode=defense_mode,
+                trim_tau=tau,
+            )
+        except ValueError:
+            assert calls == []
+            return
+        log = run_training(cfg)
+    assert len(log.rounds) == 2 and calls
+    for rec in log.rounds:
+        assert (rec.trim is None) == (defense_mode == "off")
+        if defense_mode == "enforce":
+            assert rec.trim.kept
 
 
 def benign_update(spec, w, shard, hp, seed):
@@ -202,21 +245,22 @@ def test_run_training_deterministic():
 
 def test_identical_shards_produce_identical_updates():
     spec, shards, test = make_scenario()
-    # same underlying data and same client id stream per-copy is impossible;
-    # instead give every client the same shard CONTENT but distinct ids, then
-    # check the aggregate equals each update when ids share one RNG stream.
+    # one run may not hold a client id twice, so three one-client runs hold
+    # copies of one shard under its id: same data, same RNG stream, trained
+    # in one lockstep call
     base = shards[0]
     clones = [ClientShard(base.client_id, base.data, base.class_counts) for _ in range(3)]
-    cfg = FLConfig(
-        spec=spec, shards=clones,
-        behaviors=[benign] * len(clones),
-        hp=LocalHP(), rounds=1, test=test, master_seed=4,
-    )
-    log = run_training(cfg)
-    rec = log.rounds[0]
-    for u in rec.updates:
-        assert np.array_equal(u, rec.updates[0])
-    assert np.allclose(rec.w_next - rec.w_t, rec.updates[0], atol=1e-12)
+    logs = run_training_many([
+        FLConfig(
+            spec=spec, shards=[clone], behaviors=[benign],
+            hp=LocalHP(), rounds=1, test=test, master_seed=4,
+        )
+        for clone in clones
+    ])
+    recs = [log.rounds[0] for log in logs]
+    for rec in recs:
+        assert np.array_equal(rec.updates[0], recs[0].updates[0])
+        assert np.allclose(rec.w_next - rec.w_t, rec.updates[0], atol=1e-12)
 
 
 def test_round_record_invariant_no_defense():
@@ -378,11 +422,12 @@ TAMPERING = {
     # the runner writes non-negative int counts and a trim_tau in (0, 1)
     "n_bools": ("off", 1, lambda h, r: h.update(n=[True] * len(h["n"]))),
     "n_fractional": ("off", 1, lambda h, r: h.update(n=[0.5] * len(h["n"]))),
+    "n_empty": ("off", 1, lambda h, r: h.update(n=[])),
     "trim_tau_out_of_range": ("monitor", 1, lambda h, r: h.update(trim_tau=1.5)),
     "trim_tau_string": ("off", 1, lambda h, r: h.update(trim_tau="0.3")),
     "unknown_defense_mode": ("off", 1, lambda h, r: h.update(defense_mode="strict")),
-    # ceil(0.99 * 4) = 4: the header's trim_tau trims every client of round 1
-    "trims_every_client": ("enforce", 2, lambda h, r: h.update(trim_tau=0.99)),
+    # ceil(0.99 * 4) = 4: the header's trim_tau trims every client
+    "trims_every_client": ("enforce", 1, lambda h, r: h.update(trim_tau=0.99)),
     # one entry per client, but not an object or null
     "diags_string": ("off", 2, lambda h, r: r[0].update(diags="x" * len(r[0]["diags"]))),
     "diags_numbers": ("off", 2, lambda h, r: r[0].update(diags=[5] * len(r[0]["diags"]))),
@@ -396,7 +441,7 @@ TAMPERING = {
     )),
 }
 # what the error must name where its line alone does not show the check
-NAMED = {"trims_every_client": "round 1: trimming kept no client"}
+NAMED = {"trims_every_client": "trims all 4 clients", "n_empty": "at least one client"}
 
 
 def test_load_log_keeps_a_client_without_samples(tmp_path):
