@@ -296,7 +296,8 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
     """Drive every (ctx, step) entry until its step returns, and give each
     step's checked (update, state, diag) in entry order.  A step that is not
     a generator has already returned.  The training sets that generators
-    yield are checked, grouped by model, hyperparameters and size, trained in
+    yield are checked (each set object once per pass, blaming the first step
+    that yields it), grouped by model, hyperparameters and size, trained in
     one `sgd_train_many` call per group (each row from its own ctx.w_t, with the
     seed its own ctx.rng gives at the yield) and sent back as updates.  Rows
     equal training alone bit for bit; a failure raises FLRunError naming the
@@ -312,6 +313,7 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
     sent = [None] * len(pending)
     while pending:
         groups: dict[tuple, list[tuple]] = {}
+        checked = set()  # (id of set, spec) of each set this pass has checked
         waiting = []
         for (e, ctx, step), update in zip(pending, sent):
             with _blame(ctx):
@@ -320,7 +322,9 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
                 except StopIteration as done:
                     results[e] = _checked(ctx, done.value)
                     continue
-                _check_batch(ctx.spec, batch)
+                if (id(batch), ctx.spec) not in checked:
+                    _check_batch(ctx.spec, batch)
+                    checked.add((id(batch), ctx.spec))
                 seed = int(ctx.rng.integers(0, 2**63))
             key = (ctx.spec, ctx.hp, len(batch))
             groups.setdefault(key, []).append((len(waiting), ctx, batch, seed))

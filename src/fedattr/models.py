@@ -324,6 +324,9 @@ def sgd_train_many(
     Row k of the returned (K, P) array trains params[k] on datas[k] with seed
     seeds[k] and equals `sgd_train` on that model alone bit for bit.  The
     training sets must have equal size, so each step's mini-batches stack.
+    Rows with the same training set object, seed and start bytes train once
+    and share the result; each (set, seed) pair has one generator and one
+    shuffled copy of its set per epoch, which all of its rows read.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -336,25 +339,36 @@ def sgd_train_many(
     n = len(datas[0])
     if any(len(data) != n for data in datas):
         raise ValueError("training sets must have equal size")
-    for data in datas:
+    params = np.asarray(params)
+    pairs: dict[tuple, int] = {}  # (id of set, seed) -> index of the pair
+    distinct: dict[tuple, int] = {}  # (pair, start bytes) -> index of the distinct row
+    firsts, row_of = [], []  # each distinct row's first row; each row's distinct row
+    for k, (data, seed) in enumerate(zip(datas, seeds)):
+        pair = pairs.setdefault((id(data), seed), len(pairs))
+        row = distinct.setdefault((pair, params[k].tobytes()), len(distinct))
+        if row == len(firsts):
+            firsts.append(k)
+        row_of.append(row)
+    sets = {id(data): data for data in datas}
+    for data in sets.values():
         _check_batch(spec, data)
-    # C order: copying a broadcast row would otherwise give a column-major
-    # array, whose strides send numpy's matmul to a differently rounded loop
-    w = np.array(params, dtype=np.float64, order="C")
-    x = np.stack([data.inputs for data in datas])
-    y = np.stack([data.labels for data in datas])
-    rows = np.arange(len(datas))[:, None]
-    # rows that share a seed share its shuffles: one generator per seed
-    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
+    # C order whatever the layout of `params`: other strides send numpy's
+    # matmul to a differently rounded loop
+    w = np.array(params[firsts], dtype=np.float64, order="C")
+    x = np.stack([sets[key].inputs for key, _ in pairs])
+    y = np.stack([sets[key].labels for key, _ in pairs])
+    rngs = [np.random.default_rng(seed) for _, seed in pairs]
+    rows = np.arange(len(pairs))[:, None]
+    pair_of = np.array([pair for pair, _ in distinct])
     for _ in range(epochs):
-        perms = {seed: rng.permutation(n) for seed, rng in rngs.items()}
-        order = np.stack([perms[seed] for seed in seeds])
-        xs, ys = x[rows, order], y[rows, order]  # this epoch's shuffled rows
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        # each pair's shuffled set, then the one each distinct row reads
+        xs, ys = x[rows, order][pair_of], y[rows, order][pair_of]
         for start in range(0, n, batch_size):
             step = slice(start, start + batch_size)
             _, grad = _ce_grads(spec, w, xs[:, step], ys[:, step])
             w -= eta_w * grad
-    return w
+    return w[row_of]
 
 
 # Flat-vector wire format: uint64 little-endian length prefix, then the raw

@@ -886,6 +886,35 @@ def test_loo_retrain_reruns_train_in_groups(monkeypatch, num_clients):
     assert report.raw.tolist() == expected
 
 
+@pytest.mark.parametrize("num_clients", [4, 5, 6])
+def test_loo_retrain_round_one_trains_each_client_once(monkeypatch, num_clients):
+    # every rerun starts round 1 from the own run's w_1, with the same shard
+    # objects and id-keyed seeds: the N^2 rows of its lockstep call are N
+    # distinct client steps
+    cfg, _, _, _ = small_run(num_clients=num_clients, rounds=3, model="mlp1")
+    calls, ce_grads, train_many = [], models._ce_grads, flcore.sgd_train_many
+
+    def spy_train(spec, params, *args):
+        calls.append((len(params), []))
+        return train_many(spec, params, *args)
+
+    def spy_grads(spec, params, x, y):
+        calls[-1][1].append(len(params))
+        return ce_grads(spec, params, x, y)
+
+    monkeypatch.setattr(flcore, "sgd_train_many", spy_train)
+    monkeypatch.setattr(models, "_ce_grads", spy_grads)
+    log, _, utilities = loo_retrain_report(cfg)
+    monkeypatch.undo()
+    (rows, stacked), *later = calls
+    assert rows == num_clients**2
+    assert stacked and set(stacked) == {num_clients}
+    assert all(set(steps) == {k} for k, steps in later)  # later rounds: all distinct
+    assert log.final_utility == run_training(cfg).final_utility
+    for s in cfg.shards:
+        assert utilities[s.client_id] == run_training(cfg.without_client(s.client_id)).final_utility
+
+
 def test_loo_retrain_skips_the_reruns_it_is_given(monkeypatch):
     cfg, _, _, _ = small_run(num_clients=4)
     log, full, utilities = loo_retrain_report(cfg)

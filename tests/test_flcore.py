@@ -673,6 +673,29 @@ def test_run_training_many_failure_names_the_run_round_and_client():
     assert (err.value.round_index, err.value.client_id) == (1, 2)
 
 
+def test_a_set_shared_by_runs_is_checked_once_per_pass(monkeypatch):
+    spec, shards, test = make_scenario()
+    checked, check = [], flcore._check_batch
+
+    def spy(spec, batch):
+        checked.append(batch)
+        return check(spec, batch)
+
+    monkeypatch.setattr(flcore, "_check_batch", spy)
+    run_training_many([make_config(spec, shards, test, rounds=2)] * 3)
+    assert [id(batch) for batch in checked] == [id(s.data) for s in shards] * 2
+    # a bad set that several runs share blames the first step that yields it
+    data = shards[2].data
+    bad = models.LabeledBatch(data.inputs, np.full(len(data), spec.num_classes))
+    cfgs = [
+        make_config(spec, shards[:2] + [ClientShard.build(i, bad, spec.num_classes + 1)], test)
+        for i in (5, 2)
+    ]
+    with pytest.raises(FLRunError, match="label out of range") as err:
+        run_training_many(cfgs)
+    assert (err.value.round_index, err.value.client_id) == (1, 5)
+
+
 @pytest.mark.parametrize(
     "bad_set, message",
     [

@@ -360,6 +360,60 @@ def test_sgd_train_many_rows_match_single_runs_and_oracle(spec, num_rows, rows):
         assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_sgd_train_many_stacks_only_distinct_rows(monkeypatch):
+    # rows 0-2 share start, set and seed; row 3 changes the seed, row 4 the
+    # start, row 5 the set object (equal content); row 6 repeats row 4
+    spec = SGD_SPECS[1]
+    rng = np.random.default_rng(9)
+    data = random_batch(rng, spec, 21)
+    twin = LabeledBatch(data.inputs.copy(), data.labels.copy())
+    start, other = rng.normal(size=(2, spec.param_count))
+    params = np.stack([start, start, start, start, other, start, other])
+    datas = [data, data, data, data, data, twin, data]
+    seeds = [4, 4, 4, 5, 4, 4, 4]
+    stacked, ce_grads = [], models._ce_grads
+
+    def spy(spec, params, x, y):
+        stacked.append(len(params))
+        return ce_grads(spec, params, x, y)
+
+    monkeypatch.setattr(models, "_ce_grads", spy)
+    many = models.sgd_train_many(spec, params, datas, 2, 5, 0.2, seeds)
+    monkeypatch.undo()
+    assert stacked == [4] * 2 * 5  # 2 epochs of 5 steps, 4 distinct rows
+    for row, start, data, seed in zip(many, params, datas, seeds):
+        assert row.tobytes() == models.sgd_train(spec, start, data, 2, 5, 0.2, seed).tobytes()
+
+
+@st.composite
+def duplicate_patterns(draw):
+    """Rows drawing start, set and seed each from a small pool, so any of
+    them may repeat; set 2 is a separate object equal to set 0, and the last
+    row is row 0 with that copy."""
+    spec = draw(st.sampled_from(SGD_SPECS))
+    k = draw(st.integers(1, 6))
+    picks = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(3)]
+    return spec, [*zip(*picks), (picks[0][0], 2, picks[2][0])], draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(duplicate_patterns())
+def test_sgd_train_many_rows_with_duplicates_match_single_runs(pattern):
+    spec, rows, seed = pattern
+    rng = np.random.default_rng(seed)
+    starts = rng.normal(size=(3, spec.param_count))
+    sets = [random_batch(rng, spec, 13), random_batch(rng, spec, 13)]
+    sets.append(LabeledBatch(sets[0].inputs.copy(), sets[0].labels.copy()))
+    seeds = [int(s) for s in rng.integers(0, 2**63, 3)]
+    params = np.stack([starts[s] for s, _, _ in rows])
+    datas = [sets[d] for _, d, _ in rows]
+    row_seeds = [seeds[r] for _, _, r in rows]
+    many = models.sgd_train_many(spec, params, datas, 2, 4, 0.3, row_seeds)
+    assert many.shape == (len(rows), spec.param_count)
+    for row, start, data, s in zip(many, params, datas, row_seeds):
+        assert row.tobytes() == models.sgd_train(spec, start, data, 2, 4, 0.3, s).tobytes()
+
+
 def test_sgd_train_many_rejects_mismatched_inputs():
     spec = SGD_SPECS[0]
     rng = np.random.default_rng(6)
