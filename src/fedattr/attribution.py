@@ -17,7 +17,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .flcore import FLConfig, RoundRecord, TrainingLog, run_training_many, weighted_aggregate
+from .flcore import (
+    FLConfig, RoundRecord, TrainingLog, coalition_matrix, run_training_many, weighted_aggregate,
+)
 from .models import (
     LabeledBatch,
     LabelGroups,
@@ -42,7 +44,7 @@ _RERUN_MODELS = 32
 # spreads each call's fixed cost over more coalitions; 2^18 and up scored
 # faster but raised peak memory.
 _CHUNK_LOGITS = 1 << 17
-# Non-empty coalitions a round must score before `_certify` pays for its
+# Coalitions with samples a round must score before `_certify` pays for its
 # one-client pass: on 2 vCPUs with 480 test rows and N = 8-12 it broke even
 # at about 200, and cost up to twice the scoring itself below 64.
 _CERTIFY_MIN = 200
@@ -64,18 +66,18 @@ class CoalitionUtility:
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
         matrix (coalitions x clients) marks the members of coalition k.
-        The empty coalition scores w_t on every test row; the others score
-        the rows and classes `_certify` leaves open (all of them when fewer
-        than `_CERTIFY_MIN`), in chunks of one `models.count_correct` call,
-        plus the rows it settles right.  Each value is the accuracy its
+        A coalition without samples scores w_t on every test row; the others
+        score the rows and classes `_certify` leaves open (all of them when
+        fewer than `_CERTIFY_MIN`), in chunks of one `models.count_correct`
+        call, plus the rows it settles right.  Each value is the accuracy its
         model gets alone on the whole test set, bit for bit where BLAS rounds
         a row's logits the same among fewer rows (`models.grouped_logits`)."""
-        rec, spec, members = self.record, self.spec, np.asarray(members, dtype=bool)
+        rec, spec, members = self.record, self.spec, coalition_matrix(members, self.num_clients)
         out = np.empty(len(members))
-        empty = ~members.any(axis=1)
-        if empty.any():
-            out[empty] = count_correct(spec, rec.w_t[None], self.groups)[0] / self.groups.size
-        rows = np.flatnonzero(~empty)
+        unsampled = ~(members & (np.asarray(rec.n) > 0)).any(axis=1)
+        if unsampled.any():
+            out[unsampled] = count_correct(spec, rec.w_t[None], self.groups)[0] / self.groups.size
+        rows = np.flatnonzero(~unsampled)
         groups, always = self.groups, 0
         if len(rows) >= _CERTIFY_MIN:
             groups, always = _certify(spec, rec, self.groups)
@@ -97,10 +99,10 @@ class CoalitionUtility:
 
 
 def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[LabelGroups, int]:
-    """The grouped rows and classes that can tell round `rec`'s non-empty
-    coalitions apart, and the number of rows every one of them gets right.
+    """The grouped rows and classes that can tell round `rec`'s coalitions
+    with samples apart, and the number of rows every one of them gets right.
 
-    A non-empty coalition's parameters w_t + sum_S (n_i / n_S) u_i are a
+    Such a coalition's parameters w_t + sum_S (n_i / n_S) u_i are a
     convex combination of the one-client models w_t + u_i, and a logistic
     model's logits are affine in its parameters, so each margin
     logit_y - logit_j at grouped row r (label y) is a convex combination of

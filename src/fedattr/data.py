@@ -34,8 +34,8 @@ class DatasetSpec:
             raise ValueError("num_classes must be at least 2")
         if self.input_dim < 2:
             raise ValueError("generators require input_dim >= 2")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be positive")
+        if self.samples_per_class < 2:  # each class splits into train and test rows
+            raise ValueError("need samples_per_class >= 2 to carve a test split")
         if self.class_separation <= 0 or self.noise_scale <= 0:
             raise ValueError("class_separation and noise_scale must be positive")
 
@@ -95,8 +95,6 @@ def train_rows_per_class(samples_per_class: int) -> int:
 
 def synthesize(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     """Deterministic class-balanced train/test split (test is ~20%, disjoint)."""
-    if spec.samples_per_class < 2:
-        raise ValueError("need samples_per_class >= 2 to carve a test split")
     rng = np.random.default_rng(spec.seed)
     n_train = train_rows_per_class(spec.samples_per_class)
     n_test = spec.samples_per_class - n_train

@@ -161,29 +161,32 @@ class FLRunError(RuntimeError):
         self.client_id = client_id
 
 
+def coalition_matrix(members, num_clients: int) -> np.ndarray:
+    """`members` as a boolean coalitions x `num_clients` matrix, or ValueError."""
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != num_clients:
+        raise ValueError(f"members must be a coalitions x {num_clients} matrix")
+    return members
+
+
 def weighted_aggregate(
     updates: Sequence[np.ndarray], n: Sequence[int], members
 ) -> np.ndarray:
     """Data-size-weighted mean update of each coalition: row k of the boolean
     `members` matrix (coalitions x clients) marks coalition k's clients, whose
     updates row k of the result adds in index order, each scaled by n_i / (sum
-    of n over the coalition).  An empty coalition aggregates to zero."""
+    of n over the coalition).  A coalition without samples aggregates to zero."""
     if len(updates) == 0:
         raise ValueError("no updates to aggregate")
     if len(updates) != len(n):
         raise ValueError("updates and counts differ in length")
-    members = np.asarray(members, dtype=bool)
-    if members.ndim != 2 or members.shape[1] != len(updates):
-        raise ValueError(f"members must be a coalitions x {len(updates)} matrix")
+    members = coalition_matrix(members, len(updates))
     counts = np.asarray(n, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("sample counts must be non-negative")
     weights = np.where(members, counts, 0.0)
     totals = weights.sum(axis=1)
-    nonempty = members.any(axis=1)
-    if np.any(totals[nonempty] <= 0):
-        raise ValueError("sample counts sum to zero")
-    weights /= np.where(nonempty, totals, 1.0)[:, None]
+    weights /= np.where(totals > 0, totals, 1.0)[:, None]
     agg = np.zeros((len(members), len(updates[0])))
     for i, update in enumerate(updates):
         agg += weights[:, i : i + 1] * update
@@ -199,15 +202,6 @@ def benign(ctx: RoundContext, state: Any):
 def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
     """Global utility metric: held-out test accuracy."""
     return accuracy(spec, params, test)
-
-
-def run_step(behavior: Behavior, ctx: RoundContext, state: Any = None):
-    """One client step on its own, driven by the runner's `_drive`, so the
-    result is the step's checked (update, state, diag) inside a run, bit for
-    bit, and a failure raises FLRunError naming ctx's round and client."""
-    with _blame(ctx):
-        step = behavior(ctx, state)
-    return _drive([(ctx, step)])[0]
 
 
 @contextmanager
@@ -282,33 +276,41 @@ def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
         run.w_prev, run.w = run.w, w
 
 
-def _checked(ctx: RoundContext, result) -> tuple:
-    """A step's returned (update, state, diag), its update a finite float64
-    vector shaped like ctx.w_t."""
-    u, state, diag = result
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != ctx.w_t.shape or not np.all(np.isfinite(u)):
+def _check_result(w_t: np.ndarray, update, diag) -> np.ndarray:
+    """A client's `update` as float64, or ValueError unless it is a finite vector
+    shaped like w_t and `diag` is a dict or None; the runner and `load_log` agree."""
+    update = np.asarray(update, dtype=np.float64)
+    if update.shape != w_t.shape or not np.all(np.isfinite(update)):
         raise ValueError("bad update shape or non-finite")
-    return u, state, diag
+    if diag is not None and not isinstance(diag, dict):
+        raise ValueError(f"diag {diag!r} is not a dict or None")
+    return update
+
+
+def _checked(ctx: RoundContext, result) -> tuple:
+    """A step's returned (update, state, diag), checked by `_check_result`."""
+    update, state, diag = result
+    return _check_result(ctx.w_t, update, diag), state, diag
 
 
 def _drive(entries: Sequence[tuple]) -> list[tuple]:
-    """Drive every (ctx, step) entry until its step returns, and give each
-    step's checked (update, state, diag) in entry order.  A step that is not
-    a generator has already returned.  The training sets that generators
-    yield are checked (each set object once per pass, blaming the first step
-    that yields it), grouped by model, hyperparameters and size, trained in
-    one `sgd_train_many` call per group (each row from its own ctx.w_t, with the
-    seed its own ctx.rng gives at the yield) and sent back as updates.  Rows
-    equal training alone bit for bit; a failure raises FLRunError naming the
-    step's round and client."""
+    """Start the step `behavior(ctx, state)` of every (ctx, behavior, state)
+    entry, drive it until it returns, and give each step's checked (update,
+    state, diag) in entry order.  A step that is not a generator has already
+    returned.  The training sets that generators yield are checked (each set
+    object once per pass, blaming the first step that yields it), grouped by
+    model, hyperparameters and size, trained in one `sgd_train_many` call per
+    group (each row from its own ctx.w_t, with the seed its own ctx.rng gives
+    at the yield) and sent back as updates.  Rows equal training alone bit
+    for bit; a failure raises FLRunError naming the step's round and client."""
     results: list = [None] * len(entries)
     pending = []  # (entry index, ctx, step) of each unfinished generator
-    for e, (ctx, step) in enumerate(entries):
-        if isinstance(step, Generator):
-            pending.append((e, ctx, step))
-        else:
-            with _blame(ctx):
+    for e, (ctx, behavior, state) in enumerate(entries):
+        with _blame(ctx):
+            step = behavior(ctx, state)
+            if isinstance(step, Generator):
+                pending.append((e, ctx, step))
+            else:
                 results[e] = _checked(ctx, step)
     sent = [None] * len(pending)
     while pending:
@@ -344,18 +346,16 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
 
 
 def _play_round(runs: Sequence[_Run], t: int) -> None:
-    """Round t of every run: its client steps start in run and client order,
-    `_drive` trains all of them in shared lockstep calls, each run keeps its
-    clients' new states, and `_close_round` closes the round of every run."""
+    """Round t of every run: `_drive` starts its client steps in run and
+    client order and trains all of them in shared lockstep calls, each run
+    keeps its clients' new states, and `_close_round` closes every round."""
     entries = []
     for run in runs:
         cfg = run.cfg
         for shard, behavior, state in zip(cfg.shards, cfg.behaviors, run.states):
             rng = streams.stream(cfg.master_seed, "client", shard.client_id, t)
             ctx = RoundContext(cfg.spec, t, run.w, run.w_prev, shard, cfg.hp, rng)
-            with _blame(ctx):
-                step = behavior(ctx, state)
-            entries.append((ctx, step))
+            entries.append((ctx, behavior, state))
     results = iter(_drive(entries))
     steps = []
     for run in runs:
@@ -421,16 +421,15 @@ def save_log(log: TrainingLog, path) -> None:
 
 def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: float) -> RoundRecord:
     """Round t of a stored log from its row, broadcast w_t, counts n and
-    trim_tau, checked against itself: one update and one diag (object or
-    null) per client, a utility in [0, 1], and a w_next `_next_broadcast`
-    gives bit for bit under the runner's trim rule (`trim_round`)."""
+    trim_tau, checked against itself: one update and diag per client, as the
+    runner checks them (`_check_result`), a utility in [0, 1], and a w_next
+    `_next_broadcast` gives bit for bit under the runner's trim rule."""
     if row["t"] != t:
         raise ValueError(f"round {row['t']!r} where round {t} belongs")
     updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
     if not len(updates) == len(diags) == clients:
         raise ValueError(f"{len(updates)} updates, {len(diags)} diags, {clients} clients")
-    if not all(diag is None or isinstance(diag, dict) for diag in diags):
-        raise ValueError(f"diags {row['diags']!r} are not one object or null per client")
+    updates = tuple(_check_result(w_t, u, diag) for u, diag in zip(updates, diags))
     util = row["test_utility_after"]
     if type(util) not in (int, float) or not 0 <= util <= 1:  # a bool is no number here
         raise ValueError(f"test utility {util!r} is not a number in [0, 1]")

@@ -67,12 +67,12 @@ def coalition_utility(
     """Test accuracy of w_t plus the n-weighted mean update of `members`.
 
     `record` is a logged round (`w_t`, `updates`, `n`); `members` lists the
-    coalition's client indices.  The empty coalition scores w_t itself.
+    coalition's client indices.  A coalition without samples scores w_t itself.
     """
     members = sorted(set(int(i) for i in members))
     params = np.array(record.w_t, dtype=np.float64)
-    if members:
-        total = sum(record.n[i] for i in members)
+    total = sum(record.n[i] for i in members)
+    if total > 0:
         mean = np.zeros_like(params)
         for i in members:
             mean += (record.n[i] / total) * record.updates[i]

@@ -25,7 +25,7 @@ from fedattr.attacks import (
 from fedattr.data import ClientShard, DatasetSpec, PartitionSpec, partition_noniid, synthesize
 from fedattr.expcli.config import ExperimentConfig
 from fedattr.expcli.experiment import run_experiment
-from fedattr.flcore import LocalHP, RoundContext, run_step
+from fedattr.flcore import LocalHP, RoundContext
 from fedattr.models import LabeledBatch, ModelSpec
 
 
@@ -59,7 +59,7 @@ def ctx_for(scenario, w, rng, w_prev=None, hp=LocalHP()):
 
 def benign_update(scenario, w, rng, w_prev=None, hp=LocalHP()):
     """Client 0's `benign` update for the same context, trained alone."""
-    return run_step(flcore.benign, ctx_for(scenario, w, rng, w_prev, hp))[0]
+    return flcore._drive([(ctx_for(scenario, w, rng, w_prev, hp), flcore.benign, None)])[0][0]
 
 
 # --- baselines ---------------------------------------------------------------
@@ -82,7 +82,8 @@ def test_label_flip_update_differs_from_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    flip, state, diag = run_step(behavior_label_flip, ctx_for(scenario, w, rng_for(3), hp=hp))
+    ctx = ctx_for(scenario, w, rng_for(3), hp=hp)
+    flip, state, diag = flcore._drive([(ctx, behavior_label_flip, None)])[0]
     assert state is None and diag is None
     assert not np.allclose(flip, benign_update(scenario, w, rng_for(3), hp=hp))
 
@@ -91,9 +92,8 @@ def test_random_noise_zero_sigma_is_benign(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     hp = LocalHP()
-    noisy, _, _ = run_step(
-        partial(behavior_random_noise, sigma_rel=0.0), ctx_for(scenario, w, rng_for(3), hp=hp)
-    )
+    noise = partial(behavior_random_noise, sigma_rel=0.0)
+    noisy, _, _ = flcore._drive([(ctx_for(scenario, w, rng_for(3), hp=hp), noise, None)])[0]
     assert np.array_equal(noisy, benign_update(scenario, w, rng_for(3), hp=hp))
 
 
@@ -107,7 +107,8 @@ def test_random_noise_norm_calibration(scenario):
     noise = partial(behavior_random_noise, sigma_rel=sigma_rel)
     for trial in range(1000):
         benign = benign_update(scenario, w, rng_for(trial), hp=hp)
-        noisy, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(trial), hp=hp))
+        ctx = ctx_for(scenario, w, rng_for(trial), hp=hp)
+        noisy, _, _ = flcore._drive([(ctx, noise, None)])[0]
         noise_sq = float(np.linalg.norm(noisy - benign) ** 2)
         ratios.append(noise_sq / float(np.linalg.norm(benign) ** 2))
     assert np.mean(ratios) == pytest.approx(sigma_rel**2, rel=0.1)
@@ -117,8 +118,8 @@ def test_random_noise_deterministic_per_seed(scenario):
     spec, shards, _, _ = scenario
     w = models.init_params(spec, 1)
     noise = partial(behavior_random_noise, sigma_rel=0.5)
-    a, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(5)))
-    b, _, _ = run_step(noise, ctx_for(scenario, w, rng_for(5)))
+    a, _, _ = flcore._drive([(ctx_for(scenario, w, rng_for(5)), noise, None)])[0]
+    b, _, _ = flcore._drive([(ctx_for(scenario, w, rng_for(5)), noise, None)])[0]
     assert np.array_equal(a, b)
 
 
@@ -126,7 +127,7 @@ def test_free_rider_edge_cases():
     def free_ride(w, w_prev):
         t = 1 if w_prev is None else 2
         ctx = RoundContext(None, t, w, w_prev, None, LocalHP(), None)
-        return run_step(behavior_free_rider, ctx)[0]
+        return flcore._drive([(ctx, behavior_free_rider, None)])[0][0]
 
     w1 = np.array([1.0, 2.0])
     assert np.array_equal(free_ride(w1, None), np.zeros(2))
@@ -141,16 +142,18 @@ def test_direct_ref_properties(scenario):
     w_prev = models.init_params(spec, 1)
     w = w_prev + 0.1 * rng_for(2).normal(size=spec.param_count)
     u = benign_update(scenario, w, rng_for(4))
-    out, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4), w_prev))
+    def direct_ref(w_prev):
+        ctx = ctx_for(scenario, w, rng_for(4), w_prev)
+        return flcore._drive([(ctx, behavior_direct_ref, None)])[0][0]
+
+    out = direct_ref(w_prev)
     ref = w - w_prev
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(u), abs=1e-12)
     cos = out @ ref / (np.linalg.norm(out) * np.linalg.norm(ref))
     assert cos == pytest.approx(1.0, abs=1e-12)
     # first round or zero reference: fall back to the benign update
-    first, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4)))
-    assert np.array_equal(first, u)
-    stuck, _, _ = run_step(behavior_direct_ref, ctx_for(scenario, w, rng_for(4), w))
-    assert np.array_equal(stuck, u)
+    assert np.array_equal(direct_ref(None), u)
+    assert np.array_equal(direct_ref(w), u)
 
 
 # --- training steps: oracle and lockstep ----------------------------------------
@@ -193,14 +196,14 @@ def test_training_step_update_matches_the_sgd_oracle(scenario, name, first_round
     with pytest.raises(StopIteration) as done:
         running.send(trained - w)
     expected = done.value.value[0]
-    update = run_step(step, ctx_for(scenario, w, rng_for(7), w_prev))[0]
+    update = flcore._drive([(ctx_for(scenario, w, rng_for(7), w_prev), step, None)])[0][0]
     assert np.linalg.norm(update - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("name", TRAINING_STEPS)
 def test_training_step_is_bit_identical_alone_and_in_lockstep(scenario, name):
     # inside run_training_many the step's training set shares lockstep calls
-    # with other clients and runs; driven alone through `run_step` (one
+    # with other clients and runs; driven alone through `flcore._drive` (one
     # `sgd_train` per round) it gives the same update, diag and state chain
     spec, shards, test, dec = scenario
     step = training_step(name, dec)
@@ -214,7 +217,7 @@ def test_training_step_is_bit_identical_alone_and_in_lockstep(scenario, name):
     for rec in log.rounds:
         rng = streams.stream(cfg.master_seed, "client", shards[0].client_id, rec.t)
         ctx = RoundContext(spec, rec.t, rec.w_t, w_prev, shards[0], cfg.hp, rng)
-        update, state, diag = run_step(step, ctx, state)
+        update, state, diag = flcore._drive([(ctx, step, state)])[0]
         assert update.tobytes() == rec.updates[0].tobytes()
         assert diag == rec.diags[0]
         w_prev = rec.w_t
@@ -487,7 +490,7 @@ def latent_call(scenario, z, t, w, w_prev, rng, kappa=math.inf, **hyper):
     spec, shards, _, dec = scenario
     ctx = RoundContext(spec, t, w, w_prev, shards[0], LocalHP(), rng)
     step = partial(behavior_latent_opt, dec=dec, kappa=kappa, **{**LATENT, **hyper})
-    return run_step(step, ctx, z)
+    return flcore._drive([(ctx, step, z)])[0]
 
 
 def test_latent_zero_intensity_equals_benign(scenario):

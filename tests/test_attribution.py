@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedattr import attribution, flcore, models, oracles
+from fedattr import attacks, attribution, flcore, models, oracles
 from fedattr.attribution import (
     AttributionReport,
     CoalitionUtility,
@@ -274,6 +274,45 @@ def test_values_match_oracle_with_zero_update_client():
     cfg, log, spec, test = small_run(num_clients=4, behaviors=behaviors)
     assert not np.any(log.rounds[0].updates[1])
     assert_values_match_oracle(log, spec, test)
+
+
+def test_a_client_without_samples_scores_zero_from_its_stored_log(tmp_path):
+    # a free rider on an empty shard is logged with n_i = 0: every coalition
+    # aggregates what it does without that client, and one without samples
+    # scores w_t, as the empty coalition does
+    cfg, _, spec, test = small_run(rounds=3)
+    empty = ClientShard.build(2, LabeledBatch(np.zeros((0, 2)), np.zeros(0, int)), 3)
+    cfg = dataclasses.replace(
+        cfg, shards=[*cfg.shards[:2], empty],
+        behaviors=[benign, benign, attacks.behavior_free_rider],
+    )
+    flcore.save_log(run_training(cfg), tmp_path / "run.log.jsonl")
+    log = flcore.load_log(tmp_path / "run.log.jsonl")
+    assert log.rounds[0].n == (30, 30, 0) and np.any(log.rounds[-1].updates[2])
+    assert_values_match_oracle(log, spec, test)
+    reports = evaluate_log(log, spec, test, attribution.LOGGED_EVALUATORS, num_permutations=20)
+    assert reports["fedsv_exact"].raw[2] == reports["fedsv_mc"].raw[2] == 0.0
+    assert reports["loo_round"].raw[2] == 0.0
+
+
+def test_certified_values_match_the_oracle_with_a_client_without_samples(monkeypatch):
+    # w_t gets every row wrong and every one-client model gets it right, so
+    # certification settles every row right; w_t is not in the one-client
+    # models' hull, so the coalitions without samples must score it alone
+    rows = np.linspace(-3.0, 3.0, 40)[:, None]
+    n = (5, 3, 0, 7, 2, 4, 6, 1)
+    rec, spec, test = bias_round(
+        (1.0, 0.0), [(0.0, 1.5 + 0.25 * i) for i in range(8)], n, rows, [1] * 40
+    )
+    calls, certify = [], attribution._certify
+    monkeypatch.setattr(attribution, "_certify", lambda *a: (calls.append(a), certify(*a))[1])
+    members = every_coalition(8)
+    got = game(rec, spec, test).values(members)
+    assert calls and attribution._certify(spec, rec, models.group_by_label(spec, test))[1] == 40
+    for row, value in zip(members, got):
+        assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row)), row
+    assert sorted(set(got.tolist())) == [0.0, 1.0]
+    assert got[~(members & (np.array(n) > 0)).any(axis=1)].tolist() == [0.0, 0.0]
 
 
 def test_values_match_oracle_on_enforced_round():

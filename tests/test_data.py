@@ -27,6 +27,13 @@ def blob_spec(**kw):
     return DatasetSpec(**base)
 
 
+def test_dataset_spec_needs_two_samples_per_class():
+    # each class splits into train and test rows, so the spec rejects one
+    with pytest.raises(ValueError, match="samples_per_class >= 2"):
+        blob_spec(samples_per_class=1)
+    assert len(synthesize(blob_spec(samples_per_class=2))[1]) == 4
+
+
 def test_synthesize_deterministic():
     a_train, a_test = synthesize(blob_spec())
     b_train, b_test = synthesize(blob_spec())

@@ -18,7 +18,6 @@ from fedattr.flcore import (
     LocalHP,
     RoundContext,
     benign,
-    run_step,
     run_training,
     run_training_many,
     weighted_aggregate,
@@ -76,8 +75,6 @@ def test_weighted_aggregate_examples():
 def test_weighted_aggregate_errors():
     with pytest.raises(ValueError, match="no updates"):
         weighted_aggregate([], [], np.zeros((1, 0), dtype=bool))
-    with pytest.raises(ValueError, match="sum to zero"):
-        aggregate_all([np.ones(2), np.ones(2)], [0, 0])
     with pytest.raises(ValueError, match="differ in length"):
         aggregate_all([np.ones(2)], [1, 2])
     with pytest.raises(ValueError, match="non-negative"):
@@ -85,9 +82,12 @@ def test_weighted_aggregate_errors():
     for members in ([True, True], [[True]], [[[True, True]]]):
         with pytest.raises(ValueError, match="coalitions x 2 matrix"):
             weighted_aggregate([np.ones(2), np.ones(2)], [1, 2], members)
-    # an empty coalition aggregates to zero even when every count is zero
-    zero = weighted_aggregate([np.ones(2), np.ones(2)], [0, 0], [[False, False]])
-    assert zero.tolist() == [[0.0, 0.0]]
+    # a coalition without samples aggregates to zero, as the empty one does
+    members = [[False, False], [True, True], [True, False], [False, True]]
+    zero = weighted_aggregate([np.ones(2), np.ones(2)], [0, 0], members)
+    assert zero.tolist() == [[0.0, 0.0]] * 4
+    mixed = weighted_aggregate([np.ones(2), np.full(2, 3.0)], [0, 5], members)
+    assert mixed.tolist() == [[0.0, 0.0], [3.0, 3.0], [0.0, 0.0], [3.0, 3.0]]
 
 
 def test_weighted_aggregate_linearity():
@@ -194,7 +194,7 @@ def test_property_a_run_is_rejected_before_training_or_trains(num_clients, defen
 def benign_update(spec, w, shard, hp, seed):
     """`benign`'s round-1 update, driven alone with an RNG seeded by `seed`."""
     ctx = RoundContext(spec, 1, w, None, shard, hp, np.random.default_rng(seed))
-    return run_step(benign, ctx)[0]
+    return flcore._drive([(ctx, benign, None)])[0][0]
 
 
 def test_benign_update_zero_lr_is_zero():
@@ -409,6 +409,22 @@ def shifted(blob, by):
     return flcore._enc(flcore._dec(blob) + by)
 
 
+def with_nan(blob):
+    vec = flcore._dec(blob)
+    vec[0] = np.nan
+    return flcore._enc(vec)
+
+
+def rederived(h, r):
+    """Every row's w_next re-derived from the header's w_1 and the rows'
+    updates, as an untrimmed round gives it, so only the result check can
+    tell what an edit of w_1 or an update broke."""
+    w = flcore._dec(h["w_1"])
+    for row in r:
+        w = w + aggregate_all([flcore._dec(u) for u in row["updates"]], h["n"])
+        row["w_next"] = flcore._enc(w)
+
+
 # name -> (defense mode, line of the first contradiction, edit of header and rows)
 TAMPERING = {
     "w_next": ("off", 3, lambda h, r: r[1].update(w_next=shifted(r[1]["w_next"], 1.0))),
@@ -431,6 +447,14 @@ TAMPERING = {
     # one entry per client, but not an object or null
     "diags_string": ("off", 2, lambda h, r: r[0].update(diags="x" * len(r[0]["diags"]))),
     "diags_numbers": ("off", 2, lambda h, r: r[0].update(diags=[5] * len(r[0]["diags"]))),
+    # an update the runner would have rejected: non-finite, or not shaped like w_t
+    "update_nan": ("off", 2, lambda h, r: (
+        r[0].update(updates=[with_nan(r[0]["updates"][0]), *r[0]["updates"][1:]]),
+        rederived(h, r),
+    )),
+    "w_1_short": ("off", 2, lambda h, r: (
+        h.update(w_1=flcore._enc(flcore._dec(h["w_1"])[:1])), rederived(h, r)
+    )),
     "utility_string": ("off", 2, lambda h, r: r[0].update(test_utility_after="high")),
     "utility_list": ("off", 2, lambda h, r: r[0].update(test_utility_after=[1])),
     "utility_bool": ("off", 2, lambda h, r: r[0].update(test_utility_after=True)),
@@ -441,7 +465,10 @@ TAMPERING = {
     )),
 }
 # what the error must name where its line alone does not show the check
-NAMED = {"trims_every_client": "trims all 4 clients", "n_empty": "at least one client"}
+NAMED = {
+    "trims_every_client": "trims all 4 clients", "n_empty": "at least one client",
+    "update_nan": "bad update shape or non-finite", "w_1_short": "bad update shape or non-finite",
+}
 
 
 def test_load_log_keeps_a_client_without_samples(tmp_path):
@@ -515,8 +542,8 @@ def test_lockstep_benign_training_matches_per_client_path(kind):
     attacker = partial(attacks.behavior_random_noise, sigma_rel=2.0)
 
     def per_client(ctx, state):
-        # trains alone through `run_step`, outside the lockstep calls
-        return run_step(benign, ctx, state)
+        # trains alone through its own `_drive` call, outside the lockstep calls
+        return flcore._drive([(ctx, benign, state)])[0]
 
     logs = [
         run_training(
@@ -719,11 +746,11 @@ def test_a_bad_yielded_training_set_names_its_round_and_client(bad_set, message)
     with pytest.raises(FLRunError, match=message) as err:
         run_training_many(cfgs)
     assert (err.value.round_index, err.value.client_id) == (2, 1)
-    # `run_step` checks the set the same way, before drawing its seed
+    # driven alone, the set is checked the same way, before its seed is drawn
     rng = np.random.default_rng(3)
     ctx = RoundContext(spec, 2, models.init_params(spec, 0), None, shards[1], LocalHP(), rng)
     with pytest.raises(FLRunError, match=message) as err:
-        run_step(yields_bad_set_in_round_2, ctx)
+        flcore._drive([(ctx, yields_bad_set_in_round_2, None)])[0]
     assert (err.value.round_index, err.value.client_id) == (2, 1)
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
@@ -751,13 +778,32 @@ def test_a_bad_update_names_its_round_and_client(behavior):
     ctx = RoundContext(spec, 4, models.init_params(spec, 0), None, shards[0], cfg.hp,
                        np.random.default_rng(0))
     with pytest.raises(FLRunError, match="bad update shape or non-finite") as err:
-        run_step(behavior, ctx)
+        flcore._drive([(ctx, behavior, None)])[0]
     assert (err.value.round_index, err.value.client_id) == (4, 0)
 
 
-def test_run_step_trains_each_yield_like_the_runner():
+def test_a_diag_that_is_not_a_dict_names_its_round_and_client(monkeypatch):
+    # `load_log` would reject the log, so the round fails before it closes
+    spec, shards, test = make_scenario()
+    closed, close = [], flcore._close_round
+    monkeypatch.setattr(
+        flcore, "_close_round", lambda runs, t, steps: (closed.append(t), close(runs, t, steps))
+    )
+
+    def lists_its_diag_in_round_2(ctx, state):
+        update = yield ctx.shard.data
+        return update, state, ["norm", 1.0] if ctx.t == 2 else None
+
+    behaviors = [benign, lists_its_diag_in_round_2, benign]
+    with pytest.raises(FLRunError, match="is not a dict or None") as err:
+        run_training(make_config(spec, shards, test, behaviors=behaviors))
+    assert (err.value.round_index, err.value.client_id) == (2, 1)
+    assert closed == [1]
+
+
+def test_a_step_driven_alone_trains_each_yield_like_the_runner():
     # a step may yield several training sets; each is trained from w_t with
-    # the next seed of its stream, in the runner and in `run_step` alike
+    # the next seed of its stream, in a run and driven alone alike
     spec, shards, test = make_scenario()
 
     def twice(ctx, state):
@@ -770,11 +816,11 @@ def test_run_step_trains_each_yield_like_the_runner():
     for rec in log.rounds:
         rng = streams.stream(cfg.master_seed, "client", 1, rec.t)
         ctx = RoundContext(spec, rec.t, rec.w_t, None, shards[1], cfg.hp, rng)
-        update, state, diag = run_step(twice, ctx, "kept")
+        update, state, diag = flcore._drive([(ctx, twice, "kept")])[0]
         assert rec.updates[1].tobytes() == update.tobytes()
         assert state == "kept" and rec.diags[1] == diag == {"equal": False}
     # a step that returns without yielding is passed through
-    free = run_step(attacks.behavior_free_rider, ctx)
+    free = flcore._drive([(ctx, attacks.behavior_free_rider, None)])[0]
     assert free[0].tobytes() == np.zeros(spec.param_count).tobytes()
 
 
