@@ -38,8 +38,8 @@ EXACT_LIMIT = 16
 # Client models one group of leave-one-out reruns trains per round: enough
 # to fill a lockstep call, while only one group's logs are held at a time.
 _RERUN_MODELS = 32
-# Float64 logits (or hidden activations, if wider), and parameters, held at
-# once while scoring a chunk of coalitions; bounds the working set
+# Float64 logits (or hidden activations, if wider) of a chunk of coalitions,
+# and parameters of a block of them, held at once; bounds the working set
 # independently of how many coalitions are asked for.  A larger chunk
 # spreads each call's fixed cost over more coalitions; 2^18 and up scored
 # faster but raised peak memory.
@@ -68,8 +68,10 @@ class CoalitionUtility:
         matrix (coalitions x clients) marks the members of coalition k.
         A coalition without samples scores w_t on every test row; the others
         score the rows and classes `_certify` leaves open (all of them when
-        fewer than `_CERTIFY_MIN`), in chunks of one `models.count_correct`
-        call, plus the rows it settles right.  Each value is the accuracy its
+        fewer than `_CERTIFY_MIN`), plus the rows it settles right.  Each
+        block of up to `_CHUNK_LOGITS` floats of parameters is aggregated in
+        one `weighted_aggregate` call and scored in whole chunks of one
+        `models.count_correct` call.  Each value is the accuracy its
         model gets alone on the whole test set, bit for bit where BLAS rounds
         a row's logits the same among fewer rows (`models.grouped_logits`)."""
         rec, spec, members = self.record, self.spec, coalition_matrix(members, self.num_clients)
@@ -86,10 +88,15 @@ class CoalitionUtility:
             return out
         width = len(groups.inputs) * max(spec.num_classes, spec.hidden_dim)
         chunk = max(1, _CHUNK_LOGITS // max(width, spec.param_count))
-        for start in range(0, len(rows), chunk):
-            block = rows[start : start + chunk]
-            params = rec.w_t + weighted_aggregate(rec.updates, rec.n, members[block])
-            out[block] = (always + count_correct(spec, params, groups)) / self.groups.size
+        # whole chunks a block, so only the round's last chunk is short
+        block = chunk * max(1, _CHUNK_LOGITS // spec.param_count // chunk)
+        for start in range(0, len(rows), block):
+            params = weighted_aggregate(rec.updates, rec.n, members[rows[start : start + block]])
+            params += rec.w_t
+            for k in range(0, len(params), chunk):
+                scored = rows[start + k : start + k + chunk]
+                counts = count_correct(spec, params[k : k + chunk], groups)
+                out[scored] = (always + counts) / self.groups.size
         return out
 
     def value_mask(self, mask: int) -> float:
@@ -268,7 +275,9 @@ def evaluate_log(
     """Logged-round evaluators over one log.  The test set is grouped by
     label once; each round concatenates the coalitions every evaluator asks
     for, scores the distinct ones in one `CoalitionUtility.values` call, and
-    hands each evaluator its own rows' utilities."""
+    hands each evaluator its own rows' utilities.  With `fedsv_exact` the
+    distinct ones are all 2^N coalitions in mask order, and each row is
+    indexed by its mask; without it, they are sorted out (`_unique_rows`)."""
     totals = {name: np.zeros(log.num_clients) for name in evaluators}
     if not set(totals) <= set(LOGGED_EVALUATORS):
         raise ValueError(f"logged-round evaluators are {LOGGED_EVALUATORS}")
@@ -287,7 +296,11 @@ def evaluate_log(
             perms, rows["fedsv_mc"] = _permutation_prefixes(num, num_permutations, seed + rec.t)
         if "loo_round" in totals:
             rows["loo_round"] = loo
-        distinct, inverse = _unique_rows(np.concatenate(list(rows.values())))
+        asked = np.concatenate(list(rows.values()))
+        if exact is not None:
+            distinct, inverse = exact, asked @ (1 << np.arange(num))
+        else:
+            distinct, inverse = _unique_rows(asked)
         scored = CoalitionUtility(rec, spec, groups).values(distinct)[inverse]
         ends = np.cumsum([len(part) for part in rows.values()])
         values = dict(zip(rows, np.split(scored, ends[:-1])))

@@ -175,7 +175,10 @@ def weighted_aggregate(
     """Data-size-weighted mean update of each coalition: row k of the boolean
     `members` matrix (coalitions x clients) marks coalition k's clients, whose
     updates row k of the result adds in index order, each scaled by n_i / (sum
-    of n over the coalition).  A coalition without samples aggregates to zero."""
+    of n over the coalition).  A coalition without samples aggregates to zero.
+    The sums run parameter-major, so each client's term is one multiply over
+    the coalitions side by side; the result is C-ordered, coalitions x
+    parameters."""
     if len(updates) == 0:
         raise ValueError("no updates to aggregate")
     if len(updates) != len(n):
@@ -184,13 +187,16 @@ def weighted_aggregate(
     counts = np.asarray(n, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("sample counts must be non-negative")
-    weights = np.where(members, counts, 0.0)
-    totals = weights.sum(axis=1)
-    weights /= np.where(totals > 0, totals, 1.0)[:, None]
-    agg = np.zeros((len(members), len(updates[0])))
-    for i, update in enumerate(updates):
-        agg += weights[:, i : i + 1] * update
-    return agg
+    weights = np.where(members.T, counts[:, None], 0.0)  # clients x coalitions
+    totals = weights.sum(axis=0)  # integer counts: exact in any order
+    weights /= np.where(totals > 0, totals, 1.0)
+    agg = np.zeros((len(updates[0]), len(members)))
+    out = np.empty((len(members), len(updates[0])))
+    term = out.reshape(agg.shape)  # scratch in out's memory until the sums are done
+    for update, weight in zip(updates, weights):
+        agg += np.multiply(update[:, None], weight, out=term)
+    out[...] = agg.T
+    return out
 
 
 def benign(ctx: RoundContext, state: Any):
@@ -276,12 +282,19 @@ def _close_round(runs: Sequence[_Run], t: int, steps: Sequence[tuple]) -> None:
         run.w_prev, run.w = run.w, w
 
 
+def _check_vector(vec, shape: tuple, name: str) -> np.ndarray:
+    """`vec` as float64, or ValueError unless it is finite and shaped `shape`:
+    the rule for each update (`_check_result`) and a stored log's `w_1`."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != shape or not np.all(np.isfinite(vec)):
+        raise ValueError(f"bad {name} shape or non-finite")
+    return vec
+
+
 def _check_result(w_t: np.ndarray, update, diag) -> np.ndarray:
     """A client's `update` as float64, or ValueError unless it is a finite vector
     shaped like w_t and `diag` is a dict or None; the runner and `load_log` agree."""
-    update = np.asarray(update, dtype=np.float64)
-    if update.shape != w_t.shape or not np.all(np.isfinite(update)):
-        raise ValueError("bad update shape or non-finite")
+    update = _check_vector(update, w_t.shape, "update")
     if diag is not None and not isinstance(diag, dict):
         raise ValueError(f"diag {diag!r} is not a dict or None")
     return update
@@ -443,8 +456,9 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: fl
 def load_log(path) -> TrainingLog:
     """The log `save_log` wrote: round t + 1's broadcast is round t's w_next
     and every round gets the header's counts and trim_tau.  A malformed file
-    or header (`check_setup` included), or rounds that do not run 1..T or
-    contradict themselves (`_load_round`), raises ValueError naming its line."""
+    or header (`check_setup` included, and a non-finite `w_1`), or rounds that
+    do not run 1..T or contradict themselves (`_load_round`), raises
+    ValueError naming its line."""
     lineno = 1
     with open(path) as fh:
         try:
@@ -460,7 +474,8 @@ def load_log(path) -> TrainingLog:
             if not isinstance(n, list) or not all(type(c) is int and c >= 0 for c in n):
                 raise ValueError(f"sample counts {n!r} are not a list of non-negative ints")
             check_setup(len(n), mode, tau)
-            w_t, n = _dec(header["w_1"]), tuple(n)
+            w_1, n = _dec(header["w_1"]), tuple(n)
+            w_t = _check_vector(w_1, w_1.shape, "w_1")
             records = []
             for lineno, line in enumerate(fh, start=2):
                 records.append(_load_round(json.loads(line), lineno - 1, w_t, n, mode, tau))

@@ -258,10 +258,40 @@ def assert_values_match_oracle(log, spec, test):
 @pytest.mark.parametrize("model", ["logistic", "mlp1"])
 def test_values_match_oracle(model, chunk_logits, monkeypatch):
     # a small chunk limit splits every round's 32 coalitions over many
-    # chunks; a limit of one logit scores one coalition per chunk
+    # chunks, and blocks of them (see the next test); a limit of one logit
+    # scores one coalition per block
     monkeypatch.setattr(attribution, "_CHUNK_LOGITS", chunk_logits)
     cfg, log, spec, test = small_run(num_clients=5, rounds=3, model=model)
     assert_values_match_oracle(log, spec, test)
+
+
+@pytest.mark.parametrize(
+    "model, blocks, chunks",
+    [
+        # P = 9, 216 logits a coalition: blocks of 54, chunks of 2
+        ("logistic", [31], [2] * 15 + [1]),
+        # P = 33, 360 hidden activations a coalition: blocks of 15, chunks of 1
+        ("mlp1", [15, 15, 1], [1] * 31),
+    ],
+)
+def test_values_aggregate_each_block_once_and_score_it_in_chunks(
+    model, blocks, chunks, monkeypatch
+):
+    monkeypatch.setattr(attribution, "_CHUNK_LOGITS", 500)
+    cfg, log, spec, test = small_run(num_clients=5, rounds=3, model=model)
+    aggregated = aggregate_spy(monkeypatch)
+    scored, count = [], attribution.count_correct
+    monkeypatch.setattr(
+        attribution, "count_correct", lambda spec, params, groups: (
+            scored.append(len(params)), count(spec, params, groups)
+        )[1],
+    )
+    rec = log.rounds[0]
+    got = game(rec, spec, test).values(every_coalition(5))
+    assert aggregated == blocks
+    assert scored == [1, *chunks]  # the empty coalition scores w_t first
+    monkeypatch.undo()
+    assert got.tobytes() == full_kernel_values(rec, spec, test, every_coalition(5)).tobytes()
 
 
 def test_values_match_oracle_with_zero_update_client():
@@ -747,9 +777,10 @@ def test_evaluate_log_rejects_other_evaluators():
     assert evaluate_log(log, spec, test, []) == {}
 
 
-def test_evaluate_log_sorts_rows_and_draws_permutations_once_per_round(
+def test_evaluate_log_sorts_rows_only_without_fedsv_exact_and_draws_permutations_once_per_round(
     six_client_runs, monkeypatch
 ):
+    # with fedsv_exact, every round's rows index all 2^N coalitions by mask
     log, spec, test = six_client_runs["logistic"]
     counts = {"_unique_rows": 0, "_permutation_prefixes": 0}
 
@@ -764,8 +795,22 @@ def test_evaluate_log_sorts_rows_and_draws_permutations_once_per_round(
 
     for name in counts:
         monkeypatch.setattr(attribution, name, counting(name))
-    evaluate_log(log, spec, test, LOGGED, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
-    assert counts == dict.fromkeys(counts, len(log.rounds))
+    rounds = len(log.rounds)
+    for evaluators, sorts in ((LOGGED, 0), (("fedsv_mc", "loo_round"), rounds)):
+        counts.update(dict.fromkeys(counts, 0))
+        evaluate_log(log, spec, test, evaluators, num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
+        assert counts == {"_unique_rows": sorts, "_permutation_prefixes": rounds}
+
+
+@pytest.mark.parametrize("run", ["logistic", "mlp1"])
+def test_evaluate_log_mask_path_equals_sort_path(six_client_runs, run):
+    # fedsv_exact makes the other evaluators' rows index coalitions by mask
+    log, spec, test = six_client_runs[run]
+    kw = dict(num_permutations=MC_PERMUTATIONS, seed=MC_SEED)
+    by_mask = evaluate_log(log, spec, test, LOGGED, **kw)
+    by_sort = evaluate_log(log, spec, test, ["fedsv_mc", "loo_round"], **kw)
+    for name in ("fedsv_mc", "loo_round"):
+        assert by_mask[name].raw.tobytes() == by_sort[name].raw.tobytes(), name
 
 
 def test_fedsv_efficiency_over_log():

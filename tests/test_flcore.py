@@ -121,6 +121,33 @@ def test_weighted_aggregate_rows_equal_a_per_member_loop(kind):
         assert (rec.w_t + got[2]).tobytes() == rec.w_next.tobytes()
 
 
+def run_with_client_without_samples(rounds=3):
+    """A 3-client run whose free rider holds an empty shard: it trains
+    nothing and is logged with n_i = 0."""
+    spec, shards, test = make_scenario()
+    empty = ClientShard.build(2, models.LabeledBatch(np.zeros((0, 2)), np.zeros(0, int)), 3)
+    behaviors = [benign, benign, attacks.behavior_free_rider]
+    return run_training(
+        make_config(spec, [*shards[:2], empty], test, rounds=rounds, behaviors=behaviors)
+    )
+
+
+@pytest.mark.parametrize("case", ["ten_clients", "client_without_samples"])
+def test_one_aggregate_of_every_coalition_equals_one_per_coalition(case):
+    if case == "ten_clients":
+        spec, shards, test = make_scenario(num_clients=10, samples_per_client=20)
+        rec = run_training(make_config(spec, shards, test, rounds=1)).rounds[0]
+    else:
+        rec = run_with_client_without_samples(rounds=1).rounds[0]
+        assert rec.n == (30, 30, 0)
+    num = len(rec.updates)
+    every = (np.arange(1 << num)[:, None] >> np.arange(num) & 1).astype(bool)
+    got = weighted_aggregate(rec.updates, rec.n, every)
+    assert got.shape == (1 << num, len(rec.w_t)) and got.flags.c_contiguous
+    one_by_one = [weighted_aggregate(rec.updates, rec.n, row[None])[0] for row in every]
+    assert got.tobytes() == np.stack(one_by_one).tobytes()
+
+
 def test_enforced_trimming_that_keeps_no_client_fails(monkeypatch):
     spec, shards, test = make_scenario(num_clients=2)
     trained = []
@@ -455,6 +482,8 @@ TAMPERING = {
     "w_1_short": ("off", 2, lambda h, r: (
         h.update(w_1=flcore._enc(flcore._dec(h["w_1"])[:1])), rederived(h, r)
     )),
+    # the runner starts from a finite w_1 (`init_params`), so the header must hold one
+    "w_1_nan": ("off", 1, lambda h, r: (h.update(w_1=with_nan(h["w_1"])), rederived(h, r))),
     "utility_string": ("off", 2, lambda h, r: r[0].update(test_utility_after="high")),
     "utility_list": ("off", 2, lambda h, r: r[0].update(test_utility_after=[1])),
     "utility_bool": ("off", 2, lambda h, r: r[0].update(test_utility_after=True)),
@@ -468,15 +497,12 @@ TAMPERING = {
 NAMED = {
     "trims_every_client": "trims all 4 clients", "n_empty": "at least one client",
     "update_nan": "bad update shape or non-finite", "w_1_short": "bad update shape or non-finite",
+    "w_1_nan": "bad w_1 shape or non-finite",
 }
 
 
 def test_load_log_keeps_a_client_without_samples(tmp_path):
-    # a free rider on an empty shard trains nothing and is logged with n_i = 0
-    spec, shards, test = make_scenario()
-    empty = ClientShard.build(2, models.LabeledBatch(np.zeros((0, 2)), np.zeros(0, int)), 3)
-    behaviors = [benign, benign, attacks.behavior_free_rider]
-    log = run_training(make_config(spec, [*shards[:2], empty], test, behaviors=behaviors))
+    log = run_with_client_without_samples()
     assert log.rounds[0].n == (30, 30, 0)
     flcore.save_log(log, tmp_path / "run.log.jsonl")
     assert_logs_identical(log, flcore.load_log(tmp_path / "run.log.jsonl"))
