@@ -31,6 +31,17 @@ from .models import (
     loss_and_grad,
 )
 
+# Attack name -> its behavior's name in this module, looked up when a run
+# builds its attacker, so a rebinding of that name (a tracer) is what runs.
+BEHAVIORS = {
+    "attack_free": "benign",
+    "label_flip": "behavior_label_flip",
+    "random_noise": "behavior_random_noise",
+    "free_rider": "behavior_free_rider",
+    "direct_ref": "behavior_direct_ref",
+    "latent_opt": "behavior_latent_opt",
+}
+
 # --- baseline behaviors -----------------------------------------------------
 
 

@@ -4,9 +4,9 @@ Per-round coalition utilities feed an exact (or permutation-sampled) Shapley
 evaluator and leave-one-out variants; raw values are then shift-min
 normalized into shares and ranked.  Evaluators only read the log, never
 influence training.  For a logistic model, coalition scoring is certified:
-test rows that every one-client model of a round gets right (or wrong) by a
-margin above a rounding bound are settled once per round (`_certify`), and
-only the others are scored per coalition.
+test rows that w_t and every one-client model of a round get right (or
+wrong) by a margin above a rounding bound are settled once per round
+(`_certify`), and only the others are scored per coalition.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ _RERUN_MODELS = 32
 # spreads each call's fixed cost over more coalitions; 2^18 and up scored
 # faster but raised peak memory.
 _CHUNK_LOGITS = 1 << 17
-# Coalitions with samples a round must score before `_certify` pays for its
-# one-client pass: on 2 vCPUs with 480 test rows and N = 8-12 it broke even
-# at about 200, and cost up to twice the scoring itself below 64.
+# Coalitions a round must score before `_certify` pays for its one-client
+# pass: on 2 vCPUs with 480 test rows and N = 8-12 it broke even at about
+# 200, and cost up to twice the scoring itself below 64.
 _CERTIFY_MIN = 200
 
 
@@ -66,37 +66,31 @@ class CoalitionUtility:
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
         matrix (coalitions x clients) marks the members of coalition k.
-        A coalition without samples scores w_t on every test row; the others
-        score the rows and classes `_certify` leaves open (all of them when
-        fewer than `_CERTIFY_MIN`), plus the rows it settles right.  Each
-        block of up to `_CHUNK_LOGITS` floats of parameters is aggregated in
-        one `weighted_aggregate` call and scored in whole chunks of one
-        `models.count_correct` call.  Each value is the accuracy its
-        model gets alone on the whole test set, bit for bit where BLAS rounds
-        a row's logits the same among fewer rows (`models.grouped_logits`)."""
+        Every coalition scores the rows and classes `_certify` leaves open
+        (all of them when fewer than `_CERTIFY_MIN`), plus the rows it
+        settles right.  Each block of up to `_CHUNK_LOGITS` floats of
+        parameters is aggregated in one `weighted_aggregate` call and scored
+        in whole chunks of one `models.count_correct` call.  Each value is
+        the accuracy its model gets alone on the whole test set, bit for bit
+        where BLAS rounds a row's logits the same among fewer rows
+        (`models.grouped_logits`)."""
         rec, spec, members = self.record, self.spec, coalition_matrix(members, self.num_clients)
-        out = np.empty(len(members))
-        unsampled = ~(members & (np.asarray(rec.n) > 0)).any(axis=1)
-        if unsampled.any():
-            out[unsampled] = count_correct(spec, rec.w_t[None], self.groups)[0] / self.groups.size
-        rows = np.flatnonzero(~unsampled)
         groups, always = self.groups, 0
-        if len(rows) >= _CERTIFY_MIN:
+        if len(members) >= _CERTIFY_MIN:
             groups, always = _certify(spec, rec, self.groups)
         if len(groups.inputs) == 0:  # every row settled: no coalition differs
-            out[rows] = always / self.groups.size
-            return out
+            return np.full(len(members), always / self.groups.size)
+        out = np.empty(len(members))
         width = len(groups.inputs) * max(spec.num_classes, spec.hidden_dim)
         chunk = max(1, _CHUNK_LOGITS // max(width, spec.param_count))
         # whole chunks a block, so only the round's last chunk is short
         block = chunk * max(1, _CHUNK_LOGITS // spec.param_count // chunk)
-        for start in range(0, len(rows), block):
-            params = weighted_aggregate(rec.updates, rec.n, members[rows[start : start + block]])
+        for start in range(0, len(members), block):
+            params = weighted_aggregate(rec.updates, rec.n, members[start : start + block])
             params += rec.w_t
             for k in range(0, len(params), chunk):
-                scored = rows[start + k : start + k + chunk]
                 counts = count_correct(spec, params[k : k + chunk], groups)
-                out[scored] = (always + counts) / self.groups.size
+                out[start + k : start + k + chunk] = (always + counts) / self.groups.size
         return out
 
     def value_mask(self, mask: int) -> float:
@@ -107,39 +101,40 @@ class CoalitionUtility:
 
 def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[LabelGroups, int]:
     """The grouped rows and classes that can tell round `rec`'s coalitions
-    with samples apart, and the number of rows every one of them gets right.
+    apart, and the number of rows every one of them gets right.
 
-    Such a coalition's parameters w_t + sum_S (n_i / n_S) u_i are a
-    convex combination of the one-client models w_t + u_i, and a logistic
-    model's logits are affine in its parameters, so each margin
-    logit_y - logit_j at grouped row r (label y) is a convex combination of
-    the one-client margins.  Row r is right for every coalition if every
-    one-client margin of every class j != y is above tau_r, and wrong for
-    every coalition if, for some j, every one is below -tau_r, where
+    A coalition's parameters w_t + sum_S (n_i / n_S) u_i are a convex
+    combination of w_t and the one-client models w_t + u_i (w_t itself for
+    a coalition without samples), and a logistic model's logits are affine
+    in its parameters, so each margin logit_y - logit_j at grouped row r
+    (label y) is a convex combination of the vertices' margins.  Row r is
+    right for every coalition if every vertex margin of every class j != y
+    is above tau_r, and wrong for every coalition if, for some j, every one
+    is below -tau_r, where
 
         tau_r = 2^-30 (1 + |x_r|_1) (|w_t|_inf + max_i |u_i|_inf).
 
     Rounding moves a computed logit of a coalition by at most
     (N + d + 3) 2^-53 of that scale from the logit of the exact convex
-    combination, and a computed one-client margin by at most (2d + 6) 2^-53
-    of it, so a decision holds while 2N + 4d + 12 < 2^23.  tau_r is never
-    below 2^-1000, far above the error of products that underflow, and a
-    row with a non-finite one-client logit is left open.  Rows labelled y
-    are compared only with the classes some one-client model does not beat
-    there by tau_r.  mlp1 is not affine in its parameters: it settles
-    nothing and keeps every row and class."""
+    combination, and a computed vertex margin by at most (2d + 6) 2^-53 of
+    it (w_t adds no summed term), so a decision holds while
+    2N + 4d + 12 < 2^23.  tau_r is never below 2^-1000, far above the error
+    of products that underflow, and a row with a non-finite vertex logit is
+    left open.  Rows labelled y are compared only with the classes some
+    vertex does not beat there by tau_r.  mlp1 is not affine in its
+    parameters: it settles nothing and keeps every row and class."""
     if spec.kind != "logistic":
         return groups, 0
     updates = np.stack(rec.updates)
-    one = grouped_logits(spec, rec.w_t + updates, groups.inputs)  # (N, C, m)
+    z = grouped_logits(spec, np.vstack([rec.w_t, rec.w_t + updates]), groups.inputs)
     label = np.repeat(np.arange(spec.num_classes), np.diff(groups.bounds))
     rows = np.arange(len(label))
-    margin = np.subtract(one[:, label, rows][:, None, :], one, out=one)
+    margin = np.subtract(z[:, label, rows][:, None, :], z, out=z)
     low, high = margin.min(axis=0), margin.max(axis=0)  # (C, m); NaN if any is NaN
     finite = np.isfinite(low).all(axis=0) & np.isfinite(high).all(axis=0)
     scale = np.abs(rec.w_t).max() + np.abs(updates).max()
     tau = np.maximum(2.0**-30 * np.abs(groups.inputs).sum(axis=1) * scale, 2.0**-1000)
-    beaten = (low > tau) & finite  # (C, m): by every one-client model
+    beaten = (low > tau) & finite  # (C, m): by every vertex
     beaten[label, rows] = True
     right = beaten.all(axis=0)
     wrong = (high < -tau).any(axis=0) & finite

@@ -13,19 +13,13 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ..attacks import BEHAVIORS
 from ..attribution import EVALUATORS, EXACT_LIMIT
 from ..data import DatasetSpec, PartitionSpec, cycle_demand, train_rows_per_class
 from ..flcore import check_setup
 from ..models import ModelSpec
 
-ATTACKS = (
-    "attack_free",
-    "label_flip",
-    "random_noise",
-    "free_rider",
-    "direct_ref",
-    "latent_opt",
-)
+ATTACKS = tuple(BEHAVIORS)
 TARGET_RULES = ("lowest_rank", "rank_k")
 
 _MAX = sys.float_info.max

@@ -104,8 +104,9 @@ def select_malicious(
 
 
 def _make_attack_behavior(cfg: ExperimentConfig, kappa: float) -> flcore.Behavior:
+    behavior = getattr(attacks, attacks.BEHAVIORS[cfg.attack])
     if cfg.attack == "random_noise":
-        return partial(attacks.behavior_random_noise, sigma_rel=cfg.sigma_rel)
+        return partial(behavior, sigma_rel=cfg.sigma_rel)
     if cfg.attack == "latent_opt":
         # Public calibration pool for the frozen decoder; disjoint stream, same domain.
         pool, _ = data.synthesize(
@@ -121,19 +122,14 @@ def _make_attack_behavior(cfg: ExperimentConfig, kappa: float) -> flcore.Behavio
             num_classes=cfg.num_classes,
         )
         return partial(
-            attacks.behavior_latent_opt,
+            behavior,
             dec=decoder,
             kappa=kappa,
             latent_steps=cfg.latent_steps,
             synth_batch=cfg.synthetic_rows,
             eta_z=cfg.latent_lr,
         )
-    return {
-        "attack_free": flcore.benign,
-        "label_flip": attacks.behavior_label_flip,
-        "free_rider": attacks.behavior_free_rider,
-        "direct_ref": attacks.behavior_direct_ref,
-    }[cfg.attack]
+    return behavior
 
 
 def _train_and_evaluate(

@@ -435,17 +435,18 @@ def save_log(log: TrainingLog, path) -> None:
 def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: float) -> RoundRecord:
     """Round t of a stored log from its row, broadcast w_t, counts n and
     trim_tau, checked against itself: one update and diag per client, as the
-    runner checks them (`_check_result`), a utility in [0, 1], and a w_next
-    `_next_broadcast` gives bit for bit under the runner's trim rule."""
-    if row["t"] != t:
+    runner checks them (`_check_result`), an int t, a float utility in
+    [0, 1], and a w_next `_next_broadcast` gives bit for bit under the
+    runner's trim rule."""
+    if type(row["t"]) is not int or row["t"] != t:  # a bool is no int here
         raise ValueError(f"round {row['t']!r} where round {t} belongs")
     updates, diags, clients = tuple(map(_dec, row["updates"])), tuple(row["diags"]), len(n)
     if not len(updates) == len(diags) == clients:
         raise ValueError(f"{len(updates)} updates, {len(diags)} diags, {clients} clients")
     updates = tuple(_check_result(w_t, u, diag) for u, diag in zip(updates, diags))
     util = row["test_utility_after"]
-    if type(util) not in (int, float) or not 0 <= util <= 1:  # a bool is no number here
-        raise ValueError(f"test utility {util!r} is not a number in [0, 1]")
+    if type(util) is not float or not 0 <= util <= 1:  # the runner writes count / size
+        raise ValueError(f"test utility {util!r} is not a float in [0, 1]")
     trim = None if mode == "off" else trim_round(updates, tau, t=t)
     w_next = _dec(row["w_next"])
     if _next_broadcast(w_t, updates, n, mode, trim).tobytes() != w_next.tobytes():
@@ -456,9 +457,10 @@ def _load_round(row: dict, t: int, w_t: np.ndarray, n: tuple, mode: str, tau: fl
 def load_log(path) -> TrainingLog:
     """The log `save_log` wrote: round t + 1's broadcast is round t's w_next
     and every round gets the header's counts and trim_tau.  A malformed file
-    or header (`check_setup` included, and a non-finite `w_1`), or rounds that
-    do not run 1..T or contradict themselves (`_load_round`), raises
-    ValueError naming its line."""
+    or header (a field of a JSON type `save_log` does not write, `check_setup`
+    and a non-finite `w_1` included), or rounds that do not run 1..T or
+    contradict themselves (`_load_round`), raises ValueError naming its
+    line."""
     lineno = 1
     with open(path) as fh:
         try:
@@ -469,8 +471,10 @@ def load_log(path) -> TrainingLog:
                 header["fingerprint"], header["defense_mode"], header["trim_tau"],
                 header["rounds"], header["final_utility"], header["n"],
             )
-            if type(tau) is not float:
-                raise ValueError(f"trim_tau {tau!r} is not a number")
+            kinds = {"fingerprint": str, "trim_tau": float, "rounds": int, "final_utility": float}
+            for key, kind in kinds.items():
+                if type(header[key]) is not kind:
+                    raise ValueError(f"{key} {header[key]!r} is not a {kind.__name__}")
             if not isinstance(n, list) or not all(type(c) is int and c >= 0 for c in n):
                 raise ValueError(f"sample counts {n!r} are not a list of non-negative ints")
             check_setup(len(n), mode, tau)

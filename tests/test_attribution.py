@@ -269,9 +269,9 @@ def test_values_match_oracle(model, chunk_logits, monkeypatch):
     "model, blocks, chunks",
     [
         # P = 9, 216 logits a coalition: blocks of 54, chunks of 2
-        ("logistic", [31], [2] * 15 + [1]),
+        ("logistic", [32], [2] * 16),
         # P = 33, 360 hidden activations a coalition: blocks of 15, chunks of 1
-        ("mlp1", [15, 15, 1], [1] * 31),
+        ("mlp1", [15, 15, 2], [1] * 32),
     ],
 )
 def test_values_aggregate_each_block_once_and_score_it_in_chunks(
@@ -289,7 +289,7 @@ def test_values_aggregate_each_block_once_and_score_it_in_chunks(
     rec = log.rounds[0]
     got = game(rec, spec, test).values(every_coalition(5))
     assert aggregated == blocks
-    assert scored == [1, *chunks]  # the empty coalition scores w_t first
+    assert scored == chunks  # the empty coalition is aggregated with the others
     monkeypatch.undo()
     assert got.tobytes() == full_kernel_values(rec, spec, test, every_coalition(5)).tobytes()
 
@@ -326,9 +326,9 @@ def test_a_client_without_samples_scores_zero_from_its_stored_log(tmp_path):
 
 
 def test_certified_values_match_the_oracle_with_a_client_without_samples(monkeypatch):
-    # w_t gets every row wrong and every one-client model gets it right, so
-    # certification settles every row right; w_t is not in the one-client
-    # models' hull, so the coalitions without samples must score it alone
+    # w_t gets every row wrong and every one-client model gets it right;
+    # w_t is a vertex of every coalition's hull, so certification settles no
+    # row, and the coalitions without samples score w_t with the others
     rows = np.linspace(-3.0, 3.0, 40)[:, None]
     n = (5, 3, 0, 7, 2, 4, 6, 1)
     rec, spec, test = bias_round(
@@ -338,7 +338,8 @@ def test_certified_values_match_the_oracle_with_a_client_without_samples(monkeyp
     monkeypatch.setattr(attribution, "_certify", lambda *a: (calls.append(a), certify(*a))[1])
     members = every_coalition(8)
     got = game(rec, spec, test).values(members)
-    assert calls and attribution._certify(spec, rec, models.group_by_label(spec, test))[1] == 40
+    scored, always = attribution._certify(spec, rec, models.group_by_label(spec, test))
+    assert calls and (len(scored.inputs), always) == (40, 0)
     for row, value in zip(members, got):
         assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row)), row
     assert sorted(set(got.tolist())) == [0.0, 1.0]
@@ -403,7 +404,9 @@ def certified_rounds(draw):
     classes tie.  Other rounds draw normal parameters, scale the updates
     down until the one-client margins at the origin sit near tau, may zero
     some updates, and may make one class a copy of another in w_t and every
-    update, a tie in every coalition.  Labels run up to num_classes + 1."""
+    update, a tie in every coalition.  Some clients may hold no samples, so
+    coalitions without samples are certified too.  Labels run up to
+    num_classes + 1."""
     exact = draw(st.booleans())
     spec = ModelSpec("logistic", draw(st.integers(1, 3)), draw(st.integers(2, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -427,6 +430,8 @@ def certified_rounds(draw):
             for vec in (w_t, *updates):
                 w, b = models._views(spec, vec)
                 w[dst], b[dst] = w[src], b[src]
+    empty = draw(st.lists(st.booleans(), min_size=num, max_size=num))
+    counts = tuple(0 if e else c for e, c in zip(empty, counts))
     test = LabeledBatch(inputs, rng.integers(0, spec.num_classes + 2, rows))
     rec = flcore.RoundRecord(1, w_t, tuple(updates), (None,) * num, counts, w_t, 0.0)
     return rec, spec, test
@@ -478,7 +483,8 @@ def test_certification_leaves_a_margin_within_tau_to_the_kernel(certify_every_ro
 
 def test_certification_decides_nothing_at_a_non_finite_logit(certify_every_round):
     # at x = 2 the first client's class-1 logit overflows to +inf; every
-    # one-client margin there is above tau, yet the row stays open
+    # one-client margin there is above tau, yet the row stays open; w_t ties
+    # the two classes, so it keeps the row at x = 1 open too
     rec, spec, test = bias_round((0.0, 0.0), [(0.0, 0.0)] * 2, (1, 1), [[2.0], [1.0]], [1, 1])
     rec = dataclasses.replace(
         rec, updates=(np.array([0.0, 1.5e308, 0.0, 0.0]), np.array([0.0, 1e300, 0.0, 0.0]))
@@ -488,7 +494,7 @@ def test_certification_decides_nothing_at_a_non_finite_logit(certify_every_round
     with np.errstate(over="ignore", invalid="ignore"):
         scored, always = attribution._certify(spec, rec, groups)
         got = game(rec, spec, test).values(members)
-    assert scored.inputs[:, 0].tolist() == [2.0] and always == 1
+    assert scored.inputs[:, 0].tolist() == [2.0, 1.0] and always == 0
     for row, value in zip(members, got):
         assert value == oracles.coalition_utility(rec, spec, test, np.flatnonzero(row))
 
@@ -514,11 +520,11 @@ def test_certification_runs_only_for_rounds_with_many_coalitions(monkeypatch):
         return certify(*args)
 
     monkeypatch.setattr(attribution, "_certify", spy)
-    members = every_coalition(8)  # the empty coalition and 255 others
+    members = every_coalition(8)  # the empty coalition counts as one of them
     least = attribution._CERTIFY_MIN
     for count, certified in ((least, True), (least - 1, False)):
         calls.clear()
-        rows = members[: count + 1]
+        rows = members[:count]
         got = game(rec, spec, test).values(rows)
         assert bool(calls) == certified
         assert got.tobytes() == full_kernel_values(rec, spec, test, rows).tobytes()
@@ -582,7 +588,7 @@ def test_chunks_hold_few_wide_parameter_vectors(monkeypatch):
     sizes = aggregate_spy(monkeypatch)
     members = every_coalition(8)
     got = game(rec, spec, test).values(members)
-    assert sum(sizes) == 255 and max(sizes) == attribution._CHUNK_LOGITS // spec.param_count
+    assert sum(sizes) == 256 and max(sizes) == attribution._CHUNK_LOGITS // spec.param_count
     monkeypatch.undo()
     assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
 
@@ -595,7 +601,7 @@ def test_a_round_with_every_row_settled_aggregates_nothing(monkeypatch):
     members = every_coalition(8)
     got = game(rec, spec, test).values(members)
     assert sizes == []
-    assert set(got[1:].tolist()) == {always / len(test)}
+    assert set(got.tolist()) == {always / len(test)}  # the empty coalition too
     monkeypatch.undo()
     assert got.tobytes() == full_kernel_values(rec, spec, test, members).tobytes()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fedattr import data, flcore, models
+from fedattr import attacks, data, flcore, models
 from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import (
@@ -529,6 +529,19 @@ def test_cli_rejects_bad_config_before_training(tmp_path, capsys, monkeypatch, b
     assert err.startswith("config error:")
     assert message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_every_attack_builds_the_behavior_its_module_binds_now(monkeypatch):
+    # the config's attack names are the table's, and each is looked up when
+    # the attacker is built, so a rebound behavior (a tracer's) is what runs
+    assert ATTACKS == tuple(attacks.BEHAVIORS)
+    for attack, name in attacks.BEHAVIORS.items():
+        def rebound(*args, **kwargs):  # built, never run
+            ...
+
+        monkeypatch.setattr(attacks, name, rebound)
+        behavior = _make_attack_behavior(tiny_config(attack=attack, latent_steps=1), 1.0)
+        assert getattr(behavior, "func", behavior) is rebound, attack
 
 
 COMBINATIONS = tuple(

@@ -452,6 +452,13 @@ def rederived(h, r):
         row["w_next"] = flcore._enc(w)
 
 
+def one_round(h, r, **fields):
+    """The log cut to its first round, the header updated to match it and
+    then by `fields`."""
+    del r[1:]
+    h.update({"rounds": 1, "final_utility": r[0]["test_utility_after"], **fields})
+
+
 # name -> (defense mode, line of the first contradiction, edit of header and rows)
 TAMPERING = {
     "w_next": ("off", 3, lambda h, r: r[1].update(w_next=shifted(r[1]["w_next"], 1.0))),
@@ -488,9 +495,21 @@ TAMPERING = {
     "utility_list": ("off", 2, lambda h, r: r[0].update(test_utility_after=[1])),
     "utility_bool": ("off", 2, lambda h, r: r[0].update(test_utility_after=True)),
     "utility_above_one": ("off", 2, lambda h, r: r[0].update(test_utility_after=1.5)),
-    # the header agrees with the last row, so only the row check can tell
-    "final_utility_string": ("off", 4, lambda h, r: (
+    # the header agrees with the last row, but its own type check rejects it
+    "final_utility_string": ("off", 1, lambda h, r: (
         r[-1].update(test_utility_after="high"), h.update(final_utility="high")
+    )),
+    # each field of the JSON type save_log writes: a bool or float is no
+    # round, a number no fingerprint, and the runner writes utilities as floats
+    "t_bool": ("off", 2, lambda h, r: r[0].update(t=True)),
+    "t_float": ("off", 3, lambda h, r: r[1].update(t=2.0)),
+    "rounds_float": ("off", 1, lambda h, r: one_round(h, r, rounds=1.0)),
+    "rounds_bool": ("off", 1, lambda h, r: one_round(h, r, rounds=True)),
+    "fingerprint_number": ("off", 1, lambda h, r: h.update(fingerprint=5)),
+    "fingerprint_list": ("off", 1, lambda h, r: h.update(fingerprint=[1])),
+    # the header's 1.0 equals the last row's 1, so only the row check can tell
+    "utility_int": ("off", 4, lambda h, r: (
+        r[-1].update(test_utility_after=1), h.update(final_utility=1.0)
     )),
 }
 # what the error must name where its line alone does not show the check
