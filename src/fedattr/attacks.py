@@ -7,8 +7,7 @@ classes, the latents are refined by descent on a joint
 direction/norm/cross-entropy loss against the observable global descent
 direction, and the client then trains on its real shard mixed with the
 decoded batch.  The reported update is norm-clipped to the configured
-budget; plausibility against the benign reference set is a server-side
-check, since this client never sees other clients' updates.
+budget.
 """
 
 from __future__ import annotations

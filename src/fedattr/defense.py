@@ -73,8 +73,9 @@ def plausibility_check(
 ) -> PlausibilityFlag:
     """Cosine deviation of an update from the median of a benign reference set.
 
-    Reported, never enforced.  Zero vectors get the orthogonal convention
-    (distance 1).
+    Zero vectors get the orthogonal convention (distance 1).  Nothing in the
+    program calls this: it stays only because the benchmark traces it by name,
+    until ROADMAP item 1 deletes it with `PlausibilityFlag`.
     """
     if len(kept_updates) == 0:
         raise ValueError("reference set is empty")

@@ -45,7 +45,6 @@ _BOUNDS = {
     "synth_batch": (0, _MAX),
     "latent_lr": (-1e3, 1e3),
     "delta": (0, _MAX),
-    "eps": (-_MAX, _MAX),
     "kappa_mult": (0, _MAX),
     "pool_samples_per_class": (2, 100_000),
     "mc_permutations": (1, 10_000),
@@ -104,7 +103,6 @@ class ExperimentConfig:
     latent_lr: float = 0.05
     # budgets
     delta: float = 0.02
-    eps: float = 0.5
     kappa_mult: float = 3.0  # kappa = mult * median benign update norm; 0 disables
     # defense
     defense_mode: str = "off"
@@ -131,9 +129,8 @@ class ExperimentConfig:
         for name, (lo, hi) in _BOUNDS.items():
             value = getattr(self, name)
             if not lo <= value <= hi:
-                least = f"at least {lo:g} and " if lo > -_MAX else ""
                 most = "finite" if hi == _MAX else f"at most {hi:g}"
-                raise ConfigError(f"{name} must be {least}{most}, got {value!r}")
+                raise ConfigError(f"{name} must be at least {lo:g} and {most}, got {value!r}")
         if self.target_rule == "rank_k" and not 1 <= self.target_rank <= self.num_clients:
             raise ConfigError(
                 f"target rank {self.target_rank} out of range 1..{self.num_clients}"

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import attacks, attribution, data, flcore, streams
-from ..defense import DetectionScore, detection_metrics, plausibility_check
+from ..defense import DetectionScore, detection_metrics
 from .config import ConfigError, ExperimentConfig
 
 SWEEP_AXES = ("num_clients", "target_rank", "intensity")
@@ -31,8 +31,6 @@ class ExperimentReport:
     malicious_id: int
     evaluations: dict[str, dict[str, attribution.AttributionReport]]
     detection: DetectionScore | None
-    plausibility_flags: int
-    plausibility_max: float
     kappa: float
     attack_free_log: flcore.TrainingLog
     attacked_log: flcore.TrainingLog
@@ -180,14 +178,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for name, report in attacked_reports.items():
         evaluations[name]["attacked"] = report
 
-    flags = 0
-    max_dev = 0.0
-    for rec in attacked_log.rounds:
-        others = [u for i, u in enumerate(rec.updates) if i != malicious_id]
-        res = plausibility_check(rec.updates[malicious_id], others, cfg.eps)
-        flags += int(res.flagged)
-        max_dev = max(max_dev, res.distance)
-
     detection = None
     if cfg.defense_mode != "off":
         decisions = [rec.trim for rec in attacked_log.rounds if rec.trim is not None]
@@ -198,8 +188,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         malicious_id=malicious_id,
         evaluations=evaluations,
         detection=detection,
-        plausibility_flags=flags,
-        plausibility_max=max_dev,
         kappa=kappa,
         attack_free_log=free_log,
         attacked_log=attacked_log,
@@ -228,7 +216,6 @@ def report_payload(report: ExperimentReport) -> dict:
         "malicious_id": report.malicious_id,
         "u0": report.u0,
         "u1": report.u1,
-        "delta": report.config.delta,
         "utility_within_delta": report.utility_within_delta,
         "evaluators": evals,
         "detection": (
@@ -240,8 +227,6 @@ def report_payload(report: ExperimentReport) -> dict:
                 "f1": report.detection.f1,
             }
         ),
-        "plausibility_flags": report.plausibility_flags,
-        "plausibility_max": report.plausibility_max,
         # JSON has no infinity: an unbounded budget is null
         "kappa": report.kappa if math.isfinite(report.kappa) else None,
     }

@@ -93,7 +93,10 @@ def share_composition_chart(payload: dict, path: Path) -> None:
             rows.append((f"{name} / {phase}", payload["evaluators"][name][phase]["shares"]))
     bar_h, gap, left, top = 30, 16, 170, 40
     width = 640
-    canvas = SvgCanvas(width, top + len(rows) * (bar_h + gap) + 30, payload["fingerprint"])
+    n = len(rows[0][1]) if rows else 0
+    per_row, row_step = 9, 16  # nine legend entries fit the canvas's width
+    height = top + len(rows) * (bar_h + gap) + 30 + max(n - 1, 0) // per_row * row_step
+    canvas = SvgCanvas(width, height, payload["fingerprint"])
     canvas.text(left, 22, "Attribution share composition by client", size=13)
     scale = width - left - 40
     malicious = payload["malicious_id"]
@@ -108,14 +111,12 @@ def share_composition_chart(payload: dict, path: Path) -> None:
             x += w
         canvas.rect(left - 4, y, 2, bar_h, "#000000")
     # legend
-    y = top + len(rows) * (bar_h + gap) + 6
-    x = float(left)
-    n = len(rows[0][1]) if rows else 0
+    y0 = top + len(rows) * (bar_h + gap) + 6
     for i in range(n):
         mark = "*" if i == malicious else ""
+        x, y = float(left + 52 * (i % per_row)), y0 + row_step * (i // per_row)
         canvas.rect(x, y, 10, 10, PALETTE[i % len(PALETTE)])
         canvas.text(x + 13, y + 9, f"c{i}{mark}", size=10)
-        x += 52
     canvas.save(path)
 
 

@@ -293,10 +293,17 @@ def _check_vector(vec, shape: tuple, name: str) -> np.ndarray:
 
 def _check_result(w_t: np.ndarray, update, diag) -> np.ndarray:
     """A client's `update` as float64, or ValueError unless it is a finite vector
-    shaped like w_t and `diag` is a dict or None; the runner and `load_log` agree."""
+    shaped like w_t and `diag` is None or a dict that `save_log` can write; the
+    runner and `load_log` agree."""
     update = _check_vector(update, w_t.shape, "update")
-    if diag is not None and not isinstance(diag, dict):
+    if diag is None:
+        return update
+    if not isinstance(diag, dict):
         raise ValueError(f"diag {diag!r} is not a dict or None")
+    try:
+        json.dumps(diag, sort_keys=True)  # as save_log writes it
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"diag {diag!r} cannot be written to the log: {exc}") from None
     return update
 
 

@@ -156,7 +156,11 @@ def test_run_report_payload_and_outputs(tmp_path):
     report = run_experiment(cfg)
     payload = report_payload(report)
     assert payload["fingerprint"] == cfg.fingerprint
-    assert "u0" in payload and "u1" in payload
+    # each fact once: the config's delta is not repeated at the top level
+    assert set(payload) == {
+        "config", "detection", "evaluators", "fingerprint", "kappa", "malicious_id",
+        "u0", "u1", "utility_within_delta",
+    }
     assert payload["config"]["rounds"] == 3
     assert payload["detection"] is not None  # monitor mode scores detection
 
@@ -310,6 +314,31 @@ def test_share_chart_segments_cover_full_bar(tmp_path):
     assert (tmp_path / "comp2.svg").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("n", [9, 12, 20])
+def test_share_chart_legend_stays_on_the_canvas(tmp_path, n):
+    from fedattr.expcli.plots import share_composition_chart
+
+    view = {"shares": [1 / n] * n}
+    payload = {
+        "fingerprint": "f" * 12,
+        "malicious_id": n - 1,
+        "evaluators": {"fedsv_exact": {"attack_free": view, "attacked": view}},
+    }
+    path = tmp_path / "comp.svg"
+    share_composition_chart(payload, path)
+    svg = path.read_text()
+    width, height = map(int, re.search(r'width="(\d+)" height="(\d+)"', svg).groups())
+    swatches = re.findall(
+        r'<rect x="([0-9.]+)" y="([0-9.]+)" width="10.000" height="10.000"', svg
+    )
+    labels = re.findall(r'<text x="([0-9.]+)" y="([0-9.]+)"[^>]*>c\d+\*?</text>', svg)
+    assert len(swatches) == len(labels) == n
+    for x, y in swatches:
+        assert float(x) + 10 <= width and float(y) + 10 <= height
+    for x, y in labels:
+        assert float(x) < width and float(y) <= height
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 
@@ -427,7 +456,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"noise_scale": 1e7}, "noise_scale must be at least 0 and at most 1e+06"),
         ({"delta": "nan"}, "delta must be at least 0 and finite, got nan"),
         ({"delta": -1}, "delta must be at least 0 and finite, got -1.0"),
-        ({"eps": "nan"}, "eps must be finite, got nan"),
+        ({"eps": 0.5}, "unknown key 'eps'"),
         ({"kappa_mult": "nan"}, "kappa_mult must be at least 0 and finite, got nan"),
         ({"trim_tau": "nan"}, "trim_tau must be in (0, 1)"),
         ({"intensity": 1e308}, "asks for inf synthetic rows"),
@@ -504,7 +533,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "latent_lr_nan", "latent_lr_inf", "synth_batch", "latent_steps", "sigma_rel",
         "local_lr_nan", "local_lr_negative", "local_lr_high", "target_rank_high",
         "target_rank_zero", "class_separation_nan", "noise_scale_nan", "noise_scale_high",
-        "delta_nan", "delta_negative", "eps_nan", "kappa_mult_nan", "trim_tau_nan_defense_off",
+        "delta_nan", "delta_negative", "eps_unknown", "kappa_mult_nan", "trim_tau_nan_defense_off",
         "intensity_overflow", "synthetic_rows_cap", "latent_lr_high", "pool_samples",
         "mc_seed", "no_evaluators", "pool_samples_one", "pool_samples_cap",
         "samples_per_class_cap", "num_clients_cap", "latent_dim_cap", "mc_permutations_cap",
@@ -739,7 +768,6 @@ def valid_configs(draw):
         synth_batch=draw(st.integers(1, 64)),
         latent_lr=draw(finite_floats(-1e3, 1e3)),
         delta=draw(finite_floats(0, 1)),
-        eps=draw(finite_floats(-1e3, 1e3)),
         kappa_mult=draw(finite_floats(0, 1e3)),
         defense_mode=draw(st.sampled_from(("off", "monitor", "enforce"))),
         trim_tau=draw(finite_floats(0, 1).filter(lambda v: 0 < v < 1)),

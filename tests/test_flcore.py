@@ -828,22 +828,31 @@ def test_a_bad_update_names_its_round_and_client(behavior):
 
 
 def test_a_diag_that_is_not_a_dict_names_its_round_and_client(monkeypatch):
-    # `load_log` would reject the log, so the round fails before it closes
+    # `load_log` would reject the log, and `save_log` could not write the
+    # last three, so the round fails before it closes
     spec, shards, test = make_scenario()
     closed, close = [], flcore._close_round
     monkeypatch.setattr(
         flcore, "_close_round", lambda runs, t, steps: (closed.append(t), close(runs, t, steps))
     )
+    cases = [
+        (["norm", 1.0], "is not a dict or None"),
+        ({"count": np.int64(3)}, "cannot be written to the log"),
+        ({"seen": {1, 2}}, "cannot be written to the log"),
+        ({1: 0.5, "norm": 1.0}, "cannot be written to the log"),
+    ]
+    for diag, message in cases:
 
-    def lists_its_diag_in_round_2(ctx, state):
-        update = yield ctx.shard.data
-        return update, state, ["norm", 1.0] if ctx.t == 2 else None
+        def gives_the_diag_in_round_2(ctx, state):
+            update = yield ctx.shard.data
+            return update, state, diag if ctx.t == 2 else None
 
-    behaviors = [benign, lists_its_diag_in_round_2, benign]
-    with pytest.raises(FLRunError, match="is not a dict or None") as err:
-        run_training(make_config(spec, shards, test, behaviors=behaviors))
-    assert (err.value.round_index, err.value.client_id) == (2, 1)
-    assert closed == [1]
+        closed.clear()
+        behaviors = [benign, gives_the_diag_in_round_2, benign]
+        with pytest.raises(FLRunError, match=message) as err:
+            run_training(make_config(spec, shards, test, behaviors=behaviors))
+        assert (err.value.round_index, err.value.client_id) == (2, 1)
+        assert closed == [1]
 
 
 def test_a_step_driven_alone_trains_each_yield_like_the_runner():
