@@ -43,16 +43,22 @@ def trim_round(updates: Sequence[np.ndarray], tau: float, *, t: int = 0) -> Trim
 def trim_rounds(
     rounds: Sequence[Sequence[np.ndarray]], tau: float, *, t: int = 0
 ) -> list[TrimDecision]:
-    """`trim_round` of R rounds of N updates each, in one stacked median and
-    distance computation; each decision is bit for bit its round's alone."""
+    """`trim_round` of R rounds of N finite updates each (as `flcore` checks
+    them), in one stacked median and distance computation; each decision is
+    bit for bit its round's alone."""
     if any(len(updates) < 2 for updates in rounds):
         raise ValueError("trimming needs at least two clients")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
     stacked = np.stack([np.stack(updates) for updates in rounds])
-    center = np.median(stacked, axis=1, keepdims=True)
-    distances = np.linalg.norm(stacked - center, axis=2)
-    num = stacked.shape[1]
+    num, mid = stacked.shape[1], stacked.shape[1] // 2
+    # np.median's arithmetic, read off a sorted client-minor copy: the middle
+    # value, or the mean of the middle two.  A fresh copy, because at P = 1
+    # the transpose is already contiguous and would sort `stacked` in place.
+    ordered = stacked.transpose(0, 2, 1).copy()
+    ordered.sort(axis=2)
+    center = ordered[..., mid] if num % 2 else (ordered[..., mid - 1] + ordered[..., mid]) / 2
+    distances = np.linalg.norm(stacked - center[:, None], axis=2)
     m = math.ceil(tau * num)
     # a stable sort of each row reversed: farthest first, ties to the higher id
     order = num - 1 - np.argsort(-distances[:, ::-1], axis=1, kind="stable")

@@ -20,7 +20,6 @@ import base64
 import json
 import math
 from collections.abc import Generator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -210,13 +209,19 @@ def utility(spec: ModelSpec, params: np.ndarray, test: LabeledBatch) -> float:
     return accuracy(spec, params, test)
 
 
-@contextmanager
-def _blame(ctx: RoundContext):
-    """Re-raise a failure as an FLRunError naming ctx's round and client."""
-    try:
-        yield
-    except Exception as exc:
-        raise FLRunError(ctx.t, ctx.shard.client_id, exc) from exc
+class _blame:
+    """Re-raise a failure as an FLRunError naming ctx's round and client; a
+    BaseException that is no Exception passes through as it is."""
+
+    def __init__(self, ctx: RoundContext):
+        self.ctx = ctx
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, Exception):
+            raise FLRunError(self.ctx.t, self.ctx.shard.client_id, exc) from exc
 
 
 class _Run:
@@ -293,15 +298,15 @@ def _check_vector(vec, shape: tuple, name: str) -> np.ndarray:
 
 def _check_result(w_t: np.ndarray, update, diag) -> np.ndarray:
     """A client's `update` as float64, or ValueError unless it is a finite vector
-    shaped like w_t and `diag` is None or a dict that `save_log` can write; the
-    runner and `load_log` agree."""
+    shaped like w_t and `diag` is None or a dict that `save_log` can write as
+    strict JSON (no NaN or infinity); the runner and `load_log` agree."""
     update = _check_vector(update, w_t.shape, "update")
     if diag is None:
         return update
     if not isinstance(diag, dict):
         raise ValueError(f"diag {diag!r} is not a dict or None")
     try:
-        json.dumps(diag, sort_keys=True)  # as save_log writes it
+        json.dumps(diag, sort_keys=True, allow_nan=False)  # as save_log writes it
     except (TypeError, ValueError) as exc:
         raise ValueError(f"diag {diag!r} cannot be written to the log: {exc}") from None
     return update

@@ -179,14 +179,22 @@ def _ce_grads(
     delta = np.exp(logp)
     delta.reshape(-1)[np.arange(k * m) * num_classes + y.ravel()] -= 1.0
     delta /= m
-    grads = [(delta.transpose(0, 2, 1) @ hidden).reshape(k, -1), delta.sum(axis=1)]
+    grads = [(delta.transpose(0, 2, 1) @ hidden).reshape(k, -1), _batch_sum(delta)]
     if spec.kind == "mlp1":
         dhidden = delta @ w
         hidden *= hidden  # hidden is tanh's output, owned here: 1 - tanh^2 in place
         np.subtract(1.0, hidden, out=hidden)
         dhidden *= hidden
-        grads[:0] = [(dhidden.transpose(0, 2, 1) @ x).reshape(k, -1), dhidden.sum(axis=1)]
+        grads[:0] = [(dhidden.transpose(0, 2, 1) @ x).reshape(k, -1), _batch_sum(dhidden)]
     return logp, np.concatenate(grads, axis=1)
+
+
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=1)` of a (K, m, w) array, bit for bit.  For w >= 2 numpy's
+    sum adds the m rows in order with one short inner loop per row, and
+    einsum adds them in the same order without those loops; at w = 1 both
+    leave that order and disagree with each other, so w = 1 keeps `sum`."""
+    return a.sum(axis=1) if a.shape[2] == 1 else np.einsum("kmc->kc", a)
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:

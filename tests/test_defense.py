@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedattr import oracles
 from fedattr.defense import (
@@ -76,6 +79,33 @@ def test_stacked_trimming_matches_the_oracle_and_each_round_alone(case, seed):
     if case == "identical":  # every distance 0: the highest ids go
         top = set(range(stack.shape[1] - len(decisions[0].trimmed), stack.shape[1]))
         assert all(dec.trimmed == top for dec in decisions)
+
+
+@st.composite
+def update_stacks(draw):
+    """R rounds x N clients x P parameters: values from a small pool (ties,
+    +-0.0) or of any finite magnitude, and some clients copies of others."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(2, 12)), draw(st.integers(1, 9)))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+        st.floats(-1e300, 1e300, allow_nan=False),
+    )
+    stack = draw(arrays(np.float64, shape, elements=values))
+    for i in range(shape[1]):
+        stack[:, i] = stack[:, draw(st.integers(0, i))]
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_stacks())
+def test_trimming_distances_are_those_from_numpy_median(stack):
+    # the sorted median is np.median's arithmetic: the same center, and so
+    # the same distances, bit for bit (squares of 1e300 overflow alike)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = np.median(stack, axis=1, keepdims=True)
+        expected = np.linalg.norm(stack - center, axis=2)
+        decisions = trim_rounds(list(stack), 0.5)
+    assert [dec.distances.tobytes() for dec in decisions] == [row.tobytes() for row in expected]
 
 
 def test_oracle_trim_applies_the_tie_rule():

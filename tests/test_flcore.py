@@ -481,6 +481,8 @@ TAMPERING = {
     # one entry per client, but not an object or null
     "diags_string": ("off", 2, lambda h, r: r[0].update(diags="x" * len(r[0]["diags"]))),
     "diags_numbers": ("off", 2, lambda h, r: r[0].update(diags=[5] * len(r[0]["diags"]))),
+    # a diag the runner would have rejected: it holds a bare NaN, which is no JSON
+    "diags_nan": ("off", 2, lambda h, r: r[0].update(diags=[{"x": np.nan}] * len(r[0]["diags"]))),
     # an update the runner would have rejected: non-finite, or not shaped like w_t
     "update_nan": ("off", 2, lambda h, r: (
         r[0].update(updates=[with_nan(r[0]["updates"][0]), *r[0]["updates"][1:]]),
@@ -516,7 +518,7 @@ TAMPERING = {
 NAMED = {
     "trims_every_client": "trims all 4 clients", "n_empty": "at least one client",
     "update_nan": "bad update shape or non-finite", "w_1_short": "bad update shape or non-finite",
-    "w_1_nan": "bad w_1 shape or non-finite",
+    "w_1_nan": "bad w_1 shape or non-finite", "diags_nan": "cannot be written to the log",
 }
 
 
@@ -829,7 +831,7 @@ def test_a_bad_update_names_its_round_and_client(behavior):
 
 def test_a_diag_that_is_not_a_dict_names_its_round_and_client(monkeypatch):
     # `load_log` would reject the log, and `save_log` could not write the
-    # last three, so the round fails before it closes
+    # others as strict JSON, so the round fails before it closes
     spec, shards, test = make_scenario()
     closed, close = [], flcore._close_round
     monkeypatch.setattr(
@@ -840,6 +842,9 @@ def test_a_diag_that_is_not_a_dict_names_its_round_and_client(monkeypatch):
         ({"count": np.int64(3)}, "cannot be written to the log"),
         ({"seen": {1, 2}}, "cannot be written to the log"),
         ({1: 0.5, "norm": 1.0}, "cannot be written to the log"),
+        ({"x": float("nan")}, "cannot be written to the log"),
+        ({"norm": float("inf")}, "cannot be written to the log"),
+        ({"steps": [1.0, float("-inf")]}, "cannot be written to the log"),
     ]
     for diag, message in cases:
 
@@ -853,6 +858,49 @@ def test_a_diag_that_is_not_a_dict_names_its_round_and_client(monkeypatch):
             run_training(make_config(spec, shards, test, behaviors=behaviors))
         assert (err.value.round_index, err.value.client_id) == (2, 1)
         assert closed == [1]
+
+
+def test_a_base_exception_in_a_step_passes_through_unwrapped(monkeypatch):
+    # only an Exception is blamed on its round and client: an interrupt or an
+    # exit, raised where a step starts, resumes or trains, reaches the caller
+    spec, shards, test = make_scenario()
+
+    class Halt(BaseException):
+        pass
+
+    def halts_at_once(ctx, state):
+        raise Halt
+
+    def halts_after_training(ctx, state):
+        yield ctx.shard.data
+        raise Halt
+
+    for behavior in (halts_at_once, halts_after_training):
+        cfg = make_config(spec, shards, test, behaviors=[benign, behavior, benign])
+        with pytest.raises(Halt):
+            run_training(cfg)
+
+    def halting_training(*args):
+        raise Halt
+
+    monkeypatch.setattr(flcore, "sgd_train_many", halting_training)
+    with pytest.raises(Halt):
+        run_training(make_config(spec, shards, test))
+
+
+def test_a_stop_iteration_from_a_plain_step_names_its_round_and_client():
+    # a StopIteration is an Exception like any other: it is blamed on its
+    # round and client, not passed through as a generator's end would be
+    spec, shards, test = make_scenario()
+
+    def stops(ctx, state):
+        return next(iter([]))
+
+    cfg = make_config(spec, shards, test, behaviors=[benign, stops, benign])
+    with pytest.raises(FLRunError) as err:
+        run_training(cfg)
+    assert (err.value.round_index, err.value.client_id) == (1, 1)
+    assert isinstance(err.value.__cause__, StopIteration)
 
 
 def test_a_step_driven_alone_trains_each_yield_like_the_runner():

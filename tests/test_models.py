@@ -414,6 +414,19 @@ def test_sgd_train_many_rows_with_duplicates_match_single_runs(pattern):
         assert row.tobytes() == models.sgd_train(spec, start, data, 2, 4, 0.3, s).tobytes()
 
 
+@pytest.mark.parametrize("width", [*range(1, 18), 100])
+def test_batch_sums_equal_numpy_sums_bit_for_bit(width):
+    # `_ce_grads` sums its bias gradients over the batch axis with
+    # `_batch_sum`: every batch length, on fresh arrays and on views of a
+    # stack of steps as `sgd_train_many` slices its inputs
+    rng = np.random.default_rng(width)
+    for m in range(1, 101):
+        k = m % 40 + 1
+        steps = rng.normal(size=(k, 3, m, width)) * 10.0 ** rng.integers(-8, 9, (k, 3, m, width))
+        for a in (steps[:, 1].copy(), steps[:, 1]):
+            assert models._batch_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+
 def test_sgd_train_many_rejects_mismatched_inputs():
     spec = SGD_SPECS[0]
     rng = np.random.default_rng(6)
