@@ -292,9 +292,10 @@ def grad_z(
 
 
 def effective_alpha(shard_size: int, synth_batch: int) -> float:
-    """Realized synthetic fraction of the hybrid training set."""
-    if shard_size < 1:
-        raise ValueError("shard_size must be positive")
+    """Realized synthetic fraction of the hybrid training set; 1.0 on an
+    empty shard, which trains on the decoded rows alone."""
+    if shard_size < 0 or shard_size + synth_batch < 1:
+        raise ValueError(f"no hybrid set of {shard_size} shard and {synth_batch} synthetic rows")
     return synth_batch / (shard_size + synth_batch)
 
 

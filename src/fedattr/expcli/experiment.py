@@ -289,18 +289,15 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list, out_dir: Path) -> list
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    def whole(v) -> int:
+    def config_at(v) -> ExperimentConfig:
+        if axis == "intensity":
+            return replace(cfg, intensity=float(v))
         if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"{axis} takes whole numbers, not {v!r}")
-        return int(v)
+        rule = "rank_k" if axis == "target_rank" else cfg.target_rule
+        return replace(cfg, target_rule=rule, **{axis: int(v)})
 
-    # every point is validated before the first one trains
-    if axis == "num_clients":
-        points = [replace(cfg, num_clients=whole(v)) for v in values]
-    elif axis == "target_rank":
-        points = [replace(cfg, target_rule="rank_k", target_rank=whole(v)) for v in values]
-    else:
-        points = [replace(cfg, intensity=float(v)) for v in values]
+    points = [config_at(v) for v in values]  # all validated before the first one trains
     reports = []
     for point in points:
         reports.append(run_experiment(point))
@@ -310,7 +307,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list, out_dir: Path) -> list
 
 
 def write_sweep_summary(reports: list[ExperimentReport], axis: str, out_dir: Path) -> Path:
-    """One CSV row per point and evaluator, keyed by the axis value the point ran with."""
+    """One CSV row per point and evaluator, keyed by the axis value the point
+    ran with, and the sweep's chart across those values."""
     from . import plots
 
     payloads = [report_payload(report) for report in reports]
@@ -328,5 +326,5 @@ def write_sweep_summary(reports: list[ExperimentReport], axis: str, out_dir: Pat
             for name, view in payload["evaluators"].items()
         ),
     )
-    plots.emit_sweep_plots(payloads, axis, values, out_dir / "plots")
+    plots.sweep_chart(payloads, axis, values, out_dir / "plots" / f"sweep_{axis}.svg")
     return path

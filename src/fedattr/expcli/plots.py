@@ -1,9 +1,9 @@
 """Static SVG chart emission.
 
 Charts are written directly as SVG text with fixed-precision coordinates, so
-identical inputs always produce identical bytes.  Three chart types cover
-the simulator's outputs: per-phase share composition bars, intensity curves
-(share and accuracy), and grouped bars across methods or client counts.
+identical inputs always produce identical bytes.  Two charts cover the
+simulator's outputs: a run's per-phase share composition bars, and a sweep's
+attacker share and accuracy curves across its axis, whichever axis it is.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ class SvgCanvas:
             'stroke-width="2.000"/>'
         )
 
-    def circle(self, x, y, fill: str) -> None:
-        self.parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3.000" fill="{fill}"/>')
+    def circle(self, x, y, fill: str, title: str) -> None:
+        self.parts.append(
+            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3.000" fill="{fill}">'
+            f"<title>{title}</title></circle>"
+        )
 
     def text(self, x, y, s: str, size=11, anchor="start") -> None:
         self.parts.append(
@@ -59,30 +62,6 @@ class SvgCanvas:
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(self.parts) + "\n</svg>\n")
-
-
-def _primary(payload: dict) -> str:
-    """The run's first configured evaluator, the one that picked the attacker;
-    a payload stores the config's canonical list, without blanks."""
-    return payload["config"]["evaluators"].split(",")[0]
-
-
-_LEFT, _TOP, _BOTTOM = 60, 40, 310  # plot area of the `_axes_chart` charts
-
-
-def _axes_chart(width: int, title: str, fingerprint: str, ticks) -> SvgCanvas:
-    """A 360-high canvas with `title`, an x axis ending 30 short of its right
-    edge, a y axis, and a labelled y tick for each (fraction of the axis,
-    label) in `ticks`."""
-    canvas = SvgCanvas(width, 360, fingerprint)
-    canvas.text(_LEFT, 22, title, size=13)
-    canvas.line(_LEFT, _BOTTOM, width - 30, _BOTTOM)
-    canvas.line(_LEFT, _BOTTOM, _LEFT, _TOP)
-    for frac, label in ticks:
-        y = _BOTTOM - frac * (_BOTTOM - _TOP)
-        canvas.line(_LEFT - 3, y, _LEFT, y)
-        canvas.text(_LEFT - 6, y + 4, label, anchor="end", size=9)
-    return canvas
 
 
 def share_composition_chart(payload: dict, path: Path) -> None:
@@ -120,100 +99,44 @@ def share_composition_chart(payload: dict, path: Path) -> None:
     canvas.save(path)
 
 
-def intensity_curve_chart(payloads: list[dict], values: list, path: Path) -> None:
-    """Attacker share and global accuracy versus attack intensity."""
-    width = 560
-    right = width - 30
-    canvas = _axes_chart(
-        width, "Attacker share and accuracy vs attack intensity",
-        payloads[0]["fingerprint"],
-        [(fy, f"{fy:.2f}") for fy in (0.0, 0.25, 0.5, 0.75, 1.0)],
-    )
-    xs = []
+def sweep_chart(payloads: list[dict], axis: str, values: list, path: Path) -> None:
+    """The primary evaluator's attacker share before and after the attack, and
+    the test accuracy after it, at each value of the sweep's `axis`."""
+    left, top, bottom, right = 60, 40, 310, 530
+    canvas = SvgCanvas(560, 360, payloads[0]["fingerprint"])
+    canvas.text(left, 22, f"Attacker share and accuracy across {axis}", size=13)
+    canvas.line(left, bottom, right, bottom)
+    canvas.line(left, bottom, left, top)
+    for fy in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = bottom - fy * (bottom - top)
+        canvas.line(left - 3, y, left, y)
+        canvas.text(left - 6, y + 4, f"{fy:.2f}", anchor="end", size=9)
     span = max(len(values) - 1, 1)
-    for i, v in enumerate(values):
-        x = _LEFT + (right - _LEFT) * i / span
-        xs.append(x)
-        canvas.line(x, _BOTTOM, x, _BOTTOM + 3)
-        canvas.text(x, _BOTTOM + 16, f"{v}x", anchor="middle", size=10)
+    xs = [left + (right - left) * i / span for i in range(len(values))]
+    for x, value in zip(xs, values):
+        canvas.line(x, bottom, x, bottom + 3)
+        canvas.text(x, bottom + 16, str(value), anchor="middle", size=10)
 
-    primary = _primary(payloads[0])
-    shares = [p["evaluators"][primary]["target_share_after"] for p in payloads]
-    accs = [p["u1"] for p in payloads]
-
-    def to_y(v: float) -> float:
-        return _BOTTOM - max(0.0, min(1.0, v)) * (_BOTTOM - _TOP)
-
-    canvas.polyline([(x, to_y(s)) for x, s in zip(xs, shares)], PALETTE[3])
-    canvas.polyline([(x, to_y(a)) for x, a in zip(xs, accs)], PALETTE[0])
-    for x, s in zip(xs, shares):
-        canvas.circle(x, to_y(s), PALETTE[3])
-    for x, a in zip(xs, accs):
-        canvas.circle(x, to_y(a), PALETTE[0])
-    canvas.rect(right - 150, _TOP, 10, 10, PALETTE[3])
-    canvas.text(right - 136, _TOP + 9, "attacker share", size=10)
-    canvas.rect(right - 150, _TOP + 16, 10, 10, PALETTE[0])
-    canvas.text(right - 136, _TOP + 25, "test accuracy", size=10)
-    canvas.save(path)
-
-
-def grouped_bar_chart(
-    groups: list[str], series: dict[str, list[float]], title: str, path: Path,
-    fingerprint: str,
-) -> None:
-    """Grouped bars: one cluster per group, one bar per series entry."""
-    width = 620
-    right = width - 30
-    peak = max(
-        (v for vals in series.values() for v in vals), default=1.0
-    )
-    peak = max(peak, 1e-9)
-    ticks = [(frac, f"{frac * peak:.3f}") for frac in (0.0, 0.5, 1.0)]
-    canvas = _axes_chart(width, title, fingerprint, ticks)
-    cluster_w = (right - _LEFT) / max(len(groups), 1)
-    names = sorted(series)
-    bar_w = cluster_w * 0.8 / max(len(names), 1)
-    for gi, group in enumerate(groups):
-        x0 = _LEFT + gi * cluster_w + cluster_w * 0.1
-        for si, name in enumerate(names):
-            v = series[name][gi]
-            h = (_BOTTOM - _TOP) * max(v, 0.0) / peak
-            canvas.rect(
-                x0 + si * bar_w, _BOTTOM - h, bar_w * 0.92, h,
-                PALETTE[si % len(PALETTE)], title=f"{name}@{group}: {v:.4f}",
-            )
-        canvas.text(x0 + cluster_w * 0.4, _BOTTOM + 16, str(group), anchor="middle", size=10)
-    y = _TOP
-    for si, name in enumerate(names):
-        canvas.rect(right - 170, y, 10, 10, PALETTE[si % len(PALETTE)])
-        canvas.text(right - 156, y + 9, name, size=10)
-        y += 16
+    # the first configured evaluator picked the attacker; a payload stores the
+    # config's canonical list, without blanks
+    primary = payloads[0]["config"]["evaluators"].split(",")[0]
+    series = {
+        "share_before": [p["evaluators"][primary]["target_share_before"] for p in payloads],
+        "share_after": [p["evaluators"][primary]["target_share_after"] for p in payloads],
+        "accuracy": [p["u1"] for p in payloads],
+    }
+    for k, (name, ys) in enumerate(series.items()):
+        color = PALETTE[k]
+        points = [(x, bottom - max(0.0, min(1.0, v)) * (bottom - top)) for x, v in zip(xs, ys)]
+        canvas.polyline(points, color)
+        for (x, y), value, v in zip(points, values, ys):
+            canvas.circle(x, y, color, title=f"{name}@{value}: {v:.4f}")
+        # the legend sits under the x labels, where no series can run through it
+        canvas.rect(left + 140 * k, 338, 10, 10, color)
+        canvas.text(left + 140 * k + 14, 347, name, size=10)
     canvas.save(path)
 
 
 def emit_run_plots(payload: dict, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     share_composition_chart(payload, out_dir / "share_composition.svg")
-
-
-def emit_sweep_plots(payloads: list[dict], axis: str, values: list, out_dir: Path) -> None:
-    out_dir = Path(out_dir)
-    if axis == "intensity":
-        intensity_curve_chart(payloads, values, out_dir / "intensity_curve.svg")
-        return
-    primary = _primary(payloads[0])
-    series = {
-        "share_before": [
-            p["evaluators"][primary]["target_share_before"] for p in payloads
-        ],
-        "share_after": [
-            p["evaluators"][primary]["target_share_after"] for p in payloads
-        ],
-    }
-    grouped_bar_chart(
-        [str(v) for v in values],
-        series,
-        f"Attacker share across {axis}",
-        out_dir / f"grouped_{axis}.svg",
-        payloads[0]["fingerprint"],
-    )

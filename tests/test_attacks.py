@@ -574,8 +574,10 @@ def test_effective_alpha_examples():
     assert effective_alpha(10, 0) == 0.0
     assert effective_alpha(10, 10) == 0.5
     assert effective_alpha(300, 16) == pytest.approx(16 / 316)
-    with pytest.raises(ValueError):
-        effective_alpha(0, 4)
+    assert effective_alpha(0, 4) == 1.0  # an empty shard trains on decoded rows alone
+    for shard_size, synth_batch in ((0, 0), (-1, 4)):
+        with pytest.raises(ValueError):
+            effective_alpha(shard_size, synth_batch)
 
 
 def test_mlp1_latent_opt_scenario_smoke():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fedattr import attacks, data, flcore, models
+from fedattr import attacks, attribution, data, flcore, models
 from fedattr.attribution import EVALUATORS, AttributionReport
 from fedattr.expcli import cli
 from fedattr.expcli.config import (
@@ -24,6 +24,7 @@ from fedattr.expcli.config import (
     parse_config,
 )
 from fedattr.expcli.experiment import (
+    SWEEP_AXES,
     _make_attack_behavior,
     build_scenario,
     report_payload,
@@ -31,6 +32,7 @@ from fedattr.expcli.experiment import (
     select_malicious,
     sweep,
     write_run_outputs,
+    write_sweep_summary,
 )
 
 TINY = dict(
@@ -236,7 +238,7 @@ def test_sweep_intensity(tmp_path):
     header = "axis,value,run_id,evaluator,malicious_id,share_before,share_after,u0,u1"
     assert summary[0] == header
     assert len(summary) == 3
-    assert (tmp_path / "plots" / "intensity_curve.svg").exists()
+    assert [p.name for p in (tmp_path / "plots").iterdir()] == ["sweep_intensity.svg"]
 
 
 def test_sweep_num_clients_and_target_rank(tmp_path):
@@ -264,40 +266,88 @@ def test_latent_diagnostics_alpha(tmp_path):
     assert alphas == {8 / 58}  # synth_batch 8 against shard size 50
 
 
+def test_latent_attacker_on_an_empty_shard_trains_on_decoded_rows_alone():
+    # a client without samples is a dummy: it trains on its decoded rows
+    # alone, and its n_i = 0 weight leaves it out of every aggregate
+    cfg = tiny_config(attack="latent_opt", num_clients=3)
+    flcfg = build_scenario(cfg)
+    dim = flcfg.shards[0].data.inputs.shape[1]
+    empty = data.ClientShard.build(
+        2, models.LabeledBatch(np.zeros((0, dim)), np.zeros(0, int)), cfg.num_classes
+    )
+    flcfg = replace(
+        flcfg,
+        shards=[*flcfg.shards[:2], empty],
+        behaviors=[flcore.benign, flcore.benign, _make_attack_behavior(cfg, 10.0)],
+    )
+    log = flcore.run_training(flcfg)
+    assert [rec.diags[2]["effective_alpha"] for rec in log.rounds] == [1.0] * cfg.rounds
+    reports = attribution.evaluate_log(log, flcfg.spec, flcfg.test, ["fedsv_exact"])
+    assert reports["fedsv_exact"].raw[2] == 0.0
+
+
 # --- plots -------------------------------------------------------------------------
+
+
+def chart_points(svg: str) -> list[tuple[str, str, str]]:
+    """(series, axis value, value) of each point title of a sweep chart."""
+    return re.findall(r"<title>(\w+)@([\w.]+): ([0-9.]+)</title>", svg)
+
+
+def chart_tick_labels(svg: str) -> list[str]:
+    return re.findall(r'text-anchor="middle"[^>]*>([^<]*)</text>', svg)
 
 
 def test_intensity_plot_has_one_tick_per_value(tmp_path):
     cfg = tiny_config(attack="latent_opt")
     values = [0, 0.5, 1, 2, 3, 4]
     payloads = [report_payload(run_experiment(replace(cfg, intensity=v))) for v in values]
-    from fedattr.expcli.plots import intensity_curve_chart
+    from fedattr.expcli.plots import sweep_chart
 
     path = tmp_path / "curve.svg"
-    intensity_curve_chart(payloads, values, path)
+    sweep_chart(payloads, "intensity", values, path)
     text = path.read_text()
-    assert text.count("x</text>") == 6
     assert text.startswith("<svg")
+    assert chart_tick_labels(text) == [str(v) for v in values]
+    points = chart_points(text)
+    assert [series for series, _, _ in points] == [
+        series for series in ("share_before", "share_after", "accuracy") for _ in values
+    ]
+    # the attack-free phase reads no attack field, so its share is one baseline
+    assert len({v for series, _, v in points if series == "share_before"}) == 1
 
 
 def test_sweep_charts_plot_the_primary_evaluator(tmp_path):
-    # the first configured evaluator picks the attacker, and the charts show
+    # the first configured evaluator picks the attacker, and the chart shows
     # its shares, not those of the alphabetically first evaluator
     cfg = tiny_config(attack="free_rider", evaluators="loo_round,fedsv_exact")
     values = [1, 4]
     reports = sweep(cfg, "target_rank", values, tmp_path)
-    svg = (tmp_path / "plots" / "grouped_target_rank.svg").read_text()
-    titles = set(re.findall(r"<title>(share_\w+)@(\w+): ([0-9.]+)</title>", svg))
+    svg = (tmp_path / "plots" / "sweep_target_rank.svg").read_text()
+    titles = set(chart_points(svg))
     expected = {
         (series, str(value), f"{report.target_share('loo_round', phase):.4f}")
         for value, report in zip(values, reports)
         for series, phase in (("share_before", "attack_free"), ("share_after", "attacked"))
-    }
+    } | {("accuracy", str(value), f"{report.u1:.4f}") for value, report in zip(values, reports)}
     assert titles == expected
     other = {
         f"{report.target_share('fedsv_exact', 'attacked'):.4f}" for report in reports
     }
     assert other - {share for _, _, share in titles}  # the charts would differ
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_on_every_axis_writes_one_chart(tmp_path, axis):
+    values = {"num_clients": [3, 4], "target_rank": [1, 2], "intensity": [0, 1]}[axis]
+    cfg = tiny_config(attack="latent_opt", rounds=2)
+    reports = sweep(cfg, axis, values, tmp_path / "a")
+    assert [p.name for p in (tmp_path / "a" / "plots").iterdir()] == [f"sweep_{axis}.svg"]
+    svg = (tmp_path / "a" / "plots" / f"sweep_{axis}.svg").read_bytes()
+    labels = chart_tick_labels(svg.decode())
+    assert labels == [str(getattr(r.config, axis)) for r in reports]
+    write_sweep_summary(reports, axis, tmp_path / "b")
+    assert (tmp_path / "b" / "plots" / f"sweep_{axis}.svg").read_bytes() == svg
 
 
 def test_share_chart_segments_cover_full_bar(tmp_path):
