@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,11 +67,11 @@ class CoalitionUtility:
     def values(self, members) -> np.ndarray:
         """Utilities of many coalitions; row k of the boolean `members`
         matrix (coalitions x clients) marks the members of coalition k.
-        Every coalition scores the rows and classes `_certify` leaves open
-        (all of them when fewer than `_CERTIFY_MIN`), plus the rows it
-        settles right.  Each block of up to `_CHUNK_LOGITS` floats of
-        parameters is aggregated in one `weighted_aggregate` call and scored
-        in whole chunks of one `models.count_correct` call.  Each value is
+        Every coalition scores the rows `_certify` leaves open (all of them
+        when fewer than `_CERTIFY_MIN`), plus the rows it settles right.
+        Each block of up to `_CHUNK_LOGITS` floats of parameters is
+        aggregated in one `weighted_aggregate` call and scored in whole
+        chunks of one `models.count_correct` call.  Each value is
         the accuracy its model gets alone on the whole test set, bit for bit
         where BLAS rounds a row's logits the same among fewer rows
         (`models.grouped_logits`)."""
@@ -100,8 +101,8 @@ class CoalitionUtility:
 
 
 def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[LabelGroups, int]:
-    """The grouped rows and classes that can tell round `rec`'s coalitions
-    apart, and the number of rows every one of them gets right.
+    """The grouped rows that can tell round `rec`'s coalitions apart, and
+    the number of rows every one of them gets right.
 
     A coalition's parameters w_t + sum_S (n_i / n_S) u_i are a convex
     combination of w_t and the one-client models w_t + u_i (w_t itself for
@@ -120,17 +121,16 @@ def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[La
     it (w_t adds no summed term), so a decision holds while
     2N + 4d + 12 < 2^23.  tau_r is never below 2^-1000, far above the error
     of products that underflow, and a row with a non-finite vertex logit is
-    left open.  Rows labelled y are compared only with the classes some
-    vertex does not beat there by tau_r.  mlp1 is not affine in its
-    parameters: it settles nothing and keeps every row and class."""
+    left open.  mlp1 is not affine in its parameters: it settles nothing
+    and keeps every row."""
     if spec.kind != "logistic":
         return groups, 0
     updates = np.stack(rec.updates)
     z = grouped_logits(spec, np.vstack([rec.w_t, rec.w_t + updates]), groups.inputs)
     label = np.repeat(np.arange(spec.num_classes), np.diff(groups.bounds))
     rows = np.arange(len(label))
-    margin = np.subtract(z[:, label, rows][:, None, :], z, out=z)
-    low, high = margin.min(axis=0), margin.max(axis=0)  # (C, m); NaN if any is NaN
+    margin = np.subtract(z[label, :, rows].T, z, out=z)
+    low, high = margin.min(axis=1), margin.max(axis=1)  # (C, m); NaN if any is NaN
     finite = np.isfinite(low).all(axis=0) & np.isfinite(high).all(axis=0)
     scale = np.abs(rec.w_t).max() + np.abs(updates).max()
     tau = np.maximum(2.0**-30 * np.abs(groups.inputs).sum(axis=1) * scale, 2.0**-1000)
@@ -138,12 +138,7 @@ def _certify(spec: ModelSpec, rec: RoundRecord, groups: LabelGroups) -> tuple[La
     beaten[label, rows] = True
     right = beaten.all(axis=0)
     wrong = (high < -tau).any(axis=0) & finite
-    open_rows = ~right & ~wrong
-    # keep[y, j]: some open row labelled y is not beaten at class j
-    unbeaten = np.zeros((spec.num_classes, len(rows) + 1), dtype=np.int64)
-    np.cumsum(~beaten & open_rows, axis=1, out=unbeaten[:, 1:])
-    keep = (unbeaten[:, groups.bounds[1:]] > unbeaten[:, groups.bounds[:-1]]).T
-    return groups.restrict(open_rows, keep), int(np.count_nonzero(right))
+    return groups.restrict(~right & ~wrong), int(np.count_nonzero(right))
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,21 +187,27 @@ def shapley_exact(values) -> np.ndarray:
     num = max(values.size.bit_length() - 1, 0)
     if values.shape != (1 << num,):
         raise ValueError("need one utility per coalition: 2^N values in mask order")
+    without, with_i, weights = _marginal_terms(num)
+    marginals = weights * (values[with_i] - values[without])
+    # cumsum adds in order, so each total is the left-to-right sum
+    return np.array([np.cumsum(row)[-1] for row in marginals])
+
+
+@lru_cache(maxsize=4)
+def _marginal_terms(num: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (N, 2^(N-1)) tables, cached as every round of a log has the
+    same N: row i holds the masks without client i in increasing order, as
+    the sum runs, the same masks with i, and the weight s!(N-1-s)!/N! of
+    each, s its size."""
     members = _all_coalitions(num)
-    # weight for a coalition of size s not containing i: s!(N-1-s)!/N!
+    without = np.nonzero(~members.T)[1].reshape(num, (1 << num) // 2)
     fact = [math.factorial(j) for j in range(num + 1)]
-    weights = np.array(
-        [fact[s] * fact[num - 1 - s] / fact[num] for s in range(num)]
-    )
-    masks = np.arange(1 << num)
-    sizes = members.sum(axis=1)
-    phi = np.empty(num)
-    for i in range(num):
-        without = masks[~members[:, i]]  # increasing, as the sum runs
-        marginals = values[without | (1 << i)] - values[without]
-        # cumsum adds in order, so the total is the left-to-right sum
-        phi[i] = np.cumsum(weights[sizes[without]] * marginals)[-1]
-    return phi
+    weights = np.array([fact[s] * fact[num - 1 - s] / fact[num] for s in range(num)])
+    with_i = without | (1 << np.arange(num)[:, None])
+    tables = (without, with_i, weights[members.sum(axis=1)[without]])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def shapley_mc(values, perms: np.ndarray) -> np.ndarray:

@@ -56,7 +56,14 @@ class LabeledBatch:
 
     def __post_init__(self) -> None:
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # the int64 cast would truncate 1.7, turn NaN into a number, parse '1'
+        whole = labels.dtype.kind in "biu" or labels.dtype.kind == "f" and np.all(
+            (labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)
+        )
+        if not whole:
+            raise ValueError("labels must be integers or whole-number floats")
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D matrix")
         if labels.ndim != 1 or len(labels) != inputs.shape[0]:
@@ -199,7 +206,7 @@ def _batch_sum(a: np.ndarray) -> np.ndarray:
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
     """Fraction of correct rows of `batch`: `count_correct` over every row
-    and class of `group_by_label(batch)`."""
+    of `group_by_label(batch)`."""
     groups = group_by_label(spec, batch)
     return float(count_correct(spec, params[None], groups)[0] / groups.size)
 
@@ -208,39 +215,22 @@ def accuracy(spec: ModelSpec, params: np.ndarray, batch: LabeledBatch) -> float:
 class LabelGroups:
     """Test rows grouped by label: row r of `inputs` (m, d + 1) is a row's
     inputs and a 1 that carries the first layer's bias, and rows
-    bounds[y]:bounds[y + 1] are labelled y.  Span (j, start, stop, strict)
-    compares class j with the label on rows start:stop, all labelled above
-    j (`strict`: a tie goes to j) or all below it.  `size`, the accuracy
+    bounds[y]:bounds[y + 1] are labelled y.  `size`, the accuracy
     denominator, counts every row of the batch, even those labelled C or up."""
 
     inputs: np.ndarray
     bounds: np.ndarray
-    spans: tuple[tuple[int, int, int, bool], ...]
     size: int
 
-    def restrict(self, rows: np.ndarray, keep: np.ndarray) -> "LabelGroups":
-        """The rows marked in `rows`, those labelled y compared with class j
-        only where keep[y, j] (C x C)."""
+    def restrict(self, rows: np.ndarray) -> "LabelGroups":
+        """The rows marked in the boolean `rows`, still grouped by label."""
         bounds = np.concatenate([[0], np.cumsum(rows)])[self.bounds]
-        return LabelGroups(self.inputs[rows], bounds, _spans(bounds, keep), self.size)
-
-
-def _spans(bounds: np.ndarray, keep: np.ndarray) -> tuple:
-    """Per class j, one span over the label groups below j from the first to
-    the last that keep[y, j] marks, and one likewise above j; comparing a
-    group in between changes no count."""
-    bounds, keep, spans = bounds.tolist(), keep.tolist(), []
-    for j in range(len(keep)):
-        for strict, labels in ((False, range(j)), (True, range(j + 1, len(keep)))):
-            marked = [y for y in labels if keep[y][j]]
-            if marked and bounds[marked[0]] < bounds[marked[-1] + 1]:
-                spans.append((j, bounds[marked[0]], bounds[marked[-1] + 1], strict))
-    return tuple(spans)
+        return LabelGroups(self.inputs[rows], bounds, self.size)
 
 
 def group_by_label(spec: ModelSpec, batch: LabeledBatch) -> LabelGroups:
-    """Every row of `batch` grouped by label and compared with every other
-    class, but a row labelled num_classes or above: it is never correct."""
+    """Every row of `batch` grouped by label, but a row labelled num_classes
+    or above: it is never correct, and counts only in `size`."""
     if len(batch) == 0:
         raise ValueError("batch is empty")
     if batch.inputs.shape[1] != spec.input_dim:
@@ -251,53 +241,61 @@ def group_by_label(spec: ModelSpec, batch: LabeledBatch) -> LabelGroups:
     bounds = np.searchsorted(batch.labels[order], np.arange(spec.num_classes + 1))
     inputs = np.ones((bounds[-1], spec.input_dim + 1))
     inputs[:, :-1] = batch.inputs[order[: bounds[-1]]]
-    keep = np.ones((spec.num_classes, spec.num_classes), dtype=bool)
-    return LabelGroups(inputs, bounds, _spans(bounds, keep), len(batch))
+    return LabelGroups(inputs, bounds, len(batch))
 
 
 def count_correct(spec: ModelSpec, params: np.ndarray, groups: LabelGroups) -> np.ndarray:
-    """Correct grouped rows of K models, row k of `params` (K, P).  A row is
-    correct when its label's logit is above every lower class's and at least
-    every higher class's (argmax with ties to the lowest class); a NaN logit
-    makes it wrong.  Each span compares one block of rows of the (K, C, m)
-    logits into preallocated buffers; entry k is that model's count alone."""
+    """Correct grouped rows of K models, row k of `params` (K, P); entry k
+    is that model's count alone.  A row labelled y is correct when its logit
+    is strictly above the running maximum of classes 0..y-1 and at least the
+    maximum of all classes (argmax, ties to the lowest class); a NaN logit
+    makes it wrong, as `np.maximum` carries it through.  Every comparison
+    reads whole class planes z[j] (K, m): a pass up the classes marks where
+    each is above the running maximum, and a pass down keeps a row labelled
+    y where no class above y is, which holds when y is at least the maximum."""
     z = grouped_logits(spec, params, groups.inputs)
-    bounds = groups.bounds
-    own = np.empty((z.shape[0], z.shape[2]))  # each row's logit of its label
-    for y in range(len(bounds) - 1):
-        own[:, bounds[y] : bounds[y + 1]] = z[:, y, bounds[y] : bounds[y + 1]]
-    hit = np.ones(own.shape, dtype=bool)
-    beats = np.empty(own.shape, dtype=bool)
-    for j, start, stop, strict in groups.spans:
-        compare = np.greater if strict else np.greater_equal
-        compare(own[:, start:stop], z[:, j, start:stop], out=beats[:, start:stop])
-        hit[:, start:stop] &= beats[:, start:stop]
+    bounds = groups.bounds.tolist()
+    run = z[0].copy()
+    above = np.empty(z.shape, dtype=bool)  # above[j]: z[j] > classes 0..j-1
+    for j in range(1, len(z)):
+        np.greater(z[j], run, out=above[j])
+        np.maximum(run, z[j], out=run)
+    taken = np.isnan(run)  # rows some class above y, or a NaN, takes from y
+    hit = np.empty(run.shape, dtype=bool)
+    for y in range(len(z) - 1, 0, -1):
+        np.greater(above[y], taken, out=above[y])  # above and not taken
+        hit[:, bounds[y] : bounds[y + 1]] = above[y, :, bounds[y] : bounds[y + 1]]
+        taken |= above[y]
+    np.logical_not(taken[:, : bounds[1]], out=hit[:, : bounds[1]])
     return np.count_nonzero(hit, axis=1)
 
 
 def grouped_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Class-major logits (K, C, m) of K stacked models, row k of `params`
+    """Class-major logits (C, K, m) of K stacked models, row k of `params`
     (K, P), on the rows of `inputs` (m, d + 1), whose last column is ones
     and carries the first layer's bias; mlp1 adds its output bias after.
 
     Each matmul makes one BLAS call per model with a single model's shapes,
-    so model k's logits do not depend on K.  A lone row is doubled so BLAS
-    takes its matrix-matrix path whatever m is.  A row's logits are then
-    what the same model gives on any other set of rows only if BLAS rounds
-    each output the same wherever it sits in the product: OpenBLAS 0.3 does
-    for d + 1 <= 31 (checked bit for bit); at larger d the last bit of a
-    logit may move with m, which can flip a comparison between two logits
-    only when they are within that rounding of each other."""
+    the last writing model k's (C, m) block through a transposed view, so
+    its logits do not depend on K.  A lone row is doubled so BLAS takes its
+    matrix-matrix path whatever m is.  A row's logits are then what the same
+    model gives on any other set of rows only if BLAS rounds each output the
+    same wherever it sits in the product: OpenBLAS 0.3 does for d + 1 <= 31
+    (checked bit for bit); at larger d the last bit of a logit may move with
+    m, which can flip a comparison between two logits only when they are
+    within that rounding of each other."""
     x = np.concatenate([inputs, inputs]) if len(inputs) == 1 else inputs
     if spec.kind == "logistic":
         w, b = _views(spec, params)
-        z = np.concatenate([w, b[..., None]], axis=-1) @ x.T
+        w, hidden = np.concatenate([w, b[..., None]], axis=-1), x.T
     else:
         w1, b1, w, b = _views(spec, params)
         hidden = np.concatenate([w1, b1[..., None]], axis=-1) @ x.T
         np.tanh(hidden, out=hidden)
-        z = w @ hidden
-        z += b[..., None]
+    z = np.empty((spec.num_classes, len(params), len(x)))
+    np.matmul(w, hidden, out=z.transpose(1, 0, 2))
+    if spec.kind == "mlp1":
+        z += b.T[..., None]
     return z[..., : len(inputs)]
 
 

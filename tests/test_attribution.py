@@ -126,6 +126,24 @@ def test_shapley_axioms():
     assert phi.max() - phi.min() <= 1e-12
 
 
+def test_shapley_exact_sums_each_client_left_to_right_from_cached_tables():
+    # the per-client loop that built its masks and weights every call
+    for n in range(0, 7):
+        values = np.random.default_rng(n).normal(size=1 << n)
+        masks, fact = np.arange(1 << n), [math.factorial(j) for j in range(n + 1)]
+        weights = np.array([fact[s] * fact[n - 1 - s] / fact[n] for s in range(n)])
+        expected = []
+        for i in range(n):
+            without = masks[(masks >> i & 1) == 0]
+            sizes = [bin(mask).count("1") for mask in without]
+            terms = weights[sizes] * (values[without | 1 << i] - values[without])
+            expected.append(np.cumsum(terms)[-1])
+        assert shapley_exact(values).tobytes() == np.array(expected).tobytes(), n
+        tables = attribution._marginal_terms(n)
+        assert tables is attribution._marginal_terms(n)
+        assert not any(table.flags.writeable for table in tables)
+
+
 def test_shapley_exact_guard():
     with pytest.raises(ValueError, match="enumeration guard"):
         shapley_exact(np.zeros(1 << 17))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,7 +204,8 @@ def test_accuracy_counts_a_nan_logit_in_the_label_column_as_wrong():
 def scoring_cases(draw):
     """A model kind and size, K stacked parameter rows and a test batch with
     labels up to num_classes + 1; `ties` zeroes a model, copies one class's
-    output weights and bias onto another's, or puts NaN in a class bias."""
+    output weights and bias onto another's, puts NaN or +inf in a class
+    bias, +inf in two, or sets every output bias to -inf."""
     kind = draw(st.sampled_from(models.KINDS))
     hidden = draw(st.integers(1, 4)) if kind == "mlp1" else 0
     spec = ModelSpec(kind, draw(st.integers(1, 4)), draw(st.integers(2, 5)), hidden)
@@ -213,7 +216,9 @@ def scoring_cases(draw):
         rng.normal(size=(rows, spec.input_dim)),
         rng.integers(0, spec.num_classes + 2, rows),
     )
-    ties = draw(st.sampled_from(["none", "zero", "duplicate", "nan"]))
+    ties = draw(
+        st.sampled_from(["none", "zero", "duplicate", "nan", "inf", "inf_tie", "neg_inf"])
+    )
     k = draw(st.integers(0, len(params) - 1))
     src, dst = draw(
         st.lists(st.integers(0, spec.num_classes - 1), min_size=2, max_size=2, unique=True)
@@ -225,6 +230,12 @@ def scoring_cases(draw):
         w[dst], b[dst] = w[src], b[src]
     elif ties == "nan":
         b[dst] = np.nan
+    elif ties == "inf":
+        b[dst] = np.inf
+    elif ties == "inf_tie":
+        b[src] = b[dst] = np.inf
+    elif ties == "neg_inf":
+        b[:] = -np.inf
     return spec, params, batch
 
 
@@ -244,15 +255,15 @@ def test_accuracy_many_matches_the_oracle(case):
 
 
 def assert_rows_equal_each_model_alone(spec, params, batch):
-    """Model k's logits and count are bit for bit the same in a stack of K
-    as alone, and its accuracy is its count over the batch."""
+    """Model k's (C, m) logits and count are bit for bit the same in a
+    stack of K as alone, and its accuracy is its count over the batch."""
     groups = models.group_by_label(spec, batch)
     logits = models.grouped_logits(spec, params, groups.inputs)
-    assert logits.shape == (len(params), spec.num_classes, len(groups.inputs))
+    assert logits.shape == (spec.num_classes, len(params), len(groups.inputs))
     counts = models.count_correct(spec, params, groups)
     for k in range(len(params)):
-        alone = models.grouped_logits(spec, params[k : k + 1], groups.inputs)[0]
-        assert logits[k].tobytes() == alone.tobytes(), k
+        alone = models.grouped_logits(spec, params[k : k + 1], groups.inputs)[:, 0]
+        assert logits[:, k].tobytes() == alone.tobytes(), k
         assert counts[k] == models.count_correct(spec, params[k : k + 1], groups)[0]
         assert models.accuracy(spec, params[k], batch) == counts[k] / len(batch)
 
@@ -278,6 +289,43 @@ def test_wide_models_score_each_model_alone(kind, num_models):
     for rows in (1, 2, 3, 17, 120):
         batch = LabeledBatch(rng.normal(size=(rows, 1024)), rng.integers(0, 10, rows))
         assert_rows_equal_each_model_alone(spec, params, batch)
+
+
+def test_infinite_logits_follow_the_first_max_rule():
+    # rows labelled 0, 1 and 2; a tie, at -inf or at +inf, goes to the
+    # lowest class holding it
+    spec = ModelSpec("logistic", input_dim=2, num_classes=3)
+    batch = LabeledBatch(np.ones((6, 2)), np.array([0, 1, 1, 2, 2, 2]))
+    groups = models.group_by_label(spec, batch)
+    params = np.zeros((3, spec.param_count))
+    *_, b = models._views(spec, params)
+    b[0] = -np.inf  # every class at -inf: class 0
+    b[1, 2] = np.inf  # class 2 alone at +inf
+    b[2, 1:] = np.inf  # classes 1 and 2 at +inf: class 1
+    assert models.count_correct(spec, params, groups).tolist() == [1, 3, 2]
+    for row, count in zip(params, [1, 3, 2]):
+        assert oracles.accuracy(spec, row, batch) == count / 6
+
+
+def test_restrict_keeps_bounds_and_size_consistent():
+    spec = ModelSpec("logistic", input_dim=2, num_classes=4)
+    rng = np.random.default_rng(3)
+    batch = LabeledBatch(rng.normal(size=(60, 2)), rng.integers(0, 5, 60))
+    groups = models.group_by_label(spec, batch)
+    rows = rng.random(len(groups.inputs)) < 0.5
+    rows[groups.bounds[1] : groups.bounds[2]] = False  # no row labelled 1 left
+    kept = groups.restrict(rows)
+    assert kept.size == groups.size == 60
+    assert kept.inputs.tobytes() == groups.inputs[rows].tobytes()
+    labels = np.repeat(np.arange(4), np.diff(groups.bounds))[rows]
+    assert np.diff(kept.bounds).tolist() == np.bincount(labels, minlength=4).tolist()
+    assert kept.bounds[0] == 0 and kept.bounds[-1] == len(kept.inputs)
+    params = rng.normal(size=(5, spec.param_count))
+    alone = models.group_by_label(spec, LabeledBatch(kept.inputs[:, :-1], labels))
+    assert (
+        models.count_correct(spec, params, kept).tolist()
+        == models.count_correct(spec, params, alone).tolist()
+    )
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
@@ -478,3 +526,28 @@ def test_batch_rejects_non_finite_and_mismatch():
         LabeledBatch(np.array([[np.inf, 0.0]]), np.array([0]))
     with pytest.raises(ValueError):
         LabeledBatch(np.zeros((2, 2)), np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([0.0, 1.7, 2.2]),  # truncated to [0, 1, 2] by an int cast
+        np.array([0.0, np.nan, 1.0]),
+        np.array([0.0, np.inf, 1.0]),
+        np.array([0.0, 2.0**70, 1.0]),
+        np.array(["0", "1", "1"]),
+        np.array([0, 1, 1], dtype=object),
+    ],
+)
+def test_batch_rejects_labels_that_are_not_whole_numbers(labels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before the cast could warn
+        with pytest.raises(ValueError, match="labels must be"):
+            LabeledBatch(np.zeros((3, 2)), labels)
+
+
+def test_batch_takes_integer_bool_and_whole_float_labels():
+    for labels in (np.array([2]), np.array([2], dtype=np.uint8), np.array([2.0]), [2]):
+        assert LabeledBatch(np.zeros((1, 2)), labels).labels.tolist() == [2]
+    assert LabeledBatch(np.zeros((1, 2)), np.array([True])).labels.tolist() == [1]
+    assert LabeledBatch(np.zeros((0, 2)), np.zeros(0)).labels.dtype == np.int64
