@@ -192,11 +192,12 @@ def partition_noniid(
 
 def coverage_stats(shard: ClientShard) -> tuple[set[int], set[int]]:
     """Classes missing from the shard, and nonzero classes below the nonzero median."""
-    counts = shard.class_counts
+    counts = shard.class_counts.tolist()
     missing = {c for c, count in enumerate(counts) if count == 0}
-    nonzero = counts[counts > 0]
-    if len(nonzero) == 0:
+    nonzero = sorted(count for count in counts if count > 0)
+    if not nonzero:
         return missing, set()
-    med = float(np.median(nonzero))
+    half = len(nonzero) // 2
+    med = nonzero[half] if len(nonzero) % 2 else (nonzero[half - 1] + nonzero[half]) / 2
     under = {c for c, count in enumerate(counts) if 0 < count < med}
     return missing, under

@@ -324,9 +324,9 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
     state, diag) in entry order.  A step that is not a generator has already
     returned.  The training sets that generators yield are checked (each set
     object once per pass, blaming the first step that yields it), grouped by
-    model, hyperparameters and size, trained in one `sgd_train_many` call per
-    group (each row from its own ctx.w_t, with the seed its own ctx.rng gives
-    at the yield) and sent back as updates.  Rows equal training alone bit
+    model and hyperparameters, trained in one `sgd_train_many` call per group
+    (each row from its own ctx.w_t, with the seed its own ctx.rng gives at the
+    yield) and sent back as updates.  Rows equal training alone bit
     for bit; a failure raises FLRunError naming the step's round and client."""
     results: list = [None] * len(entries)
     pending = []  # (entry index, ctx, step) of each unfinished generator
@@ -353,11 +353,10 @@ def _drive(entries: Sequence[tuple]) -> list[tuple]:
                     _check_batch(ctx.spec, batch)
                     checked.add((id(batch), ctx.spec))
                 seed = int(ctx.rng.integers(0, 2**63))
-            key = (ctx.spec, ctx.hp, len(batch))
-            groups.setdefault(key, []).append((len(waiting), ctx, batch, seed))
+            groups.setdefault((ctx.spec, ctx.hp), []).append((len(waiting), ctx, batch, seed))
             waiting.append((e, ctx, step))
         sent = [None] * len(waiting)
-        for (spec, hp, _), members in groups.items():
+        for (spec, hp), members in groups.items():
             rows, ctxs, batches, seeds = zip(*members)
             starts = np.stack([ctx.w_t for ctx in ctxs])
             with _blame(ctxs[0]):

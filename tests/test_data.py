@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedattr import models
 from fedattr.data import (
@@ -165,6 +167,27 @@ def test_coverage_stats_examples():
     assert coverage_stats(shard_from_counts([0, 5, 5])) == ({0}, set())
     assert coverage_stats(shard_from_counts([0, 1, 9])) == ({0}, {1})
     assert coverage_stats(shard_from_counts([4, 4, 4])) == (set(), set())
+
+
+def coverage_reference(counts):
+    """`coverage_stats` as first written, through np.median."""
+    counts = np.asarray(counts)
+    missing = {c for c, count in enumerate(counts) if count == 0}
+    nonzero = counts[counts > 0]
+    if len(nonzero) == 0:
+        return missing, set()
+    med = float(np.median(nonzero))
+    return missing, {c for c, count in enumerate(counts) if 0 < count < med}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=10))
+@example([0, 3, 8, 0, 5, 9])  # four nonzero classes: a median of 6.5
+@example([2, 3])  # a median of 2.5
+@example([0, 7, 0])  # one nonzero class
+@example([0, 0, 0])  # an empty shard
+def test_coverage_stats_equals_the_median_definition(counts):
+    assert coverage_stats(shard_from_counts(counts)) == coverage_reference(counts)
 
 
 def test_coverage_sets_disjoint():

@@ -25,9 +25,11 @@ from fedattr.flcore import (
 from fedattr.models import ModelSpec
 
 
-def make_scenario(num_clients=3, num_classes=3, seed=0, samples_per_client=30):
+def make_scenario(
+    num_clients=3, num_classes=3, seed=0, samples_per_client=30, samples_per_class=120
+):
     dataset = DatasetSpec(
-        "gaussian_blobs", num_classes, 2, 120, class_separation=5.0,
+        "gaussian_blobs", num_classes, 2, samples_per_class, class_separation=5.0,
         noise_scale=1.0, seed=seed,
     )
     train, test = synthesize(dataset)
@@ -40,12 +42,12 @@ def make_scenario(num_clients=3, num_classes=3, seed=0, samples_per_client=30):
     return spec, shards, test
 
 
-def latent_attacker(spec, test):
+def latent_attacker(spec, test, synth_batch=8):
     """The latent-optimization attack as one step, decoder fitted on `test`."""
     dec = attacks.calibrate_decoder(test, 2, seed=0, num_classes=spec.num_classes)
     return partial(
         attacks.behavior_latent_opt, dec=dec, kappa=math.inf,
-        latent_steps=2, synth_batch=8, eta_z=0.05,
+        latent_steps=2, synth_batch=synth_batch, eta_z=0.05,
     )
 
 
@@ -618,6 +620,22 @@ def test_latent_attacker_config_runs_twice_identically():
         assert set(rec.diags[1]) >= {"l1", "l2", "l3", "clipped", "update_norm"}
 
 
+def test_a_latent_attacker_trains_in_its_round_s_one_lockstep_call(monkeypatch):
+    # the attacker's hybrid set (200 shard rows and 32 decoded ones) is larger
+    # than a benign shard, and still joins the benign clients' call
+    spec, shards, test = make_scenario(samples_per_client=200, samples_per_class=400)
+    behaviors = [benign, latent_attacker(spec, test, synth_batch=32), benign]
+    sizes = []
+
+    def spy(spec, params, datas, *args):
+        sizes.append(sorted(len(data) for data in datas))
+        return models.sgd_train_many(spec, params, datas, *args)
+
+    monkeypatch.setattr(flcore, "sgd_train_many", spy)
+    run_training(make_config(spec, shards, test, rounds=3, behaviors=behaviors))
+    assert sizes == [[200, 200, 232]] * 3
+
+
 def test_lockstep_failure_names_the_failing_client():
     spec, shards, test = make_scenario()
     data = shards[2].data
@@ -629,8 +647,8 @@ def test_lockstep_failure_names_the_failing_client():
 
 
 def test_run_training_many_matches_each_run_alone(monkeypatch):
-    # training sets of different runs share lockstep calls only when model,
-    # hyperparameters and size agree; a round's close trims runs together
+    # training sets of different runs, of any size, share lockstep calls
+    # when model and hyperparameters agree; a round's close trims runs together
     # when client count, parameter count and trim_tau agree, and scores them
     # together when model and test set agree
     spec, shards, test = make_scenario(num_clients=5)

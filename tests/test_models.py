@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedattr import models, oracles
@@ -254,6 +254,24 @@ def test_accuracy_many_matches_the_oracle(case):
         assert models.accuracy(spec, row, batch) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 500), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1, 1, 1)
+def test_int32_hit_sums_count_as_count_nonzero_does(k, m, seed):
+    # `count_correct` counts each model's hits (K, m) as an int32 row sum:
+    # the counts, and the utilities divided from them as `_close_round` and
+    # `CoalitionUtility.values` divide them, equal count_nonzero's bit for bit
+    rng = np.random.default_rng(seed)
+    hit = rng.random((k, m)) < rng.random()
+    sums, nonzero = hit.sum(axis=1, dtype=np.int32), np.count_nonzero(hit, axis=1)
+    assert sums.tolist() == nonzero.tolist()
+    always, size = int(rng.integers(0, 100)), m + 100
+    for count, expected in zip(sums, nonzero):
+        assert float(count / size) == float(expected / size)
+    assert ((always + sums) / size).tobytes() == ((always + nonzero) / size).tobytes()
+
+
 def assert_rows_equal_each_model_alone(spec, params, batch):
     """Model k's (C, m) logits and count are bit for bit the same in a
     stack of K as alone, and its accuracy is its count over the batch."""
@@ -437,29 +455,63 @@ def test_sgd_train_many_stacks_only_distinct_rows(monkeypatch):
 def duplicate_patterns(draw):
     """Rows drawing start, set and seed each from a small pool, so any of
     them may repeat; set 2 is a separate object equal to set 0, and the last
-    row is row 0 with that copy."""
+    row is row 0 with that copy.  Sets 0 and 1 draw their own sizes and the
+    batch size its own, so a set may fall short of one batch, and two sets'
+    last batches may differ in length."""
     spec = draw(st.sampled_from(SGD_SPECS))
     k = draw(st.integers(1, 6))
     picks = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(3)]
-    return spec, [*zip(*picks), (picks[0][0], 2, picks[2][0])], draw(st.integers(0, 2**32))
+    sizes = draw(st.tuples(st.integers(1, 20), st.integers(1, 20)))
+    batch_size = draw(st.integers(1, 8))
+    rows = [*zip(*picks), (picks[0][0], 2, picks[2][0])]
+    return spec, rows, sizes, batch_size, draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(duplicate_patterns())
+# sets of 5 and 6 rows, which lockstep once rejected as unequal in size
+@example((SGD_SPECS[0], [(0, 0, 0), (1, 1, 1)], (5, 6), 2, 6))
+# one set shorter than a batch, the other with a last batch of 3 rows
+@example((SGD_SPECS[1], [(0, 0, 0), (1, 1, 1), (0, 1, 0), (0, 2, 0)], (3, 19), 8, 1))
 def test_sgd_train_many_rows_with_duplicates_match_single_runs(pattern):
-    spec, rows, seed = pattern
+    spec, rows, sizes, batch_size, seed = pattern
     rng = np.random.default_rng(seed)
     starts = rng.normal(size=(3, spec.param_count))
-    sets = [random_batch(rng, spec, 13), random_batch(rng, spec, 13)]
+    sets = [random_batch(rng, spec, size) for size in sizes]
     sets.append(LabeledBatch(sets[0].inputs.copy(), sets[0].labels.copy()))
     seeds = [int(s) for s in rng.integers(0, 2**63, 3)]
     params = np.stack([starts[s] for s, _, _ in rows])
     datas = [sets[d] for _, d, _ in rows]
     row_seeds = [seeds[r] for _, _, r in rows]
-    many = models.sgd_train_many(spec, params, datas, 2, 4, 0.3, row_seeds)
+    many = models.sgd_train_many(spec, params, datas, 2, batch_size, 0.3, row_seeds)
     assert many.shape == (len(rows), spec.param_count)
     for row, start, data, s in zip(many, params, datas, row_seeds):
-        assert row.tobytes() == models.sgd_train(spec, start, data, 2, 4, 0.3, s).tobytes()
+        single = models.sgd_train(spec, start, data, 2, batch_size, 0.3, s)
+        assert row.tobytes() == single.tobytes()
+        ref = oracles.sgd_train(spec, start, data, 2, batch_size, 0.3, s)
+        assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_sgd_train_many_stacks_sets_of_unequal_size(monkeypatch):
+    # a benign shard of 200 rows and the latent attacker's 232-row hybrid
+    # set at batch 32: six steps share a call, then the attacker's full
+    # batch, the shard's last 8 rows and the attacker's last 8 rows
+    spec = SGD_SPECS[0]
+    rng = np.random.default_rng(12)
+    datas = [random_batch(rng, spec, 200), random_batch(rng, spec, 232)]
+    params = rng.normal(size=(2, spec.param_count))
+    calls, ce_grads = [], models._ce_grads
+
+    def spy(spec, params, x, y):
+        calls.append((len(params), x.shape[1]))
+        return ce_grads(spec, params, x, y)
+
+    monkeypatch.setattr(models, "_ce_grads", spy)
+    many = models.sgd_train_many(spec, params, datas, 2, 32, 0.1, [3, 4])
+    monkeypatch.undo()
+    assert calls == ([(2, 32)] * 6 + [(1, 32), (1, 8), (1, 8)]) * 2
+    for row, start, data, seed in zip(many, params, datas, [3, 4]):
+        assert row.tobytes() == models.sgd_train(spec, start, data, 2, 32, 0.1, seed).tobytes()
 
 
 @pytest.mark.parametrize("width", [*range(1, 18), 100])
@@ -479,11 +531,6 @@ def test_sgd_train_many_rejects_mismatched_inputs():
     spec = SGD_SPECS[0]
     rng = np.random.default_rng(6)
     params = np.zeros((2, spec.param_count))
-    with pytest.raises(ValueError, match="equal size"):
-        models.sgd_train_many(
-            spec, params, [random_batch(rng, spec, 5), random_batch(rng, spec, 6)],
-            1, 2, 0.1, [0, 1],
-        )
     same = [random_batch(rng, spec, 5)] * 2
     with pytest.raises(ValueError, match="one seed"):
         models.sgd_train_many(spec, params, same, 1, 2, 0.1, [0])
